@@ -1,8 +1,9 @@
 """Size bounds for partitioned codes and their asymptotic rate functions.
 
-Every integer-valued bound is computed in exact rational arithmetic
-(:class:`fractions.Fraction`); floating point appears only in the asymptotic
-functions, which are evaluated with mpmath at a stated working precision.
+Every integer-valued bound is computed exactly, in integer or rational
+(:class:`fractions.Fraction`) arithmetic; floating point appears only in the
+asymptotic functions, which are evaluated with mpmath at a stated working
+precision.
 
 Distance conventions: :class:`~mcwc.core.CodeParameters` stores the literal
 minimum distance.  The closed-form bounds below are stated for even distance
@@ -12,7 +13,6 @@ stored distance is odd.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
@@ -71,10 +71,36 @@ def johnson_eq3(params: CodeParameters) -> BoundResult:
 
 # -- recursive Johnson bound -------------------------------------------------
 
-_REC_CACHE: dict = {}
-_REC_LOCK = threading.Lock()
+# d -> {blocks: (value, rule)} for every state whose whole subtree was explored
+# within a call's state budget.  Such an entry equals what a call without a
+# budget computes, so the memo is shared across calls: a budgeted call never
+# changes a later answer.
+_REC_CACHE: dict[int, dict] = {}
 
-_BlockKey = tuple[tuple[int, int], ...]  # sorted (w, n) pairs
+_BlockKey = tuple[tuple[int, int], ...]  # sorted (w, n) pairs with 0 < w < n
+_Rule = tuple  # ("eq1", w, n) | ("eq2", w, n) | ("eq3",) | ("product",) | ...
+
+# (w, n) -> the eq1 and eq2 steps from that block, as (child block, or None
+# when the child's weight is forced; rule; divisor; change of the reach).
+# Built once per block, so that memo entries share rule tuples and blocks.
+_STEPS: dict = {}
+
+
+def _steps(block: tuple[int, int]):
+    steps = _STEPS.get(block)
+    if steps is None:
+        w, n = block
+        here = min(w, n - w)
+        steps = _STEPS[block] = (
+            ((w - 1, n - 1) if w > 1 else None, ("eq1", w, n), w, min(w - 1, n - w) - here),
+            ((w, n - 1) if w < n - 1 else None, ("eq2", w, n), n - w, min(w, n - 1 - w) - here),
+        )
+    return steps
+
+
+def _reach(blocks: _BlockKey) -> int:
+    """Half the largest distance between two words."""
+    return sum(min(w, n - w) for w, n in blocks)
 
 
 def _space_size(blocks: _BlockKey) -> int:
@@ -94,100 +120,109 @@ def _normalize_blocks(blocks) -> Optional[_BlockKey]:
 
 
 def _eq3_on_blocks(blocks: _BlockKey, d: int) -> Optional[int]:
+    """floor(u / (sum w^2/n - lambda)), with both sides scaled by L = prod n."""
     if d % 2 != 0:
         return None
     u = d // 2
+    big = prod(n for _, n in blocks)
     lam = sum(w for w, _ in blocks) - u
-    denom = sum(Fraction(w * w, n) for w, n in blocks) - lam
+    denom = sum(w * w * (big // n) for w, n in blocks) - lam * big
     if denom <= 0:
         return None
-    return int(Fraction(u) / denom)
+    return u * big // denom
 
 
 class _RecState:
-    __slots__ = ("visited", "budget")
+    __slots__ = ("d", "visited", "budget", "memo", "partial")
 
-    def __init__(self, budget: int):
+    def __init__(self, d: int, budget: int, partial: Optional[dict] = None):
+        self.d = d
         self.visited = 0
         self.budget = budget
+        self.memo = _REC_CACHE.setdefault(d, {})
+        # states of this call whose subtree the budget cut off; never shared
+        self.partial = {} if partial is None else partial
 
 
-_Rule = tuple  # ("eq1", w, n) | ("eq2", w, n) | ("eq3",) | ("product",) | ...
-
-
-def _rec_bound(blocks: _BlockKey, d: int, st: _RecState) -> tuple[int, _Rule]:
-    norm = _normalize_blocks(blocks)
-    if norm is None:
-        return 0, ("no-word",)
-    blocks = norm
-    if not blocks:
-        return 1, ("single",)
-    if d <= 2:
-        # distinct equal-weight words always differ in at least two coordinates
-        return _space_size(blocks), ("space",)
-    if d > 2 * sum(min(w, n - w) for w, n in blocks):
-        return 1, ("single",)
-    key = (blocks, d)
-    with _REC_LOCK:
-        hit = _REC_CACHE.get(key)
+def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule, bool]:
+    """(value, winning rule, whether the whole subtree was explored) for
+    normalized blocks with the given :func:`_reach`, at distance ``st.d`` > 2."""
+    if not blocks or st.d > 2 * reach:
+        return 1, ("single",), True
+    hit = st.memo.get(blocks)
     if hit is not None:
-        return hit[0], hit[1]
+        return hit[0], hit[1], True
+    hit = st.partial.get(blocks)
+    if hit is not None:
+        return hit[0], hit[1], False
     st.visited += 1
-    over_budget = st.visited > st.budget
     best = _space_size(blocks)
     rule: _Rule = ("product",)
-    if not over_budget:
-        v3 = _eq3_on_blocks(blocks, d)
-        if v3 is not None and v3 < best:
-            best, rule = v3, ("eq3",)
-        for i, (w, n) in enumerate(blocks):
-            rest = blocks[:i] + blocks[i + 1 :]
-            if w >= 1:
-                child, _ = _rec_bound(rest + ((w - 1, n - 1),), d, st)
-                v = int(Fraction(n, w) * child)
-                if v < best:
-                    best, rule = v, ("eq1", w, n)
-            if n - w >= 1:
-                child, _ = _rec_bound(rest + ((w, n - 1),), d, st)
-                v = int(Fraction(n, n - w) * child)
-                if v < best:
-                    best, rule = v, ("eq2", w, n)
-        with _REC_LOCK:
-            _REC_CACHE[key] = (best, rule)
-    return best, rule
+    if st.visited > st.budget:
+        return best, rule, False
+    complete = True
+    v3 = _eq3_on_blocks(blocks, st.d)
+    if v3 is not None and v3 < best:
+        best, rule = v3, ("eq3",)
+    for i, block in enumerate(blocks):
+        rest = blocks[:i] + blocks[i + 1 :]
+        for child_block, step, divisor, dreach in _steps(block):
+            child = rest if child_block is None else tuple(sorted((*rest, child_block)))
+            value, _, done = _rec_bound(child, reach + dreach, st)
+            complete = complete and done
+            v = block[1] * value // divisor
+            if v < best:
+                best, rule = v, step
+    (st.memo if complete else st.partial)[blocks] = (best, rule)
+    return best, rule, complete
 
 
 def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> BoundResult:
     """Memoized minimization over the two single-block recursions, the
     floor-of-ratio bound, the trivial product bound and the base cases.
 
-    The memo table is shared across calls and guarded by a lock; results do
-    not depend on call order.  ``state_budget`` caps the number of states
-    explored per call; beyond it the sound product fallback is used.
+    ``state_budget`` caps the number of states explored per call; beyond it
+    the sound product fallback is used, and the certificate's ``truncated``
+    is True.  The memo table is shared across calls but holds only states
+    whose whole subtree was explored within budget, so every entry equals
+    what an unbudgeted call computes: an answer does not depend on call
+    order or on an earlier call's budget.
     """
-    blocks = tuple(zip(params.block_weights, params.block_lengths))
-    st = _RecState(state_budget)
-    value, rule = _rec_bound(blocks, params.distance, st)
+    d = params.distance
+    blocks = _normalize_blocks(zip(params.block_weights, params.block_lengths))
+    st = _RecState(d, state_budget)
+    if blocks is None:
+        value, rule, complete = 0, ("no-word",), True
+    elif blocks and d <= 2:
+        # distinct equal-weight words always differ in at least two coordinates
+        value, rule, complete = _space_size(blocks), ("space",), True
+    else:
+        value, rule, complete = _rec_bound(blocks, _reach(blocks), st)
     return BoundResult(
         "johnson-recursive",
         value,
-        {"rule": rule, "states": st.visited, "trace": _rec_trace(blocks, params.distance)},
+        {
+            "rule": rule,
+            "states": st.visited,
+            "truncated": not complete,
+            "trace": _rec_trace(blocks, rule, st),
+        },
     )
 
 
-def _rec_trace(blocks, d: int, limit: int = 64) -> tuple[_Rule, ...]:
-    """Path of winning rules from the root state down to a terminal rule."""
-    trace: list[_Rule] = []
-    while len(trace) < limit:
-        value, rule = _rec_bound(blocks, d, _RecState(0))
+def _rec_trace(blocks, rule: _Rule, st: _RecState, limit: int = 64) -> tuple[_Rule, ...]:
+    """Path of winning rules from the root state down to a terminal rule,
+    read from the memo and from the call's partial states."""
+    lookup = _RecState(st.d, 0, st.partial)
+    trace = [rule]
+    while rule[0] in ("eq1", "eq2") and len(trace) < limit:
+        i = blocks.index(rule[1:])
+        child_block = _steps(blocks[i])[0 if rule[0] == "eq1" else 1][0]
+        blocks = blocks[:i] + blocks[i + 1 :]
+        if child_block is not None:
+            blocks = tuple(sorted((*blocks, child_block)))
+        _, rule, _ = _rec_bound(blocks, _reach(blocks), lookup)
         trace.append(rule)
-        if rule[0] not in ("eq1", "eq2"):
-            break
-        _, w, n = rule
-        norm = _normalize_blocks(blocks)
-        i = norm.index((w, n))
-        rest = norm[:i] + norm[i + 1 :]
-        blocks = rest + ((w - 1, n - 1) if rule[0] == "eq1" else (w, n - 1),)
     return tuple(trace)
 
 
@@ -288,14 +323,14 @@ def gv_lower_bound(params: CodeParameters) -> BoundResult:
     return BoundResult(method, value, {"numerator": numerator, "ball_volume": volume})
 
 
-def best_upper_bound(
+def upper_bounds(
     params: CodeParameters, *, lp_cap: int = 64, state_budget: int = 10**6
-) -> BoundResult:
-    """Minimum over every applicable upper bound, with the winner tagged.
-
-    The LP bound is consulted only when the instance is small enough for the
-    exact simplex to be cheap (variable count at most ``lp_cap``).
-    """
+) -> dict[str, BoundResult]:
+    """Every upper bound that :func:`best_upper_bound` considers, keyed by
+    method in a fixed order: johnson-recursive, johnson-eq3 and, for uniform
+    shapes, plotkin-discrete, spherical and the LP bound (when its
+    symmetrized LP has at most ``lp_cap`` variables).  Each bound is
+    computed once."""
     results = [johnson_recursive(params, state_budget), johnson_eq3(params)]
     if params.is_uniform:
         results.append(plotkin_discrete(params))
@@ -312,13 +347,26 @@ def best_upper_bound(
             from .lp import lp_bound
 
             results.append(lp_bound(params))
-    table = {r.method: r.value for r in results}
-    best = None
-    for r in results:
-        if r.applicable and (best is None or r.value < best.value):
-            best = r
-    assert best is not None  # johnson_recursive always applies
-    return BoundResult(best.method, best.value, {"all": table})
+    return {r.method: r for r in results}
+
+
+def best_of(table: dict[str, BoundResult]) -> BoundResult:
+    """The first strict minimum of an :func:`upper_bounds` table, with the
+    winner tagged and every value in the certificate."""
+    # johnson_recursive always applies, so the minimum exists
+    best = min((r for r in table.values() if r.applicable), key=lambda r: r.value)
+    return BoundResult(best.method, best.value, {"all": {k: r.value for k, r in table.items()}})
+
+
+def best_upper_bound(
+    params: CodeParameters, *, lp_cap: int = 64, state_budget: int = 10**6
+) -> BoundResult:
+    """Minimum over every applicable upper bound, with the winner tagged.
+
+    The LP bound is consulted only when the instance is small enough for the
+    exact simplex to be cheap (variable count at most ``lp_cap``).
+    """
+    return best_of(upper_bounds(params, lp_cap=lp_cap, state_budget=state_budget))
 
 
 # -- asymptotic rate functions ------------------------------------------------

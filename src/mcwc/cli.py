@@ -17,13 +17,14 @@ from typing import Optional, Sequence
 from . import corpus
 from .bounds import (
     asymptotic_point,
-    best_upper_bound,
+    best_of,
     gv_lower_bound,
     johnson_eq3,
     johnson_recursive,
     plotkin_bound,
     plotkin_discrete,
     spherical_bound,
+    upper_bounds,
 )
 from .constructions import (
     develop as develop_table,
@@ -154,18 +155,22 @@ _BOUND_FNS = {
 def cmd_bound(args) -> int:
     params = _params_from_args(args)
     methods = list(_BOUND_FNS) + ["best"] if args.method == "all" else [args.method]
+    # the upper bounds that 'best' weighs, each computed once; an LP outside
+    # the gate is still computed for its own row
+    table = upper_bounds(params) if args.method in ("all", "best") else {}
     rows = []
     for name in methods:
         if name == "best":
-            result = best_upper_bound(params)
+            result = best_of(table)
             rows.append(["best", result.value, f"via {result.method}"])
             continue
-        fn = _BOUND_FNS[name]
-        try:
-            result = fn(params)
-        except McwcError as exc:
-            rows.append([name, "-", str(exc)])
-            continue
+        result = table.get("johnson-recursive" if name == "johnson" else name)
+        if result is None:
+            try:
+                result = _BOUND_FNS[name](params)
+            except McwcError as exc:
+                rows.append([name, "-", str(exc)])
+                continue
         note = "lower bound" if name == "gv" else ""
         rows.append([name, "-" if result.value is None else result.value,
                      note or result.certificate.get("reason", "")])

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mcwc import bounds
 from mcwc.core import CodeParameters, DomainError, ShapeError
 from mcwc.bounds import (
     asymptotic_point,
+    best_of,
     best_upper_bound,
     binary_entropy,
     comparison_f,
@@ -16,6 +20,7 @@ from mcwc.bounds import (
     plotkin_bound,
     plotkin_discrete,
     spherical_bound,
+    upper_bounds,
 )
 
 
@@ -64,6 +69,76 @@ class TestJohnsonRecursive:
 
     def test_space_base(self):
         assert johnson_recursive(uni(2, 4, 2, 2)).value == 36
+
+    def test_not_truncated_by_default(self):
+        r = johnson_recursive(uni(4, 9, 3, 6))
+        assert r.value == 1016064 and r.certificate["truncated"] is False
+
+    def test_truncated_under_budget(self):
+        bounds._REC_CACHE.clear()  # a memoized root would need no budget
+        r = johnson_recursive(uni(4, 9, 3, 6), state_budget=3)
+        assert r.certificate["truncated"] is True
+        assert r.value >= 1016064  # the product fallback is sound
+        assert johnson_recursive(uni(4, 9, 3, 6)).value == 1016064
+
+    def test_base_case_never_truncated(self):
+        r = johnson_recursive(CodeParameters((3, 3), (2, 2), 10), state_budget=0)
+        assert r.value == 1 and r.certificate["truncated"] is False
+
+
+def _johnson_reference(params: CodeParameters) -> int:
+    """The recursive Johnson bound in Fraction arithmetic, with a table local
+    to this call, independent of the package's memo and integer formulas."""
+    d = params.distance
+    table: dict = {}
+
+    def rec(blocks) -> int:
+        if any(w > n for w, n in blocks):
+            return 0
+        blocks = tuple(sorted((w, n) for w, n in blocks if 0 < w < n))
+        if not blocks:
+            return 1
+        if d <= 2:
+            return prod(comb(n, w) for w, n in blocks)
+        if d > 2 * sum(min(w, n - w) for w, n in blocks):
+            return 1
+        if blocks not in table:
+            best = prod(comb(n, w) for w, n in blocks)
+            if d % 2 == 0:
+                u = d // 2
+                lam = sum(w for w, _ in blocks) - u
+                denom = sum(Fraction(w * w, n) for w, n in blocks) - lam
+                if denom > 0:
+                    best = min(best, int(Fraction(u) / denom))
+            for i, (w, n) in enumerate(blocks):
+                rest = blocks[:i] + blocks[i + 1 :]
+                best = min(best, int(Fraction(n, w) * rec(rest + ((w - 1, n - 1),))))
+                best = min(best, int(Fraction(n, n - w) * rec(rest + ((w, n - 1),))))
+            table[blocks] = best
+        return table[blocks]
+
+    return rec(tuple(zip(params.block_weights, params.block_lengths)))
+
+
+@st.composite
+def small_shapes(draw):
+    k = draw(st.integers(2, 3))
+    lengths = [draw(st.integers(1, 9)) for _ in range(k)]
+    weights = [draw(st.integers(0, n)) for n in lengths]
+    reach = 2 * sum(min(w, n - w) for w, n in zip(weights, lengths))
+    d = 2 * draw(st.integers(1, reach // 2 + 1))
+    return CodeParameters(tuple(lengths), tuple(weights), d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_shapes(), st.lists(st.integers(0, 40), min_size=1, max_size=4))
+@example(uni(4, 9, 3, 6), [3])
+def test_budgeted_calls_never_change_a_later_answer(params, budgets):
+    exact = _johnson_reference(params)
+    bounds._REC_CACHE.clear()  # let the budgeted calls meet unexplored states
+    for budget in budgets:
+        assert johnson_recursive(params, state_budget=budget).value >= exact
+    assert johnson_recursive(params).value == exact
 
 
 class TestPlotkin:
@@ -162,6 +237,25 @@ class TestBestUpper:
 
     def test_3_3_single_word(self):
         assert best_upper_bound(CodeParameters((3, 3), (2, 2), 6)).value == 1
+
+    def test_table_order_and_gate(self):
+        assert list(upper_bounds(uni(3, 8, 3, 6))) == [
+            "johnson-recursive", "johnson-eq3", "plotkin-discrete", "spherical", "lp",
+        ]
+        assert "lp" not in upper_bounds(uni(10, 4, 2, 16))  # 66 LP variables
+        assert "lp" not in upper_bounds(uni(3, 8, 3, 6), lp_cap=19)  # 20 LP variables
+        assert list(upper_bounds(CodeParameters((5, 7), (2, 2), 6))) == [
+            "johnson-recursive", "johnson-eq3",
+        ]
+
+    def test_best_is_first_strict_minimum(self):
+        # every bound in the table reaches 5, so the first one wins
+        table = upper_bounds(uni(2, 5, 2, 6))
+        assert {r.value for r in table.values()} == {5}
+        best = best_of(table)
+        assert best.method == "johnson-recursive" and best.value == 5
+        assert best.certificate["all"] == {k: 5 for k in table}
+        assert best_upper_bound(uni(2, 5, 2, 6)) == best
 
 
 class TestAsymptotics:

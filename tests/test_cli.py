@@ -120,6 +120,83 @@ class TestBound:
         rc, _ = run(["bound", "--d", "6"], capsys)
         assert rc == 2
 
+    # --format tsv output of 'bound' recorded before each bound was computed
+    # once per invocation: 'best' from the LP; an LP outside the gate, whose
+    # row is an error that 'best' ignores; a non-uniform shape
+    RECORDED = {
+        "--m 3 --n 8 --w 3 --d 6": (
+            "johnson\t3864\t\n"
+            "johnson-eq3\t-\tdenominator <= 0\n"
+            "plotkin\t-\tb <= 0\n"
+            "plotkin-discrete\t-\tb <= 0\n"
+            "spherical\t-\tb <= 0\n"
+            "gv\t217\tlower bound\n"
+            "lp\t3497\t\n"
+            "best\t3497\tvia lp\n"
+        ),
+        "--m 10 --n 4 --w 2 --d 16": (
+            "johnson\t1728\t\n"
+            "johnson-eq3\t-\tdenominator <= 0\n"
+            "plotkin\t-\tb <= 0\n"
+            "plotkin-discrete\t-\tb <= 0\n"
+            "spherical\t-\tb <= 0\n"
+            "gv\t13\tlower bound\n"
+            "lp\t-\tLP would need 59049 classes, above the cap of 4096\n"
+            "best\t1728\tvia johnson-recursive\n"
+        ),
+        "--lengths 5,7 --weights 2,2 --d 6": (
+            "johnson\t7\t\n"
+            "johnson-eq3\t8\t\n"
+            "plotkin\t-\tplotkin requires uniform parameters\n"
+            "plotkin-discrete\t-\tplotkin requires uniform parameters\n"
+            "spherical\t-\tspherical requires uniform parameters\n"
+            "gv\t-\tgv requires uniform parameters\n"
+            "lp\t-\tthe LP bound requires uniform parameters\n"
+            "best\t7\tvia johnson-recursive\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("args", sorted(RECORDED))
+    def test_tsv_output_unchanged(self, args, capsys):
+        rc, out = run(["--format", "tsv", "bound", *args.split()], capsys)
+        assert rc == 0
+        assert out == "method\tvalue\tnote\n" + self.RECORDED[args]
+
+    @pytest.mark.parametrize("args", sorted(RECORDED))
+    def test_each_bound_computed_once(self, args, capsys, monkeypatch):
+        from mcwc import bounds, cli, lp
+
+        calls = {"johnson_recursive": 0, "lp_bound": 0}
+
+        def counted(fn):
+            def wrapper(*a, **k):
+                calls[fn.__name__] += 1
+                return fn(*a, **k)
+            return wrapper
+
+        for fn, module, key in ((bounds.johnson_recursive, bounds, "johnson"),
+                                (lp.lp_bound, lp, "lp")):
+            wrapped = counted(fn)
+            for mod in (module, cli):
+                monkeypatch.setattr(mod, fn.__name__, wrapped)
+            monkeypatch.setitem(cli._BOUND_FNS, key, wrapped)
+        rc, _ = run(["bound", *args.split(), "--method", "all"], capsys)
+        assert rc == 0
+        assert calls["johnson_recursive"] == 1 and calls["lp_bound"] <= 1, calls
+
+    def test_single_method_computes_only_that_bound(self, capsys, monkeypatch):
+        from mcwc import bounds, lp
+
+        def forbidden(*a, **k):
+            raise AssertionError("computed a bound that was not asked for")
+
+        for mod, name in ((bounds, "johnson_eq3"), (bounds, "plotkin_discrete"),
+                          (bounds, "spherical_bound"), (lp, "lp_bound")):
+            monkeypatch.setattr(mod, name, forbidden)
+        rc, out = run(["bound", "--m", "3", "--n", "8", "--w", "3", "--d", "6",
+                       "--method", "johnson"], capsys)
+        assert rc == 0 and out.splitlines()[1].split() == ["johnson", "3864"]
+
 
 class TestAsymptotic:
     def test_values(self, capsys):
