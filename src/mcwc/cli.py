@@ -1,9 +1,18 @@
 """Command-line front end.
 
 Subcommands: verify, bound, asymptotic, construct, develop, search, table.
-All invocations are deterministic; exit status 0 means every check passed.
-Default search budgets honor the MCWC_NODE_BUDGET and MCWC_VERTEX_CAP
-environment variables.
+All invocations are deterministic.  Default search budgets honor the
+MCWC_NODE_BUDGET and MCWC_VERTEX_CAP environment variables.
+
+Exit status:
+
+* 0: every check passed;
+* 1: a check failed: an INVALID row of ``verify``, an ERROR row for a file
+  that does not parse or construct, or a BELOW-TARGET row of ``table``;
+* 2: an error: a bad argument or environment value, or an input that is
+  missing, unreadable or (outside ``verify``) malformed.  It is reported as
+  one ``error: ...`` line (argparse's usage message for an option value that
+  is not a number), never as a traceback.
 """
 
 from __future__ import annotations
@@ -43,6 +52,8 @@ from .core import (
     CodeParameters,
     FormatError,
     McwcError,
+    VerificationReport,
+    _ints,
     load_code,
     min_distance,
     parse_code,
@@ -75,12 +86,28 @@ def _emit(rows: list[list], header: list[str], fmt: str) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    return _ints(text.split(","), None, f"{flag} must be comma-separated integers")
+
+
+def _fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise McwcError(f"{flag} must be a rational such as 1/4, got {text!r}") from None
+
+
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _params_from_args(args) -> CodeParameters:
     if args.lengths or args.weights:
         if not (args.lengths and args.weights):
             raise McwcError("--lengths and --weights must be given together")
-        lengths = [int(t) for t in args.lengths.split(",")]
-        weights = [int(t) for t in args.weights.split(",")]
+        lengths = _int_list(args.lengths, "--lengths")
+        weights = _int_list(args.weights, "--weights")
         return CodeParameters(tuple(lengths), tuple(weights), args.d)
     if args.m is None or args.n is None or args.w is None:
         raise McwcError("give either --m/--n/--w or --lengths/--weights")
@@ -99,8 +126,7 @@ def cmd_verify(args) -> int:
     rows = []
     ok = True
     for path in args.files:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(path)
         kind = _detect_kind(text)
         try:
             if kind == "mcwc":
@@ -126,7 +152,7 @@ def cmd_verify(args) -> int:
                 detail = f"n={dec.n} m={dec.m} members={len(dec.members)}"
             elif kind == "develop":
                 code = develop_table(parse_base_table(text))
-                report = verify_mcwc(code)
+                report = VerificationReport(True)  # develop raises unless the code verifies
                 detail = f"developed={len(code)} params=(2;{code.params.block_lengths[0]},{code.params.block_lengths[1]};2,2;6)"
             else:
                 raise FormatError(f"unknown file kind {kind!r}")
@@ -183,7 +209,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    point = asymptotic_point(Fraction(args.delta), Fraction(args.omega), args.dps)
+    point = asymptotic_point(
+        _fraction(args.delta, "--delta"), _fraction(args.omega, "--omega"), args.dps
+    )
     rows = [
         ["mu_c", "-" if point.mu_c is None else point.mu_c],
         ["mu_gv", point.mu_gv],
@@ -205,6 +233,11 @@ def cmd_develop(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.op == "fill-hole":
+        if not (args.frame and args.filler):
+            raise McwcError("construct fill-hole needs --frame and --filler")
+    elif not args.input:
+        raise McwcError(f"construct {args.op} needs an input file")
     if args.op == "square-to-code":
         code = square_to_mcwc(load_square(args.input))
         print(f"code of size {len(code)}, verified")
@@ -221,7 +254,7 @@ def cmd_construct(args) -> int:
         if args.out:
             save_square(result, args.out)
     elif args.op == "bibd":
-        code = bibd_to_mcwc(parse_bibd(open(args.input, encoding="utf-8").read()))
+        code = bibd_to_mcwc(parse_bibd(_read_text(args.input)))
         p = code.params
         print(
             f"code of size {len(code)}, verified as"
@@ -232,16 +265,19 @@ def cmd_construct(args) -> int:
     elif args.op == "decomp":
         if not args.weights:
             raise McwcError("--weights is required for decomp")
-        weights = [int(t) for t in args.weights.split(",")]
-        dec = parse_decomposition(open(args.input, encoding="utf-8").read())
+        weights = _int_list(args.weights, "--weights")
+        dec = parse_decomposition(_read_text(args.input))
         code = decomposition_to_mcwc(dec, weights)
         print(f"code of size {len(code)}, verified, distance {code.params.distance}")
         if args.out:
             save_code(code, args.out)
     elif args.op == "concat":
-        inner = load_code(args.input)
-        q, length = (int(t) for t in args.outer_repetition.split(","))
-        code = concatenate(inner, repetition_code(q, length))
+        if not args.outer_repetition:
+            raise McwcError("--outer-repetition is required for concat")
+        outer = _int_list(args.outer_repetition, "--outer-repetition")
+        if len(outer) != 2:
+            raise McwcError("--outer-repetition takes two integers q,length")
+        code = concatenate(load_code(args.input), repetition_code(*outer))
         print(f"code of size {len(code)}, verified, distance >= {code.params.distance}")
         if args.out:
             save_code(code, args.out)
@@ -252,6 +288,8 @@ def cmd_construct(args) -> int:
 
 def cmd_search(args) -> int:
     params = _params_from_args(args)
+    if args.budget <= 0 or args.vertex_cap <= 0:
+        raise McwcError("--budget and --vertex-cap must be positive")
     cfg = SearchConfig(
         vertex_cap=args.vertex_cap,
         node_budget=args.budget,
@@ -271,9 +309,7 @@ def _table_achieved(n1: int, n2: int, oracle_cap: int) -> tuple[Optional[int], s
     """Best verified code size for T(2,n1;2,n2;6), with its source tag."""
     if (n1, n2) in corpus.SMALL_PAIRS:
         code = corpus.small_code(n1, n2)
-        report = verify_mcwc(code)
-        if not report:
-            raise McwcError(f"shipped code ({n1},{n2}) is invalid: {report.violation}")
+        verify_mcwc(code).require(f"shipped code ({n1},{n2}) is invalid")
         return len(code), "table"
     if n1 in corpus.DEVELOP_FAMILIES:
         code = develop_table(corpus.develop_table(n1, n2))
@@ -297,7 +333,7 @@ def _table_achieved(n1: int, n2: int, oracle_cap: int) -> tuple[Optional[int], s
 
 def cmd_table(args) -> int:
     n1_values = (
-        [int(t) for t in args.n1.split(",")]
+        _int_list(args.n1, "--n1")
         if args.n1
         else list(range(3, args.n1_max + 1, 2))
     )
@@ -394,15 +430,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exact optimum for small parameters", parents=[common])
     add_params(p)
+    # argparse converts a string default with ``type`` only when this
+    # subcommand runs, so a malformed variable is a usage error of 'search'
     p.add_argument(
         "--budget",
         type=int,
-        default=int(os.environ.get("MCWC_NODE_BUDGET", 10_000_000)),
+        default=os.environ.get("MCWC_NODE_BUDGET", 10_000_000),
     )
     p.add_argument(
         "--vertex-cap",
         type=int,
-        default=int(os.environ.get("MCWC_VERTEX_CAP", 2000)),
+        default=os.environ.get("MCWC_VERTEX_CAP", 2000),
     )
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--emit-witness")
@@ -422,10 +460,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.format = args.format or args.format_global or "text"
     try:
         return args.fn(args)
-    except McwcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (McwcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,7 @@ from .core import (
     SizeError,
     VerificationReport,
     _content_lines,
+    _ints,
     verify_mcwc,
 )
 
@@ -68,12 +69,8 @@ def concatenate(inner: PartitionedCode, outer: QaryCode) -> PartitionedCode:
     product of the two distances."""
     if inner.params.m != 1:
         raise ShapeError("the inner code must have a single block")
-    report = verify_mcwc(inner)
-    if not report:
-        raise ConstructionError(f"invalid inner code: {report.violation}")
-    report = verify_qary(outer)
-    if not report:
-        raise ConstructionError(f"invalid outer code: {report.violation}")
+    verify_mcwc(inner).require("invalid inner code")
+    verify_qary(outer).require("invalid outer code")
     if outer.q > len(inner.words):
         raise SizeError(
             f"outer alphabet {outer.q} exceeds the {len(inner.words)} inner codewords"
@@ -93,9 +90,7 @@ def concatenate(inner: PartitionedCode, outer: QaryCode) -> PartitionedCode:
             supp.extend(block * n + i for i in inner_supports[symbol])
         supports.append(supp)
     code = PartitionedCode.from_supports(params, supports)
-    report = verify_mcwc(code)
-    if not report:
-        raise ConstructionError(f"concatenated code fails verification: {report.violation}")
+    verify_mcwc(code).require("concatenated code fails verification")
     return code
 
 
@@ -229,9 +224,7 @@ def develop(table: BaseCodewordTable, distance: int = 6) -> PartitionedCode:
             )
         supports.extend(orbit_supports)
     code = PartitionedCode.from_supports(params, supports)
-    report = verify_mcwc(code)
-    if not report:
-        raise ConstructionError(f"developed code fails verification: {report.violation}")
+    verify_mcwc(code).require("developed code fails verification")
     return code
 
 
@@ -249,10 +242,7 @@ def parse_base_table(text: str) -> BaseCodewordTable:
     tokens = header.split()
     if len(tokens) != 3 or tokens[0] != "develop":
         raise FormatError("expected header 'develop <g> <m>'", lineno)
-    try:
-        g, m = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise FormatError("header fields must be integers", lineno) from None
+    g, m = _ints(tokens[1:], lineno, "header fields must be integers")
     if m != 2:
         raise FormatError("only two-sided tables are supported (m = 2)", lineno)
     classes: dict[int, tuple[int, ...]] = {}
@@ -263,7 +253,7 @@ def parse_base_table(text: str) -> BaseCodewordTable:
         if tokens[0] == "layout":
             if len(tokens) < 3:
                 raise FormatError("expected 'layout <side> classes=... [fixed=...]'", lineno)
-            side = int(tokens[1])
+            (side,) = _ints(tokens[1:2], lineno, "layout side must be an integer")
             if side not in (1, 2):
                 raise FormatError("side must be 1 or 2", lineno)
             cls: tuple[int, ...] = ()
@@ -271,7 +261,8 @@ def parse_base_table(text: str) -> BaseCodewordTable:
             for item in tokens[2:]:
                 if item.startswith("classes="):
                     value = item[len("classes="):]
-                    cls = tuple(int(c) for c in value.split(",") if c)
+                    cls = tuple(_ints(filter(None, value.split(",")), lineno,
+                                      "layout classes must be integers"))
                 elif item.startswith("fixed="):
                     value = item[len("fixed="):]
                     fix = tuple(t for t in value.split(",") if t)
@@ -284,7 +275,8 @@ def parse_base_table(text: str) -> BaseCodewordTable:
             points = []
             for token in tokens[1:]:
                 if token.startswith("orbit="):
-                    orbit = int(token[len("orbit="):])
+                    (orbit,) = _ints([token[len("orbit="):]], lineno,
+                                     "orbit length must be an integer")
                 else:
                     points.append(_parse_point(token, lineno))
             if len(points) != 4:
@@ -390,9 +382,7 @@ def verify_bibd(design: ResolvableBibd) -> VerificationReport:
 def bibd_to_mcwc(design: ResolvableBibd) -> PartitionedCode:
     """One codeword per point, indicating block membership over the class/block
     grid; classes index the blocks row by row in file order."""
-    report = verify_bibd(design)
-    if not report:
-        raise ConstructionError(f"invalid design: {report.violation}")
+    verify_bibd(design).require("invalid design")
     v, k, lam, alpha = design.v, design.k, design.lam, design.alpha
     if (lam * (v - 1)) % (alpha * (k - 1)) != 0:
         raise DomainError("the class count lambda*(v-1)/(alpha*(k-1)) is not integral")
@@ -419,9 +409,7 @@ def bibd_to_mcwc(design: ResolvableBibd) -> PartitionedCode:
         ]
         supports.append(supp)
     code = PartitionedCode.from_supports(params, supports)
-    report = verify_mcwc(code)
-    if not report:
-        raise ConstructionError(f"translated code fails verification: {report.violation}")
+    verify_mcwc(code).require("translated code fails verification")
     return code
 
 
@@ -437,10 +425,7 @@ def parse_bibd(text: str) -> ResolvableBibd:
     tokens = header.split()
     if len(tokens) != 5 or tokens[0] != "bibd":
         raise FormatError("expected header 'bibd <v> <k> <lambda> <alpha>'", lineno)
-    try:
-        v, k, lam, alpha = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise FormatError("header fields must be integers", lineno) from None
+    v, k, lam, alpha = _ints(tokens[1:], lineno, "header fields must be integers")
     classes: list[list[tuple[int, ...]]] = []
     for lineno, line in lines[1:]:
         tokens = line.split()
@@ -449,7 +434,7 @@ def parse_bibd(text: str) -> ResolvableBibd:
         elif tokens[0] == "block":
             if not classes:
                 raise FormatError("a 'class' line must precede the first block", lineno)
-            classes[-1].append(tuple(int(t) for t in tokens[1:]))
+            classes[-1].append(tuple(_ints(tokens[1:], lineno, "block points must be integers")))
         else:
             raise FormatError(f"unknown directive {tokens[0]!r}", lineno)
     return ResolvableBibd.build(v, k, lam, alpha, classes)
@@ -578,9 +563,7 @@ def decomposition_to_mcwc(
         raise DomainError("weights must be positive")
     if any(weights[i] < weights[i + 1] for i in range(len(weights) - 1)):
         raise DomainError("weights must be non-increasing")
-    report = verify_decomposition(dec)
-    if not report:
-        raise ConstructionError(f"invalid decomposition: {report.violation}")
+    verify_decomposition(dec).require("invalid decomposition")
     n = dec.n
     total = sum(weights)
     params = CodeParameters(
@@ -600,9 +583,7 @@ def decomposition_to_mcwc(
         ]
         supports.append(supp)
     code = PartitionedCode.from_supports(params, supports)
-    report = verify_mcwc(code)
-    if not report:
-        raise ConstructionError(f"translated code fails verification: {report.violation}")
+    verify_mcwc(code).require("translated code fails verification")
     w1 = weights[0]
     strictly_largest = w1 > weights[1] if dec.m > 1 else w1 > 1
     divisor = w1 * (w1 - 1) if strictly_largest else w1 * w1
@@ -628,10 +609,7 @@ def parse_decomposition(text: str) -> ColoredDecomposition:
     tokens = header.split()
     if len(tokens) != 3 or tokens[0] != "decomp":
         raise FormatError("expected header 'decomp <n> <m>'", lineno)
-    try:
-        n, m = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise FormatError("header fields must be integers", lineno) from None
+    n, m = _ints(tokens[1:], lineno, "header fields must be integers")
     members: list[Member] = []
     for lineno, line in lines[1:]:
         tokens = line.split()
@@ -652,7 +630,7 @@ def parse_decomposition(text: str) -> ColoredDecomposition:
         elif tokens[1] == "edge":
             if len(tokens) != 6:
                 raise FormatError("expected 'member edge <x> <y> <i> <j>'", lineno)
-            x, y, i, j = (int(t) for t in tokens[2:])
+            x, y, i, j = _ints(tokens[2:], lineno, "edge fields must be integers")
             members.append(EdgeMember(x, y, (i, j)))
         else:
             raise FormatError(f"unknown member kind {tokens[1]!r}", lineno)

@@ -65,6 +65,11 @@ class VerificationReport:
     def __str__(self) -> str:
         return "valid" if self.valid else f"invalid: {self.violation}"
 
+    def require(self, what: str) -> None:
+        """Raise ``ConstructionError("<what>: <violation>")`` unless valid."""
+        if not self.valid:
+            raise ConstructionError(f"{what}: {self.violation}")
+
 
 def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
     out = []
@@ -303,6 +308,14 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _ints(tokens: Iterable[str], lineno: Optional[int], message: str) -> list[int]:
+    """``int`` of every token; a token it rejects raises ``FormatError(message, lineno)``."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise FormatError(message, lineno) from None
+
+
 def parse_code(text: str) -> PartitionedCode:
     """Parse the canonical code file format; errors cite line numbers."""
     lines = list(_content_lines(text))
@@ -312,10 +325,7 @@ def parse_code(text: str) -> PartitionedCode:
     tokens = header.split()
     if len(tokens) != 3 or tokens[0] != "mcwc":
         raise FormatError("expected header 'mcwc <m> <d>'", lineno)
-    try:
-        m, d = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise FormatError("header fields must be integers", lineno) from None
+    m, d = _ints(tokens[1:], lineno, "header fields must be integers")
     if m < 1:
         raise FormatError("m must be positive", lineno)
     lengths: list[int] = []
@@ -328,10 +338,7 @@ def parse_code(text: str) -> PartitionedCode:
         tokens = line.split()
         if len(tokens) != 4 or tokens[0] != "part":
             raise FormatError(f"expected 'part {i} <n> <w>'", lineno)
-        try:
-            idx, n, w = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        except ValueError:
-            raise FormatError("part fields must be integers", lineno) from None
+        idx, n, w = _ints(tokens[1:], lineno, "part fields must be integers")
         if idx != i:
             raise FormatError(f"expected part index {i}, got {idx}", lineno)
         lengths.append(n)
@@ -343,10 +350,7 @@ def parse_code(text: str) -> PartitionedCode:
         raise FormatError(str(exc)) from None
     words = []
     for lineno, line in lines[pos:]:
-        try:
-            indices = [int(t) for t in line.split()]
-        except ValueError:
-            raise FormatError("support indices must be integers", lineno) from None
+        indices = _ints(line.split(), lineno, "support indices must be integers")
         if indices != sorted(indices):
             raise FormatError("support indices must be ascending", lineno)
         try:

@@ -32,6 +32,7 @@ from .core import (
     ShapeError,
     VerificationReport,
     _content_lines,
+    _ints,
     verify_mcwc,
 )
 
@@ -265,17 +266,13 @@ def square_to_mcwc(sq: SkewSquare) -> PartitionedCode:
     {a, b, v+i, v+j} inside parameters (2; v, s; 2, 2; 6)."""
     if sq.kind not in (SquareKind.SAS, SquareKind.SAS_STAR):
         raise ShapeError("only sas and sas* squares translate to codes directly")
-    report = verify_square(sq)
-    if not report:
-        raise ConstructionError(f"invalid square: {report.violation}")
+    verify_square(sq).require("invalid square")
     params = CodeParameters((sq.v, sq.s), (2, 2), 6)
     supports = [
         sorted(pair) + [sq.v + i, sq.v + j] for (i, j), pair in sorted(sq.cells.items())
     ]
     code = PartitionedCode.from_supports(params, supports)
-    report = verify_mcwc(code)
-    if not report:
-        raise ConstructionError(f"translated code fails verification: {report.violation}")
+    verify_mcwc(code).require("translated code fails verification")
     return code
 
 
@@ -300,9 +297,7 @@ def mcwc_to_square(code: PartitionedCode) -> SkewSquare:
         raise DomainError(
             f"resolvability needs an extremal code: {len(code)} words, expected {target}"
         )
-    report = verify_mcwc(code)
-    if not report:
-        raise ConstructionError(f"invalid code: {report.violation}")
+    verify_mcwc(code).require("invalid code")
     cells: dict[Cell, Pair] = {}
     for word in code.words:
         points = [x for x in word.support if x < n1]
@@ -310,9 +305,7 @@ def mcwc_to_square(code: PartitionedCode) -> SkewSquare:
         i, j = sorted(rows)
         cells[(i, j)] = frozenset(points)
     sq = SkewSquare.build(kind, n2, n1, cells)
-    report = verify_square(sq)
-    if not report:
-        raise ConstructionError(f"translated square fails verification: {report.violation}")
+    verify_square(sq).require("translated square fails verification")
     return sq
 
 
@@ -476,9 +469,7 @@ def wfc_construct(
     onto the corresponding index runs.  Groups become the holes of the result.
     Ingredient parts are matched to block points by sorted (s, v) pairs.
     """
-    report = verify_gdd(design)
-    if not report:
-        raise ConstructionError(f"invalid design: {report.violation}")
+    verify_gdd(design).require("invalid design")
     x_count = design.num_points
     s_of = {x: _weight(s_weight, x) for x in range(x_count)}
     v_of = {x: _weight(v_weight, x) for x in range(x_count)}
@@ -548,11 +539,7 @@ def wfc_construct(
         row_parts=row_parts,
         point_parts=point_parts,
     )
-    report = verify_square(result)
-    if not report:
-        raise ConstructionError(
-            f"assembled frame fails verification (bad ingredient?): {report.violation}"
-        )
+    verify_square(result).require("assembled frame fails verification (bad ingredient?)")
     return result
 
 
@@ -578,9 +565,7 @@ def bfc_fill(
     """
     if frame.kind is not SquareKind.SFS:
         raise ShapeError("the frame must be an SFS")
-    report = verify_square(frame)
-    if not report:
-        raise ConstructionError(f"invalid frame: {report.violation}")
+    verify_square(frame).require("invalid frame")
     n = len(frame.row_parts)
     if len(fillers) != n:
         raise ShapeError(f"expected {n} fillers, got {len(fillers)}")
@@ -593,9 +578,7 @@ def bfc_fill(
         s_k = len(frame.row_parts[k])
         h_k = len(frame.point_parts[k])
         last = k == n - 1
-        freport = verify_square(filler)
-        if not freport:
-            raise ConstructionError(f"filler {k} is invalid: {freport.violation}")
+        verify_square(filler).require(f"filler {k} is invalid")
         if filler.s != s_k + e or filler.v != h_k + w:
             raise ShapeError(
                 f"filler {k} is {filler.s}x{filler.s} on {filler.v} points,"
@@ -638,9 +621,7 @@ def bfc_fill(
         )
     else:
         result = SkewSquare.build(last_kind, frame.s + e, frame.v + w, cells)
-    report = verify_square(result)
-    if not report:
-        raise ConstructionError(f"assembled square fails verification: {report.violation}")
+    verify_square(result).require("assembled square fails verification")
     return result
 
 
@@ -653,9 +634,7 @@ def sas_as_hsas(sq: SkewSquare, row: int) -> SkewSquare:
     """
     if sq.kind is not SquareKind.SAS:
         raise ShapeError("sas_as_hsas expects a plain sas square")
-    report = verify_square(sq)
-    if not report:
-        raise ConstructionError(f"invalid square: {report.violation}")
+    verify_square(sq).require("invalid square")
     if not 0 <= row < sq.s:
         raise DomainError(f"row {row} outside the array")
     covered = _partition_target(_row_col_pairs(sq, row))
@@ -669,9 +648,7 @@ def sas_as_hsas(sq: SkewSquare, row: int) -> SkewSquare:
         hole_rows=[row],
         hole_points=[missing],
     )
-    report = verify_square(result)
-    if not report:
-        raise ConstructionError(f"holey view fails verification: {report.violation}")
+    verify_square(result).require("holey view fails verification")
     return result
 
 
@@ -682,12 +659,8 @@ def fill_hole(frame: SkewSquare, filler: SkewSquare) -> SkewSquare:
         raise ShapeError("fill_hole expects an hsas frame")
     if filler.kind not in (SquareKind.SAS, SquareKind.SAS_STAR):
         raise ShapeError("the hole filler must be sas or sas*")
-    report = verify_square(frame)
-    if not report:
-        raise ConstructionError(f"invalid frame: {report.violation}")
-    report = verify_square(filler)
-    if not report:
-        raise ConstructionError(f"invalid filler: {report.violation}")
+    verify_square(frame).require("invalid frame")
+    verify_square(filler).require("invalid filler")
     if filler.s != len(frame.hole_rows) or filler.v != len(frame.hole_points):
         raise ShapeError(
             f"filler is {filler.s}x{filler.s} on {filler.v} points; the hole"
@@ -701,9 +674,7 @@ def fill_hole(frame: SkewSquare, filler: SkewSquare) -> SkewSquare:
             raise ConstructionError(f"cell collision at {cell} while filling the hole")
         cells[cell] = pair
     result = SkewSquare.build(filler.kind, frame.s, frame.v, cells)
-    report = verify_square(result)
-    if not report:
-        raise ConstructionError(f"filled square fails verification: {report.violation}")
+    verify_square(result).require("filled square fails verification")
     return result
 
 
@@ -731,39 +702,29 @@ def parse_square(text: str) -> SkewSquare:
         kind = SquareKind(tokens[1])
     except ValueError:
         raise FormatError(f"unknown square kind {tokens[1]!r}", lineno) from None
-    try:
-        s, v = int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise FormatError("side and point count must be integers", lineno) from None
+    s, v = _ints(tokens[2:], lineno, "side and point count must be integers")
     cells: dict[Cell, Pair] = {}
     hole_rows: list[int] = []
     hole_points: list[int] = []
     row_parts: list[list[int]] = []
     point_parts: list[list[int]] = []
-
-    def ints(items, lineno):
-        try:
-            return [int(t) for t in items]
-        except ValueError:
-            raise FormatError("expected integers", lineno) from None
-
     for lineno, line in lines[1:]:
         tokens = line.split()
         tag = tokens[0]
         if tag == "cell":
             if len(tokens) != 5:
                 raise FormatError("expected 'cell <i> <j> <a> <b>'", lineno)
-            i, j, a, b = ints(tokens[1:], lineno)
+            i, j, a, b = _ints(tokens[1:], lineno, "expected integers")
             if (i, j) in cells:
                 raise FormatError(f"cell ({i},{j}) filled twice", lineno)
             cells[(i, j)] = frozenset((a, b))
         elif tag == "hole-rows":
-            hole_rows = ints(tokens[1:], lineno)
+            hole_rows = _ints(tokens[1:], lineno, "expected integers")
         elif tag == "hole-points":
-            hole_points = ints(tokens[1:], lineno)
+            hole_points = _ints(tokens[1:], lineno, "expected integers")
         elif tag in ("row-part", "point-part"):
             groups = " ".join(tokens[1:]).split(";")
-            parts = [ints(g.split(), lineno) for g in groups if g.strip()]
+            parts = [_ints(g.split(), lineno, "expected integers") for g in groups if g.strip()]
             if tag == "row-part":
                 row_parts = parts
             else:
@@ -823,17 +784,14 @@ def parse_gdd(text: str) -> GddDesign:
     tokens = header.split()
     if len(tokens) != 2 or tokens[0] != "gdd":
         raise FormatError("expected header 'gdd <points>'", lineno)
-    try:
-        x = int(tokens[1])
-    except ValueError:
-        raise FormatError("point count must be an integer", lineno) from None
+    (x,) = _ints(tokens[1:], lineno, "point count must be an integer")
     groups, blocks = [], []
     for lineno, line in lines[1:]:
         tokens = line.split()
         if tokens[0] == "group":
-            groups.append([int(t) for t in tokens[1:]])
+            groups.append(_ints(tokens[1:], lineno, "group points must be integers"))
         elif tokens[0] == "block":
-            blocks.append([int(t) for t in tokens[1:]])
+            blocks.append(_ints(tokens[1:], lineno, "block points must be integers"))
         else:
             raise FormatError(f"unknown directive {tokens[0]!r}", lineno)
     return GddDesign.build(x, groups, blocks)

@@ -254,9 +254,7 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
 
 
 def _verified(params, witness, complete, nodes, target) -> OracleResult:
-    report = verify_mcwc(witness)
-    if not report:
-        raise AssertionError(f"oracle produced an invalid witness: {report.violation}")
+    verify_mcwc(witness).require("oracle produced an invalid witness")
     return OracleResult(len(witness), witness, complete, nodes, target)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from mcwc import corpus
 from mcwc.cli import main
-from mcwc.core import load_code, save_code
+from mcwc.core import VerificationReport, load_code, save_code
 from mcwc.designs import mcwc_to_square, save_square
 
 
@@ -303,3 +303,116 @@ class TestTable:
         assert [l.split() for l in text.splitlines()] == [
             l.split("\t") for l in tsv.splitlines()
         ]
+
+
+class TestExitContract:
+    """Exit 0: every check passed; 1: a check failed; 2: an error, reported as
+    one 'error: ...' line (or an argparse usage error), never a traceback."""
+
+    @staticmethod
+    def assert_error(argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: "), err
+
+    def test_malformed_budget_variable_spares_other_commands(self, monkeypatch, capsys):
+        monkeypatch.setenv("MCWC_NODE_BUDGET", "abc")
+        rc, out = run(["bound", "--m", "2", "--n", "5", "--w", "2", "--d", "6",
+                       "--method", "johnson"], capsys)
+        assert rc == 0 and out.splitlines()[1].split() == ["johnson", "5"]
+
+    @pytest.mark.parametrize("variable", ["MCWC_NODE_BUDGET", "MCWC_VERTEX_CAP"])
+    def test_malformed_budget_variable_is_a_usage_error(self, variable, monkeypatch, capsys):
+        monkeypatch.setenv(variable, "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--m", "2", "--n", "5", "--w", "2", "--d", "6"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_budget_variable_is_honored(self, monkeypatch, capsys):
+        monkeypatch.setenv("MCWC_NODE_BUDGET", "10")
+        rc, out = run(["search", "--m", "1", "--n", "10", "--w", "4", "--d", "4"], capsys)
+        assert rc == 0 and out.startswith("lower-bound-only") and "11 nodes" in out
+
+    @pytest.mark.parametrize(
+        "op", ["square-to-code", "code-to-square", "bibd", "decomp", "concat", "fill-hole"]
+    )
+    def test_construct_without_input(self, op, capsys):
+        self.assert_error(["construct", op, "--weights", "1,1", "--outer-repetition", "3,2"],
+                          capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--lengths", "5,x", "--weights", "2,2", "--d", "6"],
+            ["bound", "--lengths", "5,7", "--weights", "2,y", "--d", "6"],
+            ["search", "--lengths", "5,x", "--weights", "2,2", "--d", "6"],
+            ["table", "--n1", "3,x"],
+            ["construct", "concat", "INNER", "--outer-repetition", "2,y"],
+            ["construct", "concat", "INNER", "--outer-repetition", "2"],
+            ["construct", "concat", "INNER"],
+            ["construct", "decomp", "DECOMP", "--weights", "1,x"],
+            ["search", "--m", "1", "--n", "5", "--w", "2", "--d", "4", "--budget", "0"],
+            ["search", "--m", "1", "--n", "5", "--w", "2", "--d", "4", "--vertex-cap", "-1"],
+            ["asymptotic", "--delta", "abc", "--omega", "1/2"],
+            ["asymptotic", "--delta", "1/4", "--omega", "1/0"],
+        ],
+        ids=["lengths", "weights", "search-lengths", "n1", "outer-token", "outer-count",
+             "outer-missing", "decomp-weights", "budget", "vertex-cap", "delta", "omega"],
+    )
+    def test_malformed_numbers(self, argv, tmp_path, capsys):
+        from mcwc.constructions import format_decomposition, ordered_pair_decomposition
+
+        inner = tmp_path / "inner.mcwc"
+        inner.write_text("mcwc 1 2\npart 1 3 1\n0\n1\n2\n")
+        dec = tmp_path / "pairs.dec"
+        dec.write_text(format_decomposition(ordered_pair_decomposition(3)))
+        paths = {"INNER": str(inner), "DECOMP": str(dec)}
+        self.assert_error([paths.get(a, a) for a in argv], capsys)
+
+    @pytest.mark.parametrize("op", ["bibd", "decomp"])
+    def test_construct_closes_its_input(self, op, tmp_path, capsys):
+        import warnings
+
+        from mcwc.constructions import (
+            affine_plane_bibd,
+            format_bibd,
+            format_decomposition,
+            ordered_pair_decomposition,
+        )
+
+        path = tmp_path / f"design.{op}"
+        path.write_text(format_bibd(affine_plane_bibd(3)) if op == "bibd"
+                        else format_decomposition(ordered_pair_decomposition(3)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _ = run(["construct", op, str(path), "--weights", "1,1"], capsys)
+        assert rc == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    # one malformed integer token per parser kind, with the line it is on
+    MALFORMED = {
+        "mcwc": ("mcwc 1 4\npart 1 5 2\n0 1\n0 x\n", 4),
+        "sq": ("square sas 3 3\ncell 0 1 x 2\n", 2),
+        "dev": ("develop 3 2\nlayout 1 classes=0,x fixed=inf\nlayout 2 classes=1\n", 2),
+        "bibd": ("bibd 4 2 1 1\nclass\nblock 0 1\nblock 2 y\n", 4),
+        "decomp": ("decomp 3 1\nmember edge 0 1 1 1\nmember edge 0 z 1 1\n", 3),
+        "gdd": ("gdd 4\ngroup 0 1\ngroup 2 3\nblock 0 2\nblock 1 ?\n", 5),
+    }
+
+    @pytest.mark.parametrize("suffix", list(MALFORMED))
+    def test_malformed_token_is_an_error_row(self, suffix, tmp_path, capsys):
+        text, line = self.MALFORMED[suffix]
+        path = tmp_path / f"bad.{suffix}"
+        path.write_text(text)
+        rc, out = run(["--format", "tsv", "verify", str(path)], capsys)
+        row = out.splitlines()[1].split("\t")
+        assert rc == 1 and row[2] == "ERROR" and row[3].startswith(f"line {line}: ")
+
+    def test_invalid_shipped_code_is_an_error(self, monkeypatch, capsys):
+        from mcwc import cli
+
+        monkeypatch.setattr(cli, "verify_mcwc", lambda code: VerificationReport(False, "forced"))
+        rc = main(["table", "--n1", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: shipped code (3,3) is invalid: forced\n"

@@ -3,11 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from mcwc.core import (
     CodeParameters,
+    ConstructionError,
     DomainError,
     FormatError,
     ParameterMismatchError,
     PartitionedCode,
     PartitionedWord,
+    VerificationReport,
     format_code,
     hamming_distance,
     min_distance,
@@ -145,6 +147,17 @@ class TestCodeFiles:
         with pytest.raises(FormatError) as exc:
             parse_code(text)
         assert fragment in str(exc.value)
+
+
+class TestRequire:
+    def test_valid_report_passes(self):
+        assert VerificationReport(True).require("unused") is None
+
+    def test_invalid_report_raises_with_its_violation(self):
+        report = VerificationReport(False, "words 0 and 1 are identical")
+        with pytest.raises(ConstructionError) as exc:
+            report.require("translated code fails verification")
+        assert str(exc.value) == "translated code fails verification: words 0 and 1 are identical"
 
 
 # -- property tests -----------------------------------------------------------

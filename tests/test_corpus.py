@@ -4,13 +4,42 @@ The data corpus is treated as untrusted input: each file is re-parsed and
 re-verified here, so a transcription error surfaces as a test failure."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcwc import corpus
-from mcwc.constructions import develop
-from mcwc.core import verify_mcwc
-from mcwc.designs import verify_square
+from mcwc.constructions import (
+    affine_plane_bibd,
+    develop,
+    digon_decomposition,
+    format_base_table,
+    format_bibd,
+    format_decomposition,
+    ordered_pair_decomposition,
+    parse_base_table,
+    parse_bibd,
+    parse_decomposition,
+)
+from mcwc.core import FormatError, format_code, parse_code, verify_mcwc
+from mcwc.designs import (
+    format_gdd,
+    format_square,
+    parse_gdd,
+    parse_square,
+    transversal_design,
+    verify_square,
+)
 
 ALL_FILES = list(corpus.all_files())
+
+# (parse, format) by file suffix
+FORMATS = {
+    ".mcwc": (parse_code, format_code),
+    ".dev": (parse_base_table, format_base_table),
+    ".sq": (parse_square, format_square),
+    ".bibd": (parse_bibd, format_bibd),
+    ".decomp": (parse_decomposition, format_decomposition),
+    ".gdd": (parse_gdd, format_gdd),
+}
 
 
 def test_inventory_complete():
@@ -65,3 +94,66 @@ def test_hsas_squares(v, t, s):
     # hole rows carry (v-3)/2 pairs, the rest (v-1)/2
     expected = (t * (v - 3) + (s - t) * (v - 1)) // 4
     assert sq.num_cells == expected
+
+
+@pytest.mark.parametrize("path", [p for _, p in ALL_FILES], ids=[p.name for _, p in ALL_FILES])
+def test_format_parse_fixpoint(path):
+    parse, fmt = FORMATS[path.suffix]
+    first = parse(path.read_text(encoding="utf-8"))
+    text = fmt(first)
+    again = parse(text)
+    assert again == first
+    # SkewSquare.cells is excluded from ==
+    assert getattr(again, "cells", None) == getattr(first, "cells", None)
+    assert fmt(again) == text
+
+
+# -- malformed input ------------------------------------------------------------
+
+# source texts by suffix: the shipped files and generated designs
+FUZZ_TEXTS = {
+    ".bibd": [format_bibd(affine_plane_bibd(3))],
+    ".decomp": [format_decomposition(digon_decomposition(5)),
+                format_decomposition(ordered_pair_decomposition(3))],
+    ".gdd": [format_gdd(transversal_design(5, 4))],
+}
+for _, path in ALL_FILES:
+    FUZZ_TEXTS.setdefault(path.suffix, []).append(path.read_text(encoding="utf-8"))
+
+# a replacement token, or None to delete the token
+TOKENS = st.one_of(
+    st.none(),
+    st.integers(-3, 10**6).map(str),
+    st.sampled_from([
+        "x", "1.5", "0x1f", "1e2", "-", "++1", "inf", "a1", "b7", "0_0", "1_x", ";", "0;",
+        "S1=0,1", "S1=x", "S9=", "classes=0,x", "classes=", "fixed=b7", "orbit=x",
+        "orbit=", "class", "block", "group", "member", "edge", "partition", "part",
+        "cell", "w", "layout", "hole-rows", "row-part", "sas*", "sfs",
+    ]),
+    st.text(max_size=5),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_mutated_file_parses_or_raises_format_error(data):
+    """Replacing or deleting one token on one content line of a shipped or
+    generated file never makes its parser raise anything but FormatError."""
+    suffix = data.draw(st.sampled_from(sorted(FUZZ_TEXTS)))
+    text = data.draw(st.sampled_from(FUZZ_TEXTS[suffix]))
+    lines = text.splitlines()
+    k = data.draw(st.sampled_from([k for k, raw in enumerate(lines)
+                                   if raw.split("#", 1)[0].strip()]))
+    tokens = lines[k].split("#", 1)[0].split()
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    token = data.draw(TOKENS)
+    if token is None:
+        del tokens[i]
+    else:
+        tokens[i] = token
+    lines[k] = " ".join(tokens)
+    parse, _ = FORMATS[suffix]
+    try:
+        parse("\n".join(lines))
+    except FormatError:
+        pass

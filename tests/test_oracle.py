@@ -1,6 +1,13 @@
 import pytest
 
-from mcwc.core import CodeParameters, SizeError, verify_mcwc
+from mcwc import oracle
+from mcwc.core import (
+    CodeParameters,
+    ConstructionError,
+    SizeError,
+    VerificationReport,
+    verify_mcwc,
+)
 from mcwc.bounds import gv_lower_bound, johnson_recursive
 from mcwc.oracle import SearchConfig, enumerate_words, max_cwc, max_mcwc
 
@@ -108,3 +115,10 @@ class TestSearchBehavior:
             fast = max_mcwc(params)
             plain = max_mcwc(params, SearchConfig(greedy_coloring=False))
             assert plain.size == fast.size
+
+
+def test_invalid_witness_raises_construction_error(monkeypatch):
+    monkeypatch.setattr(oracle, "verify_mcwc", lambda code: VerificationReport(False, "forced"))
+    with pytest.raises(ConstructionError) as exc:
+        max_mcwc(CodeParameters((3, 5), (2, 2), 6))
+    assert str(exc.value) == "oracle produced an invalid witness: forced"
