@@ -59,14 +59,12 @@ def johnson_eq3(params: CodeParameters) -> BoundResult:
     if params.distance % 2 != 0:
         return BoundResult(method, None, {"reason": "odd distance"})
     u = params.distance // 2
-    lam = params.total_weight - u
-    denom = sum(Fraction(w * w, n) for w, n in zip(params.block_weights, params.block_lengths))
-    denom -= lam
-    cert = {"u": u, "lambda": lam, "denominator": denom}
-    if denom <= 0:
+    blocks = tuple(zip(params.block_weights, params.block_lengths))
+    value, denom, big = _eq3_on_blocks(blocks, u)
+    cert = {"u": u, "lambda": params.total_weight - u, "denominator": Fraction(denom, big)}
+    if value is None:
         cert["reason"] = "denominator <= 0"
-        return BoundResult(method, None, cert)
-    return BoundResult(method, int(Fraction(u) / denom), cert)
+    return BoundResult(method, value, cert)
 
 
 # -- recursive Johnson bound -------------------------------------------------
@@ -119,17 +117,13 @@ def _normalize_blocks(blocks) -> Optional[_BlockKey]:
     return tuple(sorted(kept))
 
 
-def _eq3_on_blocks(blocks: _BlockKey, d: int) -> Optional[int]:
-    """floor(u / (sum w^2/n - lambda)), with both sides scaled by L = prod n."""
-    if d % 2 != 0:
-        return None
-    u = d // 2
+def _eq3_on_blocks(blocks, u: int) -> tuple[Optional[int], int, int]:
+    """floor(u / D) at distance 2u, where D = sum w^2/n - lambda, or None when
+    D <= 0; returned with L*D and L = prod n, which keep it in integers."""
     big = prod(n for _, n in blocks)
     lam = sum(w for w, _ in blocks) - u
     denom = sum(w * w * (big // n) for w, n in blocks) - lam * big
-    if denom <= 0:
-        return None
-    return u * big // denom
+    return (u * big // denom if denom > 0 else None), denom, big
 
 
 class _RecState:
@@ -161,9 +155,10 @@ def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule
     if st.visited > st.budget:
         return best, rule, False
     complete = True
-    v3 = _eq3_on_blocks(blocks, st.d)
-    if v3 is not None and v3 < best:
-        best, rule = v3, ("eq3",)
+    if st.d % 2 == 0:
+        v3 = _eq3_on_blocks(blocks, st.d // 2)[0]
+        if v3 is not None and v3 < best:
+            best, rule = v3, ("eq3",)
     for i, block in enumerate(blocks):
         rest = blocks[:i] + blocks[i + 1 :]
         for child_block, step, divisor, dreach in _steps(block):
@@ -323,30 +318,36 @@ def gv_lower_bound(params: CodeParameters) -> BoundResult:
     return BoundResult(method, value, {"numerator": numerator, "ball_volume": volume})
 
 
-def upper_bounds(
-    params: CodeParameters, *, lp_cap: int = 64, state_budget: int = 10**6
-) -> dict[str, BoundResult]:
+# The LP bound is consulted when its symmetrized LP is small: one variable per
+# class multiset, at most LP_VAR_CAP of them.  delsarte_lp enumerates every
+# class tuple, (w+1)^m of them, and refuses more than LP_CLASS_CAP.
+LP_VAR_CAP = 64
+LP_CLASS_CAP = 4096
+
+
+def lp_applies(params: CodeParameters) -> bool:
+    """Whether :func:`upper_bounds` consults the LP bound: uniform shapes at
+    even distance whose LP is within both caps."""
+    if not params.is_uniform or params.distance % 2 != 0:
+        return False
+    n, w = params.block_lengths[0], params.block_weights[0]
+    wn = min(w, n - w)
+    return comb(params.m + wn, wn) <= LP_VAR_CAP and (wn + 1) ** params.m <= LP_CLASS_CAP
+
+
+def upper_bounds(params: CodeParameters) -> dict[str, BoundResult]:
     """Every upper bound that :func:`best_upper_bound` considers, keyed by
     method in a fixed order: johnson-recursive, johnson-eq3 and, for uniform
-    shapes, plotkin-discrete, spherical and the LP bound (when its
-    symmetrized LP has at most ``lp_cap`` variables).  Each bound is
-    computed once."""
-    results = [johnson_recursive(params, state_budget), johnson_eq3(params)]
+    shapes, plotkin-discrete, spherical and the LP bound (when
+    :func:`lp_applies`).  Each bound is computed once."""
+    results = [johnson_recursive(params), johnson_eq3(params)]
     if params.is_uniform:
         results.append(plotkin_discrete(params))
         results.append(spherical_bound(params))
-        n, w = params.block_lengths[0], params.block_weights[0]
-        wn = min(w, n - w)
-        # after block-permutation symmetrization the LP has one variable per
-        # class multiset; consult it when that count is small
-        if (
-            params.distance % 2 == 0
-            and comb(params.m + wn, wn) <= lp_cap
-            and (wn + 1) ** params.m <= 4096
-        ):
-            from .lp import lp_bound
+    if lp_applies(params):
+        from .lp import lp_bound
 
-            results.append(lp_bound(params))
+        results.append(lp_bound(params))
     return {r.method: r for r in results}
 
 
@@ -358,15 +359,9 @@ def best_of(table: dict[str, BoundResult]) -> BoundResult:
     return BoundResult(best.method, best.value, {"all": {k: r.value for k, r in table.items()}})
 
 
-def best_upper_bound(
-    params: CodeParameters, *, lp_cap: int = 64, state_budget: int = 10**6
-) -> BoundResult:
-    """Minimum over every applicable upper bound, with the winner tagged.
-
-    The LP bound is consulted only when the instance is small enough for the
-    exact simplex to be cheap (variable count at most ``lp_cap``).
-    """
-    return best_of(upper_bounds(params, lp_cap=lp_cap, state_budget=state_budget))
+def best_upper_bound(params: CodeParameters) -> BoundResult:
+    """Minimum over every applicable upper bound, with the winner tagged."""
+    return best_of(upper_bounds(params))
 
 
 # -- asymptotic rate functions ------------------------------------------------
@@ -505,6 +500,8 @@ class AsymptoticPoint:
 
 
 def asymptotic_point(delta: RationalLike, omega: RationalLike, dps: int = 30) -> AsymptoticPoint:
+    if dps < 1:
+        raise DomainError(f"dps must be a positive number of digits, got {dps}")
     d = _to_fraction(delta)
     o = _to_fraction(omega)
     q = Fraction(1) / o

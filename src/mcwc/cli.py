@@ -55,7 +55,6 @@ from .core import (
     VerificationReport,
     _ints,
     load_code,
-    min_distance,
     parse_code,
     save_code,
     verify_mcwc,
@@ -132,7 +131,7 @@ def cmd_verify(args) -> int:
             if kind == "mcwc":
                 code = parse_code(text)
                 report = verify_mcwc(code)
-                d = min_distance(code)
+                d = report.min_distance
                 detail = f"size={len(code)} min_distance={'-' if d is None else d}"
             elif kind == "square":
                 sq = parse_square(text)

@@ -266,6 +266,8 @@ def parse_base_table(text: str) -> BaseCodewordTable:
                 elif item.startswith("fixed="):
                     value = item[len("fixed="):]
                     fix = tuple(t for t in value.split(",") if t)
+                    for token in fix:
+                        _parse_point(token, lineno)
                 else:
                     raise FormatError(f"unknown layout item {item!r}", lineno)
             classes[side] = cls

@@ -58,6 +58,7 @@ class VerificationReport:
 
     valid: bool
     violation: Optional[str] = None
+    min_distance: Optional[int] = None  # set by verify_mcwc on a valid code
 
     def __bool__(self) -> bool:
         return self.valid
@@ -240,21 +241,28 @@ class PartitionedCode:
         return tuple(sorted(self.words, key=lambda w: w.support))
 
 
+def _closest_pair(words, stop_below: int) -> Optional[tuple[int, int, int]]:
+    """``(distance, i, j)`` of the first pair ``i < j`` in scan order that
+    attains the least distance, or of the first pair closer than
+    ``stop_below``, where the scan stops; ``None`` when fewer than two words."""
+    bits = [w.bits for w in words]
+    found = None
+    least = float("inf")
+    for i, bi in enumerate(bits):
+        for j in range(i + 1, len(bits)):
+            dist = (bi ^ bits[j]).bit_count()
+            if dist < least:
+                least = dist
+                found = (dist, i, j)
+                if dist < stop_below:
+                    return found
+    return found
+
+
 def min_distance(code: PartitionedCode) -> Optional[int]:
     """Minimum pairwise Hamming distance; ``None`` when fewer than two words."""
-    words = code.words
-    if len(words) <= 1:
-        return None
-    best = None
-    for i in range(len(words)):
-        bi = words[i].bits
-        for j in range(i + 1, len(words)):
-            d = (bi ^ words[j].bits).bit_count()
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    return 0
-    return best
+    found = _closest_pair(code.words, 1)
+    return None if found is None else found[0]
 
 
 def verify_mcwc(code: PartitionedCode) -> VerificationReport:
@@ -262,6 +270,7 @@ def verify_mcwc(code: PartitionedCode) -> VerificationReport:
 
     Violations are reported, never raised; the report pinpoints the first
     failing word or pair.  Codes with at most one word satisfy any distance.
+    A valid report carries the code's :func:`min_distance`.
     """
     params = code.params
     for k, word in enumerate(code.words):
@@ -280,15 +289,14 @@ def verify_mcwc(code: PartitionedCode) -> VerificationReport:
         seen[word.bits] = k
     d = params.distance
     words = code.words
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            dist = (words[i].bits ^ words[j].bits).bit_count()
-            if dist < d:
-                return VerificationReport(
-                    False,
-                    f"words {i} {words[i]} and {j} {words[j]} are at distance {dist} < {d}",
-                )
-    return VerificationReport(True)
+    found = _closest_pair(words, d)
+    if found is not None and found[0] < d:
+        dist, i, j = found
+        return VerificationReport(
+            False,
+            f"words {i} {words[i]} and {j} {words[j]} are at distance {dist} < {d}",
+        )
+    return VerificationReport(True, min_distance=None if found is None else found[0])
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +355,11 @@ def parse_code(text: str) -> PartitionedCode:
     try:
         params = CodeParameters(tuple(lengths), tuple(weights), d)
     except DomainError as exc:
-        raise FormatError(str(exc)) from None
+        # cite the first line with a value CodeParameters rejects, in its check
+        # order: the part lines' lengths, their weights, the header's distance
+        culprits = [ln for (ln, _), n in zip(lines[1:], lengths) if n <= 0]
+        culprits += [ln for (ln, _), w in zip(lines[1:], weights) if w < 0]
+        raise FormatError(str(exc), (culprits + [lines[0][0]])[0]) from None
     words = []
     for lineno, line in lines[pos:]:
         indices = _ints(line.split(), lineno, "support indices must be integers")

@@ -13,6 +13,7 @@ loaders run no verification themselves.
 
 from __future__ import annotations
 
+import re
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
@@ -21,24 +22,26 @@ from .constructions import BaseCodewordTable, parse_base_table
 from .core import PartitionedCode, parse_code
 from .designs import SkewSquare, parse_square
 
-SMALL_PAIRS = [
-    (3, 3), (3, 5),
-    (5, 5), (5, 7), (5, 9),
-    (7, 7), (7, 9), (7, 11), (7, 13),
-    (9, 9), (9, 11), (9, 13), (9, 15), (9, 17),
-]
-
-DEVELOP_FAMILIES = {13: 3, 17: 4, 21: 5, 25: 6, 29: 7, 33: 8, 37: 9}
-
-SFS_SHAPES = [(f, a) for f in range(5, 10) for a in range(f + 1) if (f, a) != (9, 8)]
-
-HSAS_SHAPES = [(v, 3, s) for v in (11, 15, 19) for s in range(v, 2 * v - 2, 2)] + [
-    (11, 5, 21), (15, 5, 29), (19, 5, 37),
-]
-
 
 def data_root() -> Path:
     return Path(resources.files("mcwc") / "data")
+
+
+def _shapes(sub: str, pattern: str) -> list[tuple[int, ...]]:
+    """The integer fields of each file name under ``data/<sub>`` that matches
+    ``pattern``, in numeric order."""
+    names = (re.fullmatch(pattern, path.name) for path in (data_root() / sub).iterdir())
+    return sorted(tuple(map(int, m.groups())) for m in names if m)
+
+
+SMALL_PAIRS = _shapes("codes", r"small_(\d+)_(\d+)\.mcwc")
+
+# point side n1 -> g = (n1 - 1)/4, the group order of its base-codeword tables
+DEVELOP_FAMILIES = {n1: (n1 - 1) // 4 for n1, _ in _shapes("develop", r"t(\d+)_n(\d+)\.dev")}
+
+SFS_SHAPES = _shapes("squares", r"sfs(\d+)_a(\d+)\.sq")
+
+HSAS_SHAPES = _shapes("squares", r"hsas_v(\d+)_t(\d+)_s(\d+)\.sq")
 
 
 def _read(relative: str) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     CodeParameters,
@@ -445,24 +445,14 @@ def _gf_mul_table(q: int) -> list[list[int]]:
 # Frame constructions
 # ---------------------------------------------------------------------------
 
-WeightFn = Union[Mapping[int, int], Callable[[int], int]]
-IngredientSource = Union[
-    Mapping[tuple[tuple[int, int], ...], SkewSquare],
-    Callable[[tuple[tuple[int, int], ...]], SkewSquare],
-]
-
-
-def _weight(fn: WeightFn, x: int) -> int:
-    return fn[x] if isinstance(fn, Mapping) else fn(x)
-
 
 def wfc_construct(
     design: GddDesign,
-    s_weight: WeightFn,
-    v_weight: WeightFn,
-    ingredients: IngredientSource,
+    s_weight: Mapping[int, int],
+    v_weight: Mapping[int, int],
+    ingredients: Mapping[tuple[tuple[int, int], ...], SkewSquare],
 ) -> SkewSquare:
-    """Weighting frame construction: inflate a GDD by two weight functions.
+    """Weighting frame construction: inflate a GDD by two weight maps.
 
     Each point x receives a run of s(x) row indices and v(x) point indices;
     for every block an ingredient SFS of type {(s(x), v(x)) : x in B} is laid
@@ -471,8 +461,8 @@ def wfc_construct(
     """
     verify_gdd(design).require("invalid design")
     x_count = design.num_points
-    s_of = {x: _weight(s_weight, x) for x in range(x_count)}
-    v_of = {x: _weight(v_weight, x) for x in range(x_count)}
+    s_of = {x: s_weight[x] for x in range(x_count)}
+    v_of = {x: v_weight[x] for x in range(x_count)}
     if any(s < 0 for s in s_of.values()) or any(v < 0 for v in v_of.values()):
         raise DomainError("weights must be non-negative")
     row_start, point_start = {}, {}
@@ -487,10 +477,8 @@ def wfc_construct(
     for block in design.blocks:
         key = sfs_type_key((s_of[x], v_of[x]) for x in block)
         try:
-            ingredient = (
-                ingredients[key] if isinstance(ingredients, Mapping) else ingredients(key)
-            )
-        except (KeyError, IngredientError):
+            ingredient = ingredients[key]
+        except KeyError:
             raise IngredientError(f"no SFS ingredient of type {key}") from None
         if ingredient.kind is not SquareKind.SFS:
             raise IngredientError(f"ingredient for type {key} is not an SFS")

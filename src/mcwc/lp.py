@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Literal, Optional, Sequence
 
-from .bounds import BoundResult
+from .bounds import LP_CLASS_CAP, BoundResult
 from .core import CodeParameters, DomainError, ShapeError, SizeError
 from .scheme import build_scheme_tables
 
@@ -179,7 +179,7 @@ def format_lp(lp: RationalLinearProgram) -> str:
     return "\n".join(out) + "\n"
 
 
-def delsarte_lp(params: CodeParameters, var_cap: int = 4096, symmetrize: bool = True):
+def delsarte_lp(params: CodeParameters, symmetrize: bool = True):
     """Build the product-scheme LP instance for uniform parameters.
 
     Returns (lp, labels) where labels[j] is the class tuple of variable j.
@@ -202,9 +202,9 @@ def delsarte_lp(params: CodeParameters, var_cap: int = 4096, symmetrize: bool = 
     n = params.block_lengths[0]
     w = min(params.block_weights[0], n - params.block_weights[0])
     u = params.distance // 2
-    if (w + 1) ** m > var_cap:
+    if (w + 1) ** m > LP_CLASS_CAP:
         raise SizeError(
-            f"LP would need {(w + 1) ** m} classes, above the cap of {var_cap}"
+            f"LP would need {(w + 1) ** m} classes, above the cap of {LP_CLASS_CAP}"
         )
     admissible = [
         t
@@ -254,15 +254,13 @@ def delsarte_lp(params: CodeParameters, var_cap: int = 4096, symmetrize: bool = 
     return lp, labels
 
 
-def lp_bound(
-    params: CodeParameters, var_cap: int = 4096, symmetrize: bool = True
-) -> BoundResult:
+def lp_bound(params: CodeParameters, symmetrize: bool = True) -> BoundResult:
     """Delsarte-style bound 1 + floor(max sum of the distance distribution)
     over the product of m Johnson schemes, solved exactly."""
     method = "lp"
     if params.distance % 2 != 0:
         return BoundResult(method, None, {"reason": "odd distance"})
-    lp, labels = delsarte_lp(params, var_cap, symmetrize)
+    lp, labels = delsarte_lp(params, symmetrize)
     n = params.block_lengths[0]
     w = params.block_weights[0]
     trivial = comb(n, w) ** params.m

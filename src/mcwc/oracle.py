@@ -14,10 +14,8 @@ because coordinate permutations inside blocks act transitively on vertices.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from math import comb, prod
-from typing import Optional
 
 from .bounds import best_upper_bound
 from .core import (
@@ -32,14 +30,11 @@ from .core import (
 class SearchConfig:
     vertex_cap: int = 2000
     node_budget: int = 10_000_000
-    time_budget: Optional[float] = None  # seconds
     symmetry_reduction: bool = True
     greedy_coloring: bool = True
 
     def __post_init__(self):
         if self.vertex_cap <= 0 or self.node_budget <= 0:
-            raise ValueError("budgets must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError("budgets must be positive")
 
 
@@ -67,22 +62,13 @@ class _TargetReached(Exception):
 class _CliqueSearch:
     """Branch and bound on an adjacency list of int bitmasks."""
 
-    def __init__(self, adj: list[int], cfg: SearchConfig, target: int, deadline):
+    def __init__(self, adj: list[int], cfg: SearchConfig, target: int):
         self.adj = adj
         self.cfg = cfg
         self.target = target
-        self.deadline = deadline
         self.nodes = 0
         self.best: list[int] = []
         self.stack: list[int] = []
-
-    def _check_budgets(self):
-        self.nodes += 1
-        if self.nodes > self.cfg.node_budget:
-            raise _Budget
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Budget
 
     def _take(self, clique: list[int]):
         if len(clique) > len(self.best):
@@ -109,7 +95,9 @@ class _CliqueSearch:
         return order
 
     def _expand(self, p: int):
-        self._check_budgets()
+        self.nodes += 1
+        if self.nodes > self.cfg.node_budget:
+            raise _Budget
         if p == 0:
             self._take(self.stack)
             return
@@ -226,7 +214,6 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
         adj[i] = row
 
     target = best_upper_bound(params).value
-    deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
 
     full = (1 << nv) - 1
     if all(adj[i] == full & ~(1 << i) for i in range(nv)):
@@ -236,14 +223,14 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
     elif cfg.symmetry_reduction:
         # every word is equivalent to vertex 0 under within-block coordinate
         # permutations, so some maximum clique contains vertex 0
-        search = _CliqueSearch(adj, cfg, max(target - 1, 0), deadline)
+        search = _CliqueSearch(adj, cfg, max(target - 1, 0))
         sub = adj[0]
         seed = _greedy_seed(adj, sub) if sub else []
         best, complete = search.run(sub, seed)
         chosen = [0] + sorted(best)
         nodes = search.nodes
     else:
-        search = _CliqueSearch(adj, cfg, target, deadline)
+        search = _CliqueSearch(adj, cfg, target)
         seed = _greedy_seed(adj, full)
         best, complete = search.run(full, seed)
         chosen = sorted(best)

@@ -18,6 +18,7 @@ from mcwc.bounds import (
     gv_lower_bound,
     johnson_eq3,
     johnson_recursive,
+    lp_applies,
     mu_c,
     mu_gv,
     plotkin_bound,
@@ -107,7 +108,6 @@ def sweep_records():
     for m, n, w, d in _sweep_instances():
         params = CodeParameters.uniform(m, n, w, d)
         oracle = max_mcwc(params, cfg)
-        wn = min(w, n - w)
         bounds = {
             "johnson-recursive": johnson_recursive(params),
             "johnson-eq3": johnson_eq3(params),
@@ -115,7 +115,7 @@ def sweep_records():
             "plotkin-discrete": plotkin_discrete(params),
             "spherical": spherical_bound(params),
         }
-        if comb(m + wn, wn) <= 64 and (wn + 1) ** m <= 4096:
+        if lp_applies(params):
             bounds["lp"] = lp_bound(params)
         records.append(((m, n, w, d), oracle, bounds, gv_lower_bound(params)))
     return records, time.monotonic() - started
@@ -135,6 +135,8 @@ def test_criterion_4_bound_consistency_sweep(sweep_records):
         if gv.applicable:
             assert gv.value <= oracle.size, (key, gv.value, oracle.size)
     assert incomplete <= KNOWN_INCOMPLETE, f"unexpected incomplete instances: {incomplete}"
+    # the LP gate admits every sweep instance, so the LP bound is checked on all
+    assert sum("lp" in bounds for _, _, bounds, _ in records) == len(records) == 1642
     print(f"  sweep: {len(records)} instances,"
           f" {len(incomplete)} budget-limited {sorted(incomplete)}")
     _report(4, "bound consistency sweep", started, 600.0)

@@ -15,6 +15,7 @@ from mcwc.bounds import (
     gv_lower_bound,
     johnson_eq3,
     johnson_recursive,
+    lp_applies,
     mu_c,
     mu_gv,
     plotkin_bound,
@@ -40,10 +41,14 @@ class TestJohnsonEq3:
         assert r.certificate["denominator"] == Fraction(13, 35)
 
     def test_nonpositive_denominator(self):
-        assert johnson_eq3(CodeParameters((5, 5), (2, 2), 2)).value is None
+        r = johnson_eq3(CodeParameters((5, 5), (2, 2), 2))
+        assert r.value is None
+        assert r.certificate == {"u": 1, "lambda": 3, "denominator": Fraction(-7, 5),
+                                 "reason": "denominator <= 0"}
 
     def test_odd_distance(self):
-        assert johnson_eq3(CodeParameters((5, 5), (2, 2), 5)).value is None
+        r = johnson_eq3(CodeParameters((5, 5), (2, 2), 5))
+        assert r.value is None and r.certificate == {"reason": "odd distance"}
 
 
 class TestJohnsonRecursive:
@@ -243,7 +248,10 @@ class TestBestUpper:
             "johnson-recursive", "johnson-eq3", "plotkin-discrete", "spherical", "lp",
         ]
         assert "lp" not in upper_bounds(uni(10, 4, 2, 16))  # 66 LP variables
-        assert "lp" not in upper_bounds(uni(3, 8, 3, 6), lp_cap=19)  # 20 LP variables
+        assert "lp" not in upper_bounds(uni(13, 2, 1, 4))  # 14 variables, 8192 classes
+        assert lp_applies(uni(3, 8, 3, 6)) and lp_applies(uni(3, 8, 5, 6))
+        assert not lp_applies(uni(3, 8, 3, 5))  # odd distance
+        assert not lp_applies(CodeParameters((5, 7), (2, 2), 6))
         assert list(upper_bounds(CodeParameters((5, 7), (2, 2), 6))) == [
             "johnson-recursive", "johnson-eq3",
         ]
@@ -316,6 +324,9 @@ class TestAsymptotics:
             mu_gv(Fraction(3, 4), Fraction(1, 3))  # delta above max(1/2, 2 omega)
         with pytest.raises(DomainError):
             comparison_f(Fraction(3, 4), Fraction(1, 2))  # x >= 1 - omega
+        for dps in (0, -5):
+            with pytest.raises(DomainError):
+                asymptotic_point(Fraction(1, 4), Fraction(1, 2), dps)
 
     def test_asymptotic_point(self):
         point = asymptotic_point(Fraction(1, 4), Fraction(1, 2))

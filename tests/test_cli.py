@@ -356,9 +356,12 @@ class TestExitContract:
             ["search", "--m", "1", "--n", "5", "--w", "2", "--d", "4", "--vertex-cap", "-1"],
             ["asymptotic", "--delta", "abc", "--omega", "1/2"],
             ["asymptotic", "--delta", "1/4", "--omega", "1/0"],
+            ["asymptotic", "--delta", "1/4", "--omega", "1/2", "--dps", "0"],
+            ["asymptotic", "--delta", "1/4", "--omega", "1/2", "--dps", "-5"],
         ],
         ids=["lengths", "weights", "search-lengths", "n1", "outer-token", "outer-count",
-             "outer-missing", "decomp-weights", "budget", "vertex-cap", "delta", "omega"],
+             "outer-missing", "decomp-weights", "budget", "vertex-cap", "delta", "omega",
+             "dps-zero", "dps-negative"],
     )
     def test_malformed_numbers(self, argv, tmp_path, capsys):
         from mcwc.constructions import format_decomposition, ordered_pair_decomposition

@@ -6,6 +6,7 @@ from mcwc import corpus
 from mcwc.core import (
     CodeParameters,
     ConstructionError,
+    FormatError,
     PartitionedCode,
     ShapeError,
     SizeError,
@@ -124,6 +125,12 @@ class TestDevelop:
         table = corpus.develop_table(17, 33)
         text = format_base_table(table)
         assert format_base_table(parse_base_table(text)) == text
+
+    def test_bad_fixed_point_cites_its_line(self):
+        text = "develop 3 2\nlayout 1 classes=0 fixed=inf,b7\nlayout 2 classes=1\n"
+        with pytest.raises(FormatError) as exc:
+            parse_base_table(text)
+        assert str(exc.value) == "line 2: cannot parse point token 'b7'"
 
 
 class TestBibd:

@@ -141,6 +141,11 @@ class TestCodeFiles:
             ("mcwc 2 6\npart 2 3 2\n", "part index"),
             ("mcwc 1 6\npart 1 3 2\n1 0\n", "ascending"),
             ("mcwc 1 6\npart 1 3 2\n0 9\n", "out of range"),
+            # CodeParameters checks every length, then every weight, then d
+            ("mcwc 2 6\npart 1 3 2\npart 2 -5 2\n", "line 3: block lengths must be positive"),
+            ("mcwc 2 6\npart 1 3 -1\npart 2 0 2\n", "line 3: block lengths must be positive"),
+            ("mcwc 2 6\npart 1 3 2\n# gap\npart 2 3 -1\n", "line 4: block weights must be"),
+            ("mcwc 1 -2\npart 1 3 2\n", "line 1: distance must be non-negative"),
         ],
     )
     def test_parse_errors(self, text, fragment):
@@ -204,6 +209,8 @@ def test_verify_agrees_with_min_distance(pw):
     d = min_distance(code)
     distance_ok = d is None or d >= params.distance
     assert report.valid == (weights_ok and distance_ok)
+    if report.valid:
+        assert report.min_distance == d
 
 
 @settings(max_examples=80, deadline=None)

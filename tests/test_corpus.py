@@ -49,6 +49,26 @@ def test_inventory_complete():
     assert kinds == {"codes": 14, "develop": 91, "squares": 63}
 
 
+def test_shapes_match_the_shipped_files():
+    """The shape lists are read from the data file names; a lost or stray
+    file changes them."""
+    assert corpus.SMALL_PAIRS == [
+        (3, 3), (3, 5),
+        (5, 5), (5, 7), (5, 9),
+        (7, 7), (7, 9), (7, 11), (7, 13),
+        (9, 9), (9, 11), (9, 13), (9, 15), (9, 17),
+    ]
+    assert corpus.DEVELOP_FAMILIES == {13: 3, 17: 4, 21: 5, 25: 6, 29: 7, 33: 8, 37: 9}
+    assert list(corpus.DEVELOP_FAMILIES) == [13, 17, 21, 25, 29, 33, 37]
+    assert corpus.SFS_SHAPES == [
+        (f, a) for f in range(5, 10) for a in range(f + 1) if (f, a) != (9, 8)
+    ]
+    assert corpus.HSAS_SHAPES == sorted(
+        [(v, 3, s) for v in (11, 15, 19) for s in range(v, 2 * v - 2, 2)]
+        + [(11, 5, 21), (15, 5, 29), (19, 5, 37)]
+    )
+
+
 @pytest.mark.parametrize(
     "n1,n2", corpus.SMALL_PAIRS, ids=[f"{a}-{b}" for a, b in corpus.SMALL_PAIRS]
 )

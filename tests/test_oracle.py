@@ -105,7 +105,7 @@ class TestSearchBehavior:
         with pytest.raises(ValueError):
             SearchConfig(node_budget=0)
         with pytest.raises(ValueError):
-            SearchConfig(time_budget=-1.0)
+            SearchConfig(vertex_cap=0)
 
     def test_coloring_toggle_agrees(self):
         for params in [

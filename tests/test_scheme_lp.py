@@ -170,7 +170,7 @@ class TestLpBound:
 
     def test_size_cap(self):
         with pytest.raises(SizeError):
-            lp_bound(CodeParameters.uniform(13, 2, 1, 4), var_cap=4096)
+            lp_bound(CodeParameters.uniform(13, 2, 1, 4))
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
