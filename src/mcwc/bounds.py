@@ -299,6 +299,8 @@ def gv_lower_bound(params: CodeParameters) -> BoundResult:
     m, n, w = _require_uniform(params, method)
     if params.distance % 2 != 0:
         return BoundResult(method, None, {"reason": "odd distance"})
+    if comb(n, w) == 0:
+        return BoundResult(method, 0, {"reason": "no word"})
     u = params.distance // 2
     numerator = comb(n, w) ** m
     if u == 0:
@@ -326,11 +328,13 @@ LP_CLASS_CAP = 4096
 
 
 def lp_applies(params: CodeParameters) -> bool:
-    """Whether :func:`upper_bounds` consults the LP bound: uniform shapes at
-    even distance whose LP is within both caps."""
+    """Whether :func:`upper_bounds` consults the LP bound: uniform shapes with
+    words (w <= n) at even distance whose LP is within both caps."""
     if not params.is_uniform or params.distance % 2 != 0:
         return False
     n, w = params.block_lengths[0], params.block_weights[0]
+    if w > n:
+        return False
     wn = min(w, n - w)
     return comb(params.m + wn, wn) <= LP_VAR_CAP and (wn + 1) ** params.m <= LP_CLASS_CAP
 

@@ -148,12 +148,6 @@ class CodeParameters:
                 return i
         raise AssertionError("unreachable")
 
-    def same_shape(self, other: "CodeParameters") -> bool:
-        return (
-            self.block_lengths == other.block_lengths
-            and self.block_weights == other.block_weights
-        )
-
 
 @lru_cache(maxsize=None)
 def _block_masks(block_lengths: tuple[int, ...]) -> tuple[int, ...]:
@@ -195,10 +189,6 @@ class PartitionedWord:
             (self.bits & masks[i]).bit_count() == w
             for i, w in enumerate(self.params.block_weights)
         )
-
-    @property
-    def weight(self) -> int:
-        return len(self.support)
 
     def __str__(self) -> str:
         return "<" + ", ".join(map(str, self.support)) + ">"
@@ -289,7 +279,9 @@ def verify_mcwc(code: PartitionedCode) -> VerificationReport:
         seen[word.bits] = k
     d = params.distance
     words = code.words
-    found = _closest_pair(words, d)
+    # distinct words with equal block weights are >= 2 apart, so a pair at
+    # distance 2 is a closest one and the scan may stop there
+    found = _closest_pair(words, max(d, 3))
     if found is not None and found[0] < d:
         dist, i, j = found
         return VerificationReport(

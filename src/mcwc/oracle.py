@@ -2,13 +2,20 @@
 
 Words with the required block weights are the vertices of a compatibility
 graph (edges join words at distance >= d); the largest code is a maximum
-clique.  The search is a single-threaded branch and bound over bitset rows
-with a greedy-coloring bound, so results are deterministic.
+clique.  Every parameter set follows one path:
 
-Two sound accelerations are applied: the closed-form upper bounds seed a
-target at which the incumbent is provably optimal, and (optionally) the
-search is restricted to cliques through the first vertex, which is valid
-because coordinate permutations inside blocks act transitively on vertices.
+* trivial answers first: with no word, a distance no two words reach (one
+  word is optimal) or d <= 2 (every word fits), the answer is a prefix of
+  :func:`enumerate_words` whose length is also its upper bound;
+* otherwise one branch and bound over bitset rows, seeded by greedy cliques
+  and stopped early once the incumbent meets :func:`best_upper_bound`.
+
+With ``symmetry_reduction`` the search is restricted to cliques through
+vertex 0, which is valid because coordinate permutations inside blocks act
+transitively on the words.  The candidate order and its pruning bounds come
+from a greedy coloring; ``greedy_coloring=False`` selects the reference
+order, which bounds each vertex by the number of candidates still left.
+The search is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -46,10 +53,6 @@ class OracleResult:
     nodes: int
     upper_bound: int
 
-    def __str__(self) -> str:
-        tag = "optimum" if self.complete else "lower bound (budget exceeded)"
-        return f"{tag} {self.size}"
-
 
 class _Budget(Exception):
     pass
@@ -64,17 +67,12 @@ class _CliqueSearch:
 
     def __init__(self, adj: list[int], cfg: SearchConfig, target: int):
         self.adj = adj
-        self.cfg = cfg
+        self.node_budget = cfg.node_budget
+        self.order = self._color_order if cfg.greedy_coloring else self._plain_order
         self.target = target
         self.nodes = 0
         self.best: list[int] = []
         self.stack: list[int] = []
-
-    def _take(self, clique: list[int]):
-        if len(clique) > len(self.best):
-            self.best = list(clique)
-            if len(self.best) >= self.target:
-                raise _TargetReached
 
     def _color_order(self, p: int) -> list[tuple[int, int]]:
         """Greedy coloring of the candidate set; returns (vertex, bound) pairs
@@ -94,21 +92,29 @@ class _CliqueSearch:
                 order.append((v, color))
         return order
 
+    @staticmethod
+    def _plain_order(p: int) -> list[tuple[int, int]]:
+        """One color per vertex, from the highest vertex down.  Expanded lowest
+        first, each vertex is bounded by the number of candidates still left."""
+        order: list[tuple[int, int]] = []
+        while p:
+            v = p.bit_length() - 1
+            order.append((v, len(order) + 1))
+            p &= ~(1 << v)
+        return order
+
     def _expand(self, p: int):
         self.nodes += 1
-        if self.nodes > self.cfg.node_budget:
+        if self.nodes > self.node_budget:
             raise _Budget
         if p == 0:
-            self._take(self.stack)
+            if len(self.stack) > len(self.best):
+                self.best = list(self.stack)
+                if len(self.best) >= self.target:
+                    raise _TargetReached
             return
-        if self.cfg.greedy_coloring:
-            order = self._color_order(p)
-        else:
-            order = [(v, 0) for v in _bits(p)]
-        for v, bound in reversed(order):
-            if self.cfg.greedy_coloring and len(self.stack) + bound <= len(self.best):
-                return
-            if not self.cfg.greedy_coloring and len(self.stack) + p.bit_count() <= len(self.best):
+        for v, bound in reversed(self.order(p)):
+            if len(self.stack) + bound <= len(self.best):
                 return
             self.stack.append(v)
             self._expand(p & self.adj[v])
@@ -128,19 +134,18 @@ class _CliqueSearch:
         return self.best, complete
 
 
-def _bits(mask: int):
-    while mask:
-        v = mask.bit_length() - 1
-        yield v
-        mask &= ~(1 << v)
+_SEED_STARTS = 32
 
 
-def _greedy_seed(adj: list[int], vertices: int, tries: int = 32) -> list[int]:
-    """Deterministic greedy cliques from the first few start vertices."""
-    n = vertices.bit_count()
+def _greedy_seed(adj: list[int], vertices: int) -> list[int]:
+    """Deterministic greedy cliques from the lowest ``_SEED_STARTS`` start vertices."""
     best: list[int] = []
-    starts = list(itertools.islice(_bits_ascending(vertices), min(n, tries)))
-    for s in starts:
+    rest = vertices
+    for _ in range(_SEED_STARTS):
+        if not rest:
+            break
+        s = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
         clique = [s]
         p = vertices & adj[s]
         while p:
@@ -150,13 +155,6 @@ def _greedy_seed(adj: list[int], vertices: int, tries: int = 32) -> list[int]:
         if len(clique) > len(best):
             best = clique
     return best
-
-
-def _bits_ascending(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= ~low
 
 
 def enumerate_words(params: CodeParameters) -> list[tuple[int, ...]]:
@@ -181,21 +179,18 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
                  for n, w in zip(params.block_lengths, params.block_weights))
     if count > cfg.vertex_cap:
         raise SizeError(f"{count} candidate words exceed the vertex cap {cfg.vertex_cap}")
-    d = params.distance
-    if count == 0:
-        return OracleResult(0, PartitionedCode(params, ()), True, 0, 0)
     reach = 2 * sum(
         min(w, n - w) for n, w in zip(params.block_lengths, params.block_weights)
     )
-    if d > reach:
-        # two distinct words cannot be this far apart: any single word is optimal
-        witness = PartitionedCode.from_supports(params, enumerate_words(params)[:1])
-        return _verified(params, witness, True, 0, 1)
-    if d <= 2:
-        # distinct words with equal block weights always differ in >= 2 places
-        witness = PartitionedCode.from_supports(params, enumerate_words(params))
-        return _verified(params, witness, True, 0, count)
+    d = params.distance
     supports = enumerate_words(params)
+    if count == 0 or d > reach or d <= 2:
+        # no word; or no two words are d apart, so any one word is optimal; or
+        # distinct words with equal block weights differ in >= 2 places, so
+        # every word fits
+        size = 0 if count == 0 else 1 if d > reach else count
+        witness = PartitionedCode.from_supports(params, supports[:size])
+        return _verified(params, witness, True, 0, size)
     masks = []
     for s in supports:
         b = 0
@@ -214,30 +209,15 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
         adj[i] = row
 
     target = best_upper_bound(params).value
-
-    full = (1 << nv) - 1
-    if all(adj[i] == full & ~(1 << i) for i in range(nv)):
-        chosen = list(range(nv))  # distance floor is vacuous: take everything
-        complete = True
-        nodes = 0
-    elif cfg.symmetry_reduction:
-        # every word is equivalent to vertex 0 under within-block coordinate
-        # permutations, so some maximum clique contains vertex 0
-        search = _CliqueSearch(adj, cfg, max(target - 1, 0))
-        sub = adj[0]
-        seed = _greedy_seed(adj, sub) if sub else []
-        best, complete = search.run(sub, seed)
-        chosen = [0] + sorted(best)
-        nodes = search.nodes
-    else:
-        search = _CliqueSearch(adj, cfg, target)
-        seed = _greedy_seed(adj, full)
-        best, complete = search.run(full, seed)
-        chosen = sorted(best)
-        nodes = search.nodes
-
+    # every word is equivalent to vertex 0 under within-block coordinate
+    # permutations, so some maximum clique contains vertex 0
+    root = [0] if cfg.symmetry_reduction else []
+    candidates = adj[0] if root else (1 << nv) - 1
+    search = _CliqueSearch(adj, cfg, target - len(root))
+    best, complete = search.run(candidates, _greedy_seed(adj, candidates))
+    chosen = root + sorted(best)
     witness = PartitionedCode.from_supports(params, [supports[i] for i in chosen])
-    return _verified(params, witness, complete, nodes, target)
+    return _verified(params, witness, complete, search.nodes, target)
 
 
 def _verified(params, witness, complete, nodes, target) -> OracleResult:

@@ -53,11 +53,6 @@ class SchemeTables:
     P: tuple[tuple[int, ...], ...]
     Q: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def size(self) -> int:
-        """Number of points of the scheme, C(n, w)."""
-        return comb(self.n, self.w)
-
 
 @lru_cache(maxsize=None)
 def build_scheme_tables(w: int, n: int) -> SchemeTables:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from mcwc import corpus
@@ -196,6 +198,13 @@ class TestBound:
         rc, out = run(["bound", "--m", "3", "--n", "8", "--w", "3", "--d", "6",
                        "--method", "johnson"], capsys)
         assert rc == 0 and out.splitlines()[1].split() == ["johnson", "3864"]
+
+    def test_infeasible_shape_has_no_word(self, capsys):
+        rc, out = run(["--format", "tsv", "bound", "--m", "2", "--n", "3", "--w", "5",
+                       "--d", "4"], capsys)
+        rows = dict(line.split("\t", 1) for line in out.splitlines())
+        assert rc == 0
+        assert rows["best"] == "0\tvia johnson-recursive" and rows["gv"] == "0\tlower bound"
 
 
 class TestAsymptotic:
@@ -411,6 +420,15 @@ class TestExitContract:
         rc, out = run(["--format", "tsv", "verify", str(path)], capsys)
         row = out.splitlines()[1].split("\t")
         assert rc == 1 and row[2] == "ERROR" and row[3].startswith(f"line {line}: ")
+
+    def test_small_shapes_never_crash(self, capsys):
+        # includes infeasible shapes (w > n), where no word exists
+        for cmd, m, n, w, d in itertools.product(
+            ["bound", "search"], range(1, 4), range(1, 5), range(6), [0, 1, 2, 3, 4, 6, 9]
+        ):
+            argv = [cmd, "--m", str(m), "--n", str(n), "--w", str(w), "--d", str(d)]
+            assert main(argv) in (0, 2), argv
+            capsys.readouterr()
 
     def test_invalid_shipped_code_is_an_error(self, monkeypatch, capsys):
         from mcwc import cli

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +95,18 @@ class TestVerify:
         report = verify_mcwc(code)
         assert not report.valid
         assert "distance" in report.violation
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_small_distance_reports_min_distance(self, d):
+        params = CodeParameters((4, 3), (2, 1), d)
+        whole = PartitionedCode.from_supports(  # every word of the shape
+            params, [a + (4 + b,) for a in combinations(range(4), 2) for b in range(3)]
+        )
+        spread = PartitionedCode.from_supports(params, [[0, 1, 4], [2, 3, 5]])
+        for code in (whole, spread):
+            report = verify_mcwc(code)
+            assert report.valid and report.min_distance == min_distance(code)
+        assert min_distance(whole) == 2 and min_distance(spread) == 6
 
 
 class TestParameters:

@@ -122,3 +122,102 @@ def test_invalid_witness_raises_construction_error(monkeypatch):
     with pytest.raises(ConstructionError) as exc:
         max_mcwc(CodeParameters((3, 5), (2, 2), 6))
     assert str(exc.value) == "oracle produced an invalid witness: forced"
+
+
+# (params, node budget, {(symmetry_reduction, greedy_coloring): (size, complete,
+# nodes, upper_bound, indices of the witness words in enumerate_words order)}),
+# recorded before the search was folded into one path
+U = CodeParameters.uniform
+PINNED = [
+    (CodeParameters((3,), (4,), 2), 10_000_000, {
+        (True, True): (0, True, 0, 0, []),
+        (True, False): (0, True, 0, 0, []),
+        (False, True): (0, True, 0, 0, []),
+        (False, False): (0, True, 0, 0, []),
+    }),
+    (U(1, 5, 2, 2), 10_000_000, {
+        (True, True): (10, True, 0, 10, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        (True, False): (10, True, 0, 10, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        (False, True): (10, True, 0, 10, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+        (False, False): (10, True, 0, 10, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+    }),
+    (CodeParameters((6, 6), (1, 1), 10), 10_000_000, {
+        (True, True): (1, True, 0, 1, [0]),
+        (True, False): (1, True, 0, 1, [0]),
+        (False, True): (1, True, 0, 1, [0]),
+        (False, False): (1, True, 0, 1, [0]),
+    }),
+    (CodeParameters((3, 5), (2, 2), 6), 10_000_000, {
+        (True, True): (2, True, 0, 2, [0, 17]),
+        (True, False): (2, True, 0, 2, [0, 17]),
+        (False, True): (2, True, 0, 2, [0, 17]),
+        (False, False): (2, True, 0, 2, [0, 17]),
+    }),
+    (CodeParameters((4, 5, 3), (2, 1, 1), 4), 10_000_000, {
+        (True, True): (18, True, 0, 18, [0, 4, 8, 16, 18, 26, 32, 36, 40, 47, 51, 55, 61, 63, 71, 75, 79, 83]),
+        (True, False): (18, True, 0, 18, [0, 4, 8, 16, 18, 26, 32, 36, 40, 47, 51, 55, 61, 63, 71, 75, 79, 83]),
+        (False, True): (18, True, 0, 18, [0, 4, 8, 16, 18, 26, 32, 36, 40, 47, 51, 55, 61, 63, 71, 75, 79, 83]),
+        (False, False): (18, True, 0, 18, [0, 4, 8, 16, 18, 26, 32, 36, 40, 47, 51, 55, 61, 63, 71, 75, 79, 83]),
+    }),
+    (U(1, 8, 3, 4), 10_000_000, {
+        (True, True): (8, True, 9, 8, [0, 12, 16, 26, 35, 39, 43, 53]),
+        (True, False): (8, True, 26, 8, [0, 11, 18, 27, 32, 41, 44, 51]),
+        (False, True): (8, True, 9, 8, [3, 9, 14, 22, 28, 44, 46, 54]),
+        (False, False): (8, True, 27, 8, [0, 11, 18, 27, 32, 41, 44, 51]),
+    }),
+    (U(1, 9, 6, 4), 10_000_000, {
+        (True, True): (12, True, 15, 12, [0, 7, 14, 27, 32, 40, 49, 50, 64, 66, 74, 78]),
+        (True, False): (12, True, 1413, 12, [0, 7, 14, 25, 34, 42, 47, 50, 64, 66, 72, 80]),
+        (False, True): (12, True, 16, 12, [1, 5, 12, 27, 33, 40, 49, 50, 65, 66, 73, 78]),
+        (False, False): (12, True, 1414, 12, [0, 7, 14, 25, 34, 42, 47, 50, 64, 66, 72, 80]),
+    }),
+    (U(2, 5, 3, 4), 20_000, {
+        (True, True): (20, True, 797, 20, [0, 5, 11, 14, 22, 26, 33, 37, 44, 48, 50, 59, 62, 69, 71, 77, 83, 88, 95, 96]),
+        (True, False): (19, False, 20001, 20, [0, 5, 11, 14, 22, 23, 32, 36, 41, 47, 50, 58, 63, 67, 74, 78, 85, 86, 99]),
+        (False, True): (20, True, 798, 20, [0, 5, 11, 14, 22, 26, 33, 37, 44, 48, 50, 59, 62, 69, 71, 77, 83, 88, 95, 96]),
+        (False, False): (19, False, 20001, 20, [0, 5, 11, 14, 22, 23, 32, 36, 41, 47, 50, 58, 63, 67, 74, 78, 85, 86, 99]),
+    }),
+    (CodeParameters((5, 7), (2, 2), 6), 20_000, {
+        (True, True): (6, True, 5591, 7, [0, 32, 60, 103, 139, 191]),
+        (True, False): (6, False, 20001, 7, [0, 32, 60, 103, 139, 191]),
+        (False, True): (6, False, 20001, 7, [0, 32, 60, 103, 139, 191]),
+        (False, False): (6, False, 20001, 7, [0, 32, 60, 103, 139, 191]),
+    }),
+    (U(3, 4, 2, 6), 20_000, {
+        (True, True): (12, True, 17797, 15, [0, 29, 43, 52, 92, 105, 129, 140, 154, 157, 185, 204]),
+        (True, False): (12, False, 20001, 15, [0, 29, 43, 52, 92, 105, 129, 140, 154, 157, 185, 204]),
+        (False, True): (12, False, 20001, 15, [0, 29, 43, 52, 92, 105, 129, 140, 154, 157, 185, 204]),
+        (False, False): (12, False, 20001, 15, [0, 29, 43, 52, 92, 105, 129, 140, 154, 157, 185, 204]),
+    }),
+    (U(1, 10, 4, 4), 10, {
+        (True, True): (21, False, 11, 30, [0, 13, 23, 26, 37, 42, 43, 50, 55, 63, 91, 96, 104, 107, 110, 140, 150, 153, 195, 200, 209]),
+        (True, False): (21, False, 11, 30, [0, 13, 23, 26, 37, 42, 43, 50, 55, 63, 91, 96, 104, 107, 110, 140, 150, 153, 195, 200, 209]),
+        (False, True): (19, False, 11, 30, [5, 7, 18, 26, 29, 35, 58, 63, 65, 86, 90, 111, 124, 129, 142, 165, 170, 175, 209]),
+        (False, False): (19, False, 11, 30, [5, 7, 18, 26, 29, 35, 58, 63, 65, 86, 90, 111, 124, 129, 142, 165, 170, 175, 209]),
+    }),
+    (U(8, 2, 1, 6), 2_000, {
+        (True, True): (19, False, 2001, 25, [0, 13, 22, 27, 35, 74, 85, 108, 114, 121, 135, 152, 164, 170, 177, 191, 201, 211, 222]),
+        (True, False): (17, False, 2001, 25, [0, 31, 35, 44, 53, 58, 69, 74, 83, 92, 102, 105, 112, 134, 137, 175, 247]),
+        (False, True): (19, False, 2001, 25, [0, 13, 22, 27, 35, 74, 85, 108, 114, 121, 135, 152, 164, 170, 177, 191, 201, 211, 222]),
+        (False, False): (17, False, 2001, 25, [0, 31, 35, 44, 53, 58, 69, 74, 83, 92, 102, 105, 112, 134, 137, 175, 247]),
+    }),
+]
+
+
+def _shape_id(params):
+    lengths = "_".join(map(str, params.block_lengths))
+    weights = "_".join(map(str, params.block_weights))
+    return f"n{lengths}-w{weights}-d{params.distance}"
+
+
+@pytest.mark.parametrize("params, budget, expected", PINNED,
+                         ids=[_shape_id(params) for params, _, _ in PINNED])
+def test_pinned_results(params, budget, expected):
+    words = enumerate_words(params)
+    for (symmetry, coloring), (size, complete, nodes, upper, indices) in expected.items():
+        cfg = SearchConfig(node_budget=budget, symmetry_reduction=symmetry,
+                           greedy_coloring=coloring)
+        result = max_mcwc(params, cfg)
+        got = (result.size, result.complete, result.nodes, result.upper_bound)
+        assert got == (size, complete, nodes, upper), (symmetry, coloring)
+        assert sorted(result.witness.support_set()) == [words[i] for i in indices]
