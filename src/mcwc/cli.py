@@ -53,7 +53,9 @@ from .core import (
     FormatError,
     McwcError,
     VerificationReport,
+    _content_lines,
     _ints,
+    _read_text,
     load_code,
     parse_code,
     save_code,
@@ -96,11 +98,6 @@ def _fraction(text: str, flag: str) -> Fraction:
         raise McwcError(f"{flag} must be a rational such as 1/4, got {text!r}") from None
 
 
-def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _params_from_args(args) -> CodeParameters:
     if args.lengths or args.weights:
         if not (args.lengths and args.weights):
@@ -114,10 +111,8 @@ def _params_from_args(args) -> CodeParameters:
 
 
 def _detect_kind(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0]
+    for _lineno, line in _content_lines(text):
+        return line.split()[0]
     raise FormatError("empty file")
 
 
@@ -125,9 +120,10 @@ def cmd_verify(args) -> int:
     rows = []
     ok = True
     for path in args.files:
-        text = _read_text(path)
-        kind = _detect_kind(text)
+        kind = "-"
         try:
+            text = _read_text(path)
+            kind = _detect_kind(text)
             if kind == "mcwc":
                 code = parse_code(text)
                 report = verify_mcwc(code)

@@ -23,6 +23,7 @@ from .core import (
     VerificationReport,
     _content_lines,
     _ints,
+    _read_text,
     verify_mcwc,
 )
 
@@ -313,8 +314,7 @@ def format_base_table(table: BaseCodewordTable) -> str:
 
 
 def load_base_table(path) -> BaseCodewordTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_base_table(fh.read())
+    return parse_base_table(_read_text(path))
 
 
 # ---------------------------------------------------------------------------

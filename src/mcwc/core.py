@@ -377,9 +377,17 @@ def format_code(code: PartitionedCode) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_text(path) -> str:
+    """The text of a data file; bytes that are not UTF-8 raise ``FormatError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_code(path) -> PartitionedCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code(fh.read())
+    return parse_code(_read_text(path))
 
 
 def save_code(code: PartitionedCode, path) -> None:

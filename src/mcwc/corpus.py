@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .constructions import BaseCodewordTable, parse_base_table
-from .core import PartitionedCode, parse_code
+from .core import PartitionedCode, _read_text, parse_code
 from .designs import SkewSquare, parse_square
 
 
@@ -45,7 +45,7 @@ HSAS_SHAPES = _shapes("squares", r"hsas_v(\d+)_t(\d+)_s(\d+)\.sq")
 
 
 def _read(relative: str) -> str:
-    return (data_root() / relative).read_text(encoding="utf-8")
+    return _read_text(data_root() / relative)
 
 
 def small_code(n1: int, n2: int) -> PartitionedCode:

@@ -2,23 +2,21 @@
 divisible designs, and the translations between squares and distance-6 codes.
 
 A square is an s x s array over row/column index set [0, s) whose cells are
-either empty or hold an unordered pair of points from [0, v).  The four kinds
-differ in their resolvability requirement:
+either empty or hold an unordered pair of points from [0, v).  Every kind is
+checked through one hole model: row indices and points are split in parallel
+into holes, none for ``sas`` and ``sas*``, one (T, W) for ``hsas`` and one per
+part for ``sfs``.  No cell joins two rows of one hole, no pair joins two
+points of one hole, and row i together with column i must
 
-* ``sas``   every row i together with column i partitions all points but one;
-* ``sas*``  as ``sas`` except one index misses three distinct points;
-* ``hsas``  a hole T x T is empty, hole rows partition the points outside a
-  point hole W, other rows partition all points but one, and no pair inside
-  W occurs anywhere;
-* ``sfs``   rows and points are partitioned in parallel into holes; row
-  indices of hole i partition the points outside point-hole i, and no pair
-  inside a point-hole occurs.
+* for i in hole k, partition the points outside point-hole k;
+* for i in no hole, partition all points but one, except that one index of a
+  ``sas*`` misses three distinct points.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -33,6 +31,7 @@ from .core import (
     VerificationReport,
     _content_lines,
     _ints,
+    _read_text,
     verify_mcwc,
 )
 
@@ -53,7 +52,7 @@ class SkewSquare:
     kind: SquareKind
     s: int
     v: int
-    cells: dict[Cell, Pair] = field(compare=False)
+    cells: dict[Cell, Pair]
     hole_rows: frozenset[int] = frozenset()
     hole_points: frozenset[int] = frozenset()
     row_parts: tuple[tuple[int, ...], ...] = ()
@@ -104,23 +103,13 @@ def sfs_type_key(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...
     return tuple(sorted((int(a), int(b)) for a, b in pairs))
 
 
-def _row_col_pairs(sq: SkewSquare, index: int) -> list[Pair]:
-    pairs = []
-    for (i, j), pair in sq.cells.items():
-        if i == index or j == index:
-            pairs.append(pair)
-    return pairs
-
-
-def _partition_target(pairs: list[Pair]) -> Optional[set[int]]:
-    """Union of the pairs if they are pairwise disjoint, else None."""
-    seen: set[int] = set()
-    for pair in pairs:
-        for p in pair:
-            if p in seen:
-                return None
-            seen.add(p)
-    return seen
+def _hole_of(size: int, parts: Sequence[Iterable[int]]) -> list[Optional[int]]:
+    """The hole of each index in [0, size): its part's position, or None."""
+    hole: list[Optional[int]] = [None] * size
+    for k, part in enumerate(parts):
+        for x in part:
+            hole[x] = k
+    return hole
 
 
 def verify_square(sq: SkewSquare) -> VerificationReport:
@@ -141,45 +130,44 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
         if any(not 0 <= p < sq.v for p in pair):
             return fail(f"cell ({i},{j}) holds a point outside [0, {sq.v})")
 
-    # kind-specific structure metadata
-    if sq.kind is SquareKind.HSAS:
+    # the holes: rows and points in parallel parts, one for an hsas, one per
+    # part for an sfs, none for sas and sas*
+    holey = sq.kind is SquareKind.HSAS
+    if holey:
         if not sq.hole_rows or not sq.hole_points:
             return fail("an HSAS needs non-empty hole rows and hole points")
         if not all(0 <= i < sq.s for i in sq.hole_rows):
             return fail("hole rows outside the array")
         if not all(0 <= p < sq.v for p in sq.hole_points):
             return fail("hole points outside the point set")
+        row_parts, point_parts = [sq.hole_rows], [sq.hole_points]
     elif sq.kind is SquareKind.SFS:
-        rows = sorted(itertools.chain(*sq.row_parts))
-        points = sorted(itertools.chain(*sq.point_parts))
-        if rows != list(range(sq.s)):
+        if sorted(itertools.chain(*sq.row_parts)) != list(range(sq.s)):
             return fail("row parts do not partition the row index set")
-        if points != list(range(sq.v)):
+        if sorted(itertools.chain(*sq.point_parts)) != list(range(sq.v)):
             return fail("point parts do not partition the point set")
         if len(sq.row_parts) != len(sq.point_parts):
             return fail("row and point partitions must have the same number of holes")
+        row_parts, point_parts = sq.row_parts, sq.point_parts
+    else:
+        row_parts = point_parts = ()
+    row_hole = _hole_of(sq.s, row_parts)
+    point_hole = _hole_of(sq.v, point_parts)
 
     # property 1: skewness
     for (i, j) in sq.cells:
         if i != j and (j, i) in sq.cells:
             return fail(f"skewness violated: both ({i},{j}) and ({j},{i}) are filled")
 
-    # property 2: empty diagonal / empty hole subarray
+    # property 2: empty diagonal / empty hole subarrays
     for (i, j) in sq.cells:
         if i == j:
             return fail(f"diagonal cell ({i},{i}) is filled")
-    if sq.kind is SquareKind.HSAS:
-        for (i, j) in sq.cells:
-            if i in sq.hole_rows and j in sq.hole_rows:
-                return fail(f"hole cell ({i},{j}) is filled")
-    if sq.kind is SquareKind.SFS:
-        part_of = {}
-        for k, part in enumerate(sq.row_parts):
-            for i in part:
-                part_of[i] = k
-        for (i, j) in sq.cells:
-            if part_of[i] == part_of[j]:
-                return fail(f"cell ({i},{j}) lies inside hole {part_of[i]}")
+    for (i, j) in sq.cells:
+        k = row_hole[i]
+        if k is not None and k == row_hole[j]:
+            return fail(f"hole cell ({i},{j}) is filled" if holey
+                        else f"cell ({i},{j}) lies inside hole {k}")
 
     # property 3: every pair of points at most once
     seen_pairs: dict[Pair, Cell] = {}
@@ -190,69 +178,48 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
             )
         seen_pairs[pair] = cell
 
-    # property 4 for the holey kinds: no pair inside a point hole
-    if sq.kind is SquareKind.HSAS:
-        for cell, pair in sq.cells.items():
-            if pair <= sq.hole_points:
-                return fail(f"cell {cell} pairs two hole points {set(pair)}")
-    if sq.kind is SquareKind.SFS:
-        ppart_of = {}
-        for k, part in enumerate(sq.point_parts):
-            for p in part:
-                ppart_of[p] = k
-        for cell, pair in sq.cells.items():
-            a, b = sorted(pair)
-            if ppart_of[a] == ppart_of[b]:
-                return fail(f"cell {cell} pairs two points of hole {ppart_of[a]}")
+    # property 4: no pair inside a point hole
+    for cell, pair in sq.cells.items():
+        a, b = pair
+        k = point_hole[a]
+        if k is not None and k == point_hole[b]:
+            return fail(f"cell {cell} pairs two hole points {set(pair)}" if holey
+                        else f"cell {cell} pairs two points of hole {k}")
 
-    # resolvability
-    if sq.kind in (SquareKind.SAS, SquareKind.SAS_STAR):
-        starred = []
-        for i in range(sq.s):
-            union = _partition_target(_row_col_pairs(sq, i))
-            if union is None:
-                return fail(f"row/column {i}: a point is covered twice")
-            if len(union) == sq.v - 1:
-                continue
-            if sq.kind is SquareKind.SAS_STAR and len(union) == sq.v - 3:
-                starred.append(i)
-                continue
+    # resolvability: the points of row i and column i, from one pass over the
+    # cells; an sfs reports its rows hole by hole
+    lines: list[list[int]] = [[] for _ in range(sq.s)]
+    for (i, j), pair in sq.cells.items():
+        lines[i] += pair
+        lines[j] += pair
+    outside = [frozenset(range(sq.v)) - frozenset(part) for part in point_parts]
+    starred = []
+    for i in itertools.chain(*row_parts) if sq.kind is SquareKind.SFS else range(sq.s):
+        covered = set(lines[i])
+        if len(covered) != len(lines[i]):
+            return fail(f"row/column {i}: a point is covered twice")
+        k = row_hole[i]
+        if k is not None:
+            if covered != outside[k]:
+                return fail(
+                    f"hole row/column {i} does not partition the points outside the hole"
+                    if holey
+                    else f"row/column {i} of hole {k} does not partition the points"
+                    f" outside point-hole {k}"
+                )
+        elif len(covered) == sq.v - 1:
+            continue
+        elif sq.kind is SquareKind.SAS_STAR and len(covered) == sq.v - 3:
+            starred.append(i)
+        elif holey:
+            return fail(f"row/column {i} covers {len(covered)} points, expected {sq.v - 1}")
+        else:
             return fail(
-                f"row/column {i} covers {len(union)} points, not a partition of"
+                f"row/column {i} covers {len(covered)} points, not a partition of"
                 f" the point set minus {'one point' if sq.kind is SquareKind.SAS else 'one or three points'}"
             )
-        if sq.kind is SquareKind.SAS_STAR and len(starred) != 1:
-            return fail(
-                f"expected exactly one deficient row/column, found {starred or 'none'}"
-            )
-    elif sq.kind is SquareKind.HSAS:
-        outside = frozenset(range(sq.v)) - sq.hole_points
-        for i in range(sq.s):
-            union = _partition_target(_row_col_pairs(sq, i))
-            if union is None:
-                return fail(f"row/column {i}: a point is covered twice")
-            if i in sq.hole_rows:
-                if union != outside:
-                    return fail(
-                        f"hole row/column {i} does not partition the points outside the hole"
-                    )
-            elif len(union) != sq.v - 1:
-                return fail(
-                    f"row/column {i} covers {len(union)} points, expected {sq.v - 1}"
-                )
-    elif sq.kind is SquareKind.SFS:
-        all_points = frozenset(range(sq.v))
-        for k, part in enumerate(sq.row_parts):
-            outside = all_points - frozenset(sq.point_parts[k])
-            for i in part:
-                union = _partition_target(_row_col_pairs(sq, i))
-                if union is None:
-                    return fail(f"row/column {i}: a point is covered twice")
-                if union != outside:
-                    return fail(
-                        f"row/column {i} of hole {k} does not partition the points"
-                        f" outside point-hole {k}"
-                    )
+    if sq.kind is SquareKind.SAS_STAR and len(starred) != 1:
+        return fail(f"expected exactly one deficient row/column, found {starred or 'none'}")
     return VerificationReport(True)
 
 
@@ -446,6 +413,22 @@ def _gf_mul_table(q: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
+def _overlay(
+    cells: dict[Cell, Pair],
+    square: SkewSquare,
+    row_map: Union[Mapping[int, int], Sequence[int]],
+    point_map: Union[Mapping[int, int], Sequence[int]],
+    what: str,
+) -> None:
+    """Copy the cells of ``square`` into ``cells`` through the index maps; a
+    cell that is already filled raises ``ConstructionError``."""
+    for (i, j), pair in square.cells.items():
+        cell = (row_map[i], row_map[j])
+        if cell in cells:
+            raise ConstructionError(f"cell collision at {cell} while {what}")
+        cells[cell] = frozenset(point_map[p] for p in pair)
+
+
 def wfc_construct(
     design: GddDesign,
     s_weight: Mapping[int, int],
@@ -460,18 +443,16 @@ def wfc_construct(
     Ingredient parts are matched to block points by sorted (s, v) pairs.
     """
     verify_gdd(design).require("invalid design")
-    x_count = design.num_points
-    s_of = {x: s_weight[x] for x in range(x_count)}
-    v_of = {x: v_weight[x] for x in range(x_count)}
-    if any(s < 0 for s in s_of.values()) or any(v < 0 for v in v_of.values()):
+    try:
+        s_of = [s_weight[x] for x in range(design.num_points)]
+        v_of = [v_weight[x] for x in range(design.num_points)]
+    except KeyError as exc:
+        raise DomainError(f"point {exc.args[0]} has no weight") from None
+    if any(weight < 0 for weight in s_of + v_of):
         raise DomainError("weights must be non-negative")
-    row_start, point_start = {}, {}
-    r = p = 0
-    for x in range(x_count):
-        row_start[x], point_start[x] = r, p
-        r += s_of[x]
-        p += v_of[x]
-    total_rows, total_points = r, p
+    # point x owns rows [row_start[x], row_start[x + 1]), points likewise
+    row_start = [0, *itertools.accumulate(s_of)]
+    point_start = [0, *itertools.accumulate(v_of)]
 
     cells: dict[Cell, Pair] = {}
     for block in design.blocks:
@@ -482,62 +463,35 @@ def wfc_construct(
             raise IngredientError(f"no SFS ingredient of type {key}") from None
         if ingredient.kind is not SquareKind.SFS:
             raise IngredientError(f"ingredient for type {key} is not an SFS")
-        if sfs_type_key(zip(map(len, ingredient.row_parts), map(len, ingredient.point_parts))) != key:
+        if ingredient.sfs_type() != key:
             raise IngredientError(f"ingredient type mismatch for {key}")
 
-        points_sorted = sorted(block, key=lambda x: (s_of[x], v_of[x], x))
-        parts_sorted = sorted(
-            range(len(ingredient.row_parts)),
-            key=lambda k: (
-                len(ingredient.row_parts[k]),
-                len(ingredient.point_parts[k]),
-                k,
-            ),
-        )
+        # sorted is stable: equal (s, v) sizes keep the parts' own order
+        parts = sorted(zip(ingredient.row_parts, ingredient.point_parts),
+                       key=lambda part: (len(part[0]), len(part[1])))
         row_map: dict[int, int] = {}
         point_map: dict[int, int] = {}
-        for x, k in zip(points_sorted, parts_sorted):
-            for offset, i in enumerate(ingredient.row_parts[k]):
-                row_map[i] = row_start[x] + offset
-            for offset, pt in enumerate(ingredient.point_parts[k]):
-                point_map[pt] = point_start[x] + offset
-        for (i, j), pair in ingredient.cells.items():
-            cell = (row_map[i], row_map[j])
-            if cell in cells:
-                raise ConstructionError(f"cell collision at {cell} while assembling")
-            cells[cell] = frozenset(point_map[q] for q in pair)
+        for x, (rows, points) in zip(sorted(block, key=lambda x: (s_of[x], v_of[x], x)), parts):
+            row_map.update(zip(rows, range(row_start[x], row_start[x + 1])))
+            point_map.update(zip(points, range(point_start[x], point_start[x + 1])))
+        _overlay(cells, ingredient, row_map, point_map, "assembling")
 
-    row_parts = [
-        tuple(
-            itertools.chain(*(range(row_start[x], row_start[x] + s_of[x]) for x in g))
-        )
-        for g in design.groups
-    ]
-    point_parts = [
-        tuple(
-            itertools.chain(*(range(point_start[x], point_start[x] + v_of[x]) for x in g))
-        )
-        for g in design.groups
-    ]
     result = SkewSquare.build(
         SquareKind.SFS,
-        total_rows,
-        total_points,
+        row_start[-1],
+        point_start[-1],
         cells,
-        row_parts=row_parts,
-        point_parts=point_parts,
+        row_parts=[
+            itertools.chain(*(range(row_start[x], row_start[x + 1]) for x in g))
+            for g in design.groups
+        ],
+        point_parts=[
+            itertools.chain(*(range(point_start[x], point_start[x + 1]) for x in g))
+            for g in design.groups
+        ],
     )
     verify_square(result).require("assembled frame fails verification (bad ingredient?)")
     return result
-
-
-def _map_square_cells(
-    sq: SkewSquare, row_map: Mapping[int, int], point_map: Mapping[int, int]
-) -> dict[Cell, Pair]:
-    return {
-        (row_map[i], row_map[j]): frozenset(point_map[p] for p in pair)
-        for (i, j), pair in sq.cells.items()
-    }
 
 
 def bfc_fill(
@@ -549,7 +503,8 @@ def bfc_fill(
     Fillers for all holes but the last must be holey squares of shape
     (s_i + e, h_i + w; e, w) whose hole lands on the new indices; the last
     filler may be holey (result ``hsas``), plain (``sas``) or starred
-    (``sas*``), and its kind determines the kind of the result.
+    (``sas*``), and its kind determines the kind of the result.  A filler
+    equal to an earlier one is verified once.
     """
     if frame.kind is not SquareKind.SFS:
         raise ShapeError("the frame must be an SFS")
@@ -559,14 +514,15 @@ def bfc_fill(
         raise ShapeError(f"expected {n} fillers, got {len(fillers)}")
     if e < 0 or w < 0:
         raise DomainError("e and w must be non-negative")
-    new_rows = list(range(frame.s, frame.s + e))
-    new_points = list(range(frame.v, frame.v + w))
+    new_rows = tuple(range(frame.s, frame.s + e))
+    new_points = tuple(range(frame.v, frame.v + w))
     cells = dict(frame.cells)
     for k, filler in enumerate(fillers):
         s_k = len(frame.row_parts[k])
         h_k = len(frame.point_parts[k])
         last = k == n - 1
-        verify_square(filler).require(f"filler {k} is invalid")
+        if fillers.index(filler) == k:
+            verify_square(filler).require(f"filler {k} is invalid")
         if filler.s != s_k + e or filler.v != h_k + w:
             raise ShapeError(
                 f"filler {k} is {filler.s}x{filler.s} on {filler.v} points,"
@@ -575,40 +531,35 @@ def bfc_fill(
         if filler.kind is SquareKind.HSAS:
             if len(filler.hole_rows) != e or len(filler.hole_points) != w:
                 raise ShapeError(f"filler {k} hole is not ({e}, {w})-shaped")
-            old_rows = [i for i in range(filler.s) if i not in filler.hole_rows]
-            hole_rows = sorted(filler.hole_rows)
-            old_points = [p for p in range(filler.v) if p not in filler.hole_points]
-            hole_points = sorted(filler.hole_points)
+            hole_rows, hole_points = filler.hole_rows, filler.hole_points
         elif last and filler.kind in (SquareKind.SAS, SquareKind.SAS_STAR):
-            old_rows = list(range(s_k))
-            hole_rows = list(range(s_k, s_k + e))
-            old_points = list(range(h_k))
-            hole_points = list(range(h_k, h_k + w))
+            hole_rows, hole_points = range(s_k, s_k + e), range(h_k, h_k + w)
         else:
             raise ShapeError(
                 f"filler {k} must be holey{' (or plain/starred for the last hole)' if last else ''}"
             )
-        row_map = dict(zip(old_rows, frame.row_parts[k]))
-        row_map.update(zip(hole_rows, new_rows))
-        point_map = dict(zip(old_points, frame.point_parts[k]))
-        point_map.update(zip(hole_points, new_points))
-        for cell, pair in _map_square_cells(filler, row_map, point_map).items():
-            if cell in cells:
-                raise ConstructionError(f"cell collision at {cell} while filling")
-            cells[cell] = pair
+        # indices outside the filler's hole go onto hole k of the frame, those
+        # inside onto the new ones, each run in increasing order
+        row_map = dict(zip(
+            sorted(range(filler.s), key=hole_rows.__contains__),
+            frame.row_parts[k] + new_rows,
+        ))
+        point_map = dict(zip(
+            sorted(range(filler.v), key=hole_points.__contains__),
+            frame.point_parts[k] + new_points,
+        ))
+        _overlay(cells, filler, row_map, point_map, "filling")
 
-    last_kind = fillers[-1].kind
-    if last_kind is SquareKind.HSAS:
-        result = SkewSquare.build(
-            SquareKind.HSAS,
-            frame.s + e,
-            frame.v + w,
-            cells,
-            hole_rows=new_rows,
-            hole_points=new_points,
-        )
-    else:
-        result = SkewSquare.build(last_kind, frame.s + e, frame.v + w, cells)
+    kind = fillers[-1].kind
+    holey = kind is SquareKind.HSAS
+    result = SkewSquare.build(
+        kind,
+        frame.s + e,
+        frame.v + w,
+        cells,
+        hole_rows=new_rows if holey else (),
+        hole_points=new_points if holey else (),
+    )
     verify_square(result).require("assembled square fails verification")
     return result
 
@@ -625,8 +576,7 @@ def sas_as_hsas(sq: SkewSquare, row: int) -> SkewSquare:
     verify_square(sq).require("invalid square")
     if not 0 <= row < sq.s:
         raise DomainError(f"row {row} outside the array")
-    covered = _partition_target(_row_col_pairs(sq, row))
-    assert covered is not None and len(covered) == sq.v - 1
+    covered = {p for cell, pair in sq.cells.items() if row in cell for p in pair}
     (missing,) = set(range(sq.v)) - covered
     result = SkewSquare.build(
         SquareKind.HSAS,
@@ -654,13 +604,8 @@ def fill_hole(frame: SkewSquare, filler: SkewSquare) -> SkewSquare:
             f"filler is {filler.s}x{filler.s} on {filler.v} points; the hole"
             f" needs {len(frame.hole_rows)}x{len(frame.hole_rows)} on {len(frame.hole_points)}"
         )
-    row_map = dict(enumerate(sorted(frame.hole_rows)))
-    point_map = dict(enumerate(sorted(frame.hole_points)))
     cells = dict(frame.cells)
-    for cell, pair in _map_square_cells(filler, row_map, point_map).items():
-        if cell in cells:
-            raise ConstructionError(f"cell collision at {cell} while filling the hole")
-        cells[cell] = pair
+    _overlay(cells, filler, sorted(frame.hole_rows), sorted(frame.hole_points), "filling the hole")
     result = SkewSquare.build(filler.kind, frame.s, frame.v, cells)
     verify_square(result).require("filled square fails verification")
     return result
@@ -751,8 +696,7 @@ def format_square(sq: SkewSquare) -> str:
 
 
 def load_square(path) -> SkewSquare:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_square(fh.read())
+    return parse_square(_read_text(path))
 
 
 def save_square(sq: SkewSquare, path) -> None:

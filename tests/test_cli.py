@@ -421,6 +421,48 @@ class TestExitContract:
         row = out.splitlines()[1].split("\t")
         assert rc == 1 and row[2] == "ERROR" and row[3].startswith(f"line {line}: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["develop", "BAD"],
+            ["construct", "square-to-code", "BAD"],
+            ["construct", "code-to-square", "BAD"],
+            ["construct", "fill-hole", "--frame", "BAD", "--filler", "BAD"],
+            ["construct", "bibd", "BAD"],
+            ["construct", "decomp", "BAD", "--weights", "1,1"],
+            ["construct", "concat", "BAD", "--outer-repetition", "3,2"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv[:2] if a != "BAD"),
+    )
+    def test_non_utf8_input_is_an_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe")
+        rc = main([str(path) if a == "BAD" else a for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2 and err == f"error: {path}: not UTF-8 text (byte 0: invalid start byte)\n"
+
+    def test_non_utf8_input_is_an_error_row(self, tmp_path, capsys):
+        path = tmp_path / "bad.mcwc"
+        path.write_bytes(b"mcwc 1 4\npart 1 5 2\n0 1\xe9\n")
+        rc, out = run(["--format", "tsv", "verify", str(path)], capsys)
+        assert rc == 1
+        assert out.splitlines()[1].split("\t") == [
+            str(path), "-", "ERROR", f"{path}: not UTF-8 text (byte 23: invalid continuation byte)"
+        ]
+
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n   \n"], ids=["empty", "comment-only"])
+    def test_empty_file_is_an_error_row(self, text, code_file, tmp_path, capsys):
+        empty = tmp_path / "empty.mcwc"
+        empty.write_text(text)
+        rc, out = run(["--format", "tsv", "verify", code_file, str(empty), code_file], capsys)
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert rc == 1
+        assert [row[2] for row in rows] == ["ok", "ERROR", "ok"]
+        assert rows[1] == [str(empty), "-", "ERROR", "empty file"]
+
+    def test_missing_file_is_an_error(self, code_file, tmp_path, capsys):
+        self.assert_error(["verify", code_file, str(tmp_path / "absent.mcwc")], capsys)
+
     def test_small_shapes_never_crash(self, capsys):
         # includes infeasible shapes (w > n), where no word exists
         for cmd, m, n, w, d in itertools.product(

@@ -92,6 +92,105 @@ class TestVerifySquare:
         assert not report.valid and "partition" in report.violation
 
 
+def _variant(sq, add=(), drop=(), **changes):
+    """``sq`` without the cells in ``drop``, with ``add`` written over its
+    cells (a new cell goes last) and with ``changes`` to kind, sizes or holes."""
+    cells = {cell: pair for cell, pair in sq.cells.items() if cell not in drop}
+    cells.update(add)
+    meta = dict(kind=sq.kind, s=sq.s, v=sq.v, hole_rows=sq.hole_rows, hole_points=sq.hole_points,
+                row_parts=sq.row_parts, point_parts=sq.point_parts)
+    meta.update(changes)
+    return SkewSquare.build(meta.pop("kind"), meta.pop("s"), meta.pop("v"), cells, **meta)
+
+
+def _sas55():
+    return SkewSquare.build("sas", 5, 5, SAS55_CELLS)
+
+
+def _h11():  # hole rows and hole points {8, 9, 10}
+    return corpus.hsas_square(11, 3, 11)
+
+
+def _f5():  # five holes (0 1; 2 3; ...; 8 9), first cell (0, 5) = {3, 6}
+    return corpus.sfs_square(5, 0)
+
+
+def _star7():
+    return mcwc_to_square(corpus.small_code(7, 7))
+
+
+# one case per property and kind, in the order verify_square checks them, with
+# the exact message it reports
+PINNED = {
+    "side": (lambda: _variant(_sas55(), s=0), "side and point count must be positive"),
+    "cell-range": (lambda: _variant(_sas55(), add={(5, 0): {0, 1}}),
+                   "cell (5,0) outside the 5x5 array"),
+    "cell-pair": (lambda: _variant(_sas55(), add={(1, 2): {3}}),
+                  "cell (1,2) does not hold a pair of two distinct points"),
+    "cell-point": (lambda: _variant(_sas55(), add={(1, 2): {0, 5}}),
+                   "cell (1,2) holds a point outside [0, 5)"),
+    "hsas-no-hole": (lambda: _variant(_h11(), hole_rows=()),
+                     "an HSAS needs non-empty hole rows and hole points"),
+    "hsas-hole-rows": (lambda: _variant(_h11(), hole_rows=(8, 9, 11)), "hole rows outside the array"),
+    "hsas-hole-points": (lambda: _variant(_h11(), hole_points=(8, 9, 11)),
+                         "hole points outside the point set"),
+    "sfs-row-parts": (lambda: _variant(_f5(), row_parts=[(0, 1), (2, 3), (4, 5), (6, 7), (8,)]),
+                      "row parts do not partition the row index set"),
+    "sfs-point-parts": (
+        lambda: _variant(_f5(), point_parts=[(0, 1, 2), (2, 3), (4, 5), (6, 7), (8, 9)]),
+        "point parts do not partition the point set"),
+    "sfs-hole-count": (
+        lambda: _variant(_f5(), point_parts=[(0, 1, 2, 3), (4, 5), (6, 7), (8, 9)]),
+        "row and point partitions must have the same number of holes"),
+    "skew": (lambda: _variant(_sas55(), add={(1, 0): {2, 3}}),
+             "skewness violated: both (0,1) and (1,0) are filled"),
+    "diagonal": (lambda: _variant(_sas55(), add={(2, 2): {0, 1}}), "diagonal cell (2,2) is filled"),
+    "hsas-hole-cell": (lambda: _variant(_h11(), add={(9, 8): {0, 1}}), "hole cell (9,8) is filled"),
+    "sfs-inside-hole": (lambda: _variant(_f5(), add={(3, 2): {0, 1}}),
+                        "cell (3,2) lies inside hole 1"),
+    "duplicate": (lambda: _variant(_sas55(), add={(3, 0): {0, 1}}),
+                  "pair {0, 1} appears in cells (0, 1) and (3, 0)"),
+    "hsas-hole-pair": (lambda: _variant(_h11(), add={(0, 9): {8, 9}}),
+                       "cell (0, 9) pairs two hole points {8, 9}"),
+    "sfs-hole-pair": (lambda: _variant(_f5(), add={(0, 5): {0, 1}}),
+                      "cell (0, 5) pairs two points of hole 0"),
+    "covered-twice": (lambda: _variant(_sas55(), add={(0, 1): {0, 3}}),
+                      "row/column 1: a point is covered twice"),
+    "sas-cover": (lambda: _variant(_sas55(), drop=[(0, 1)]),
+                  "row/column 0 covers 2 points, not a partition of the point set minus one point"),
+    "sas*-cover": (lambda: SkewSquare.build("sas*", 3, 5, {}),
+                   "row/column 0 covers 0 points, not a partition of the point set minus one or"
+                   " three points"),
+    "hsas-row": (lambda: _variant(_h11(), drop=[(0, 4)]), "row/column 0 covers 8 points, expected 10"),
+    "hsas-hole-row": (lambda: _variant(_h11(), hole_points=(0, 1, 3)),
+                      "hole row/column 8 does not partition the points outside the hole"),
+    "sfs-row": (lambda: _variant(_f5(), drop=[(0, 5)]),
+                "row/column 0 of hole 0 does not partition the points outside point-hole 0"),
+    # rows 0 and 5 both fail; hole 2 (rows 4, 5) is listed before hole 4 (rows 0, 1)
+    "sfs-two-holes": (
+        lambda: _variant(_f5(), drop=[(0, 5)], row_parts=_f5().row_parts[::-1],
+                         point_parts=_f5().point_parts[::-1]),
+        "row/column 5 of hole 2 does not partition the points outside point-hole 2"),
+    "sas*-none": (lambda: _variant(_sas55(), kind="sas*"),
+                  "expected exactly one deficient row/column, found none"),
+    "sas*-three": (lambda: _variant(_star7(), drop=[(0, 1)]),
+                   "expected exactly one deficient row/column, found [0, 1, 6]"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_pinned_violation_messages(case):
+    make, message = PINNED[case]
+    report = verify_square(make())
+    assert not report.valid and report.violation == message
+
+
+def test_square_equality_compares_cells():
+    first = SkewSquare.build("sas", 5, 5, {(0, 1): {0, 1}})
+    assert first == SkewSquare.build("sas", 5, 5, {(0, 1): [1, 0]})
+    assert first != SkewSquare.build("sas", 5, 5, {(0, 2): {3, 4}})
+    assert first != SkewSquare.build("sas", 5, 5, {(0, 1): {0, 2}})
+
 class TestSquareCodeTranslation:
     def test_sas55_to_code_matches_table(self, sas55):
         code = square_to_mcwc(sas55)
@@ -199,6 +298,12 @@ class TestFrameConstructions:
         with pytest.raises(IngredientError):
             wfc_construct(td, {x: 4 for x in range(20)}, {x: 2 for x in range(20)}, {})
 
+    def test_wfc_missing_weight(self):
+        with pytest.raises(DomainError, match="point 1 has no weight"):
+            wfc_construct(transversal_design(5, 4), {0: 4}, {0: 2}, {})
+        with pytest.raises(DomainError, match="point 0 has no weight"):
+            wfc_construct(transversal_design(5, 4), {x: 4 for x in range(20)}, {}, {})
+
     def test_fill_hole_builds_star_squares(self):
         star3 = mcwc_to_square(corpus.small_code(3, 3))
         for n2 in (11, 13, 15, 17, 19):
@@ -235,6 +340,25 @@ class TestFrameConstructions:
         assert (result.s, result.v) == (83, 43)
         code = square_to_mcwc(result)
         assert len(code) == (83 * 42) // 4 == 871
+
+    def test_bfc_verifies_a_repeated_filler_once(self, monkeypatch):
+        from mcwc import designs
+
+        td = transversal_design(5, 4)
+        frame = wfc_construct(
+            td,
+            {x: 4 for x in range(20)},
+            {x: 2 for x in range(20)},
+            {sfs_type_key([(4, 2)] * 5): corpus.sfs_square(5, 5)},
+        )
+        h19 = corpus.hsas_square(11, 3, 19)
+        star19 = fill_hole(h19, mcwc_to_square(corpus.small_code(3, 3)))
+        checked = []
+        monkeypatch.setattr(designs, "verify_square",
+                            lambda sq: checked.append(sq) or verify_square(sq))
+        result = bfc_fill(frame, 3, 3, [h19, h19, h19, h19, star19])
+        assert [sq is h19 for sq in checked].count(True) == 1
+        assert checked == [frame, h19, star19, result]
 
     def test_bfc_hsas_variant(self):
         # all fillers holey: the assembled square keeps a hole
