@@ -173,9 +173,9 @@ def _translate(p: Point, t: int, g: int) -> Point:
     return p
 
 
-def develop(table: BaseCodewordTable, distance: int = 6) -> PartitionedCode:
+def develop(table: BaseCodewordTable) -> PartitionedCode:
     """Develop every base word under the cyclic group, flatten to global
-    coordinates, and verify the resulting code at the given distance.
+    coordinates, and verify the resulting code at distance 6.
 
     Declared short orbits are cross-checked: the orbit of a word must close
     exactly at its declared length (at the group order when undeclared).
@@ -188,7 +188,7 @@ def develop(table: BaseCodewordTable, distance: int = 6) -> PartitionedCode:
         coord[("g", e, c)] for c in table.classes[0] for e in range(g)
     ) | set(coord[_parse_point(t)] for t in table.fixed[0])
     n1, n2 = table.side_lengths
-    params = CodeParameters((n1, n2), (2, 2), distance)
+    params = CodeParameters((n1, n2), (2, 2), 6)
     supports: list[tuple[int, ...]] = []
     for k, word in enumerate(table.words):
         if len(word.points) != 4:

@@ -296,9 +296,9 @@ class GddDesign:
         )
 
 
-def verify_gdd(design: GddDesign, block_sizes: Optional[set[int]] = None) -> VerificationReport:
+def verify_gdd(design: GddDesign) -> VerificationReport:
     """Every pair of distinct points lies in one group or exactly one block,
-    never both; optionally restrict the admissible block sizes."""
+    never both."""
     x = design.num_points
     flat = sorted(itertools.chain(*design.groups))
     if flat != list(range(x)):
@@ -310,10 +310,6 @@ def verify_gdd(design: GddDesign, block_sizes: Optional[set[int]] = None) -> Ver
     for b, block in enumerate(design.blocks):
         if len(set(block)) != len(block):
             return VerificationReport(False, f"block {b} repeats a point")
-        if block_sizes is not None and len(block) not in block_sizes:
-            return VerificationReport(
-                False, f"block {b} has size {len(block)}, not in {sorted(block_sizes)}"
-            )
         if any(not 0 <= p < x for p in block):
             return VerificationReport(False, f"block {b} contains an unknown point")
     cover: dict[tuple[int, int], int] = {}
@@ -440,7 +436,8 @@ def wfc_construct(
     Each point x receives a run of s(x) row indices and v(x) point indices;
     for every block an ingredient SFS of type {(s(x), v(x)) : x in B} is laid
     onto the corresponding index runs.  Groups become the holes of the result.
-    Ingredient parts are matched to block points by sorted (s, v) pairs.
+    Ingredient parts are matched to block points by sorted (s, v) pairs, and
+    each ingredient is verified the first time a block uses it.
     """
     verify_gdd(design).require("invalid design")
     try:
@@ -455,6 +452,7 @@ def wfc_construct(
     point_start = [0, *itertools.accumulate(v_of)]
 
     cells: dict[Cell, Pair] = {}
+    verified: set[tuple[tuple[int, int], ...]] = set()
     for block in design.blocks:
         key = sfs_type_key((s_of[x], v_of[x]) for x in block)
         try:
@@ -465,6 +463,11 @@ def wfc_construct(
             raise IngredientError(f"ingredient for type {key} is not an SFS")
         if ingredient.sfs_type() != key:
             raise IngredientError(f"ingredient type mismatch for {key}")
+        if key not in verified:
+            report = verify_square(ingredient)
+            if not report.valid:
+                raise IngredientError(f"ingredient for type {key} is invalid: {report.violation}")
+            verified.add(key)
 
         # sorted is stable: equal (s, v) sizes keep the parts' own order
         parts = sorted(zip(ingredient.row_parts, ingredient.point_parts),

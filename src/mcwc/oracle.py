@@ -13,9 +13,7 @@ clique.  Every parameter set follows one path:
 With ``symmetry_reduction`` the search is restricted to cliques through
 vertex 0, which is valid because coordinate permutations inside blocks act
 transitively on the words.  The candidate order and its pruning bounds come
-from a greedy coloring; ``greedy_coloring=False`` selects the reference
-order, which bounds each vertex by the number of candidates still left.
-The search is single-threaded and deterministic.
+from a greedy coloring.  The search is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ class SearchConfig:
     vertex_cap: int = 2000
     node_budget: int = 10_000_000
     symmetry_reduction: bool = True
-    greedy_coloring: bool = True
 
     def __post_init__(self):
         if self.vertex_cap <= 0 or self.node_budget <= 0:
@@ -68,7 +65,6 @@ class _CliqueSearch:
     def __init__(self, adj: list[int], cfg: SearchConfig, target: int):
         self.adj = adj
         self.node_budget = cfg.node_budget
-        self.order = self._color_order if cfg.greedy_coloring else self._plain_order
         self.target = target
         self.nodes = 0
         self.best: list[int] = []
@@ -92,17 +88,6 @@ class _CliqueSearch:
                 order.append((v, color))
         return order
 
-    @staticmethod
-    def _plain_order(p: int) -> list[tuple[int, int]]:
-        """One color per vertex, from the highest vertex down.  Expanded lowest
-        first, each vertex is bounded by the number of candidates still left."""
-        order: list[tuple[int, int]] = []
-        while p:
-            v = p.bit_length() - 1
-            order.append((v, len(order) + 1))
-            p &= ~(1 << v)
-        return order
-
     def _expand(self, p: int):
         self.nodes += 1
         if self.nodes > self.node_budget:
@@ -113,7 +98,7 @@ class _CliqueSearch:
                 if len(self.best) >= self.target:
                     raise _TargetReached
             return
-        for v, bound in reversed(self.order(p)):
+        for v, bound in reversed(self._color_order(p)):
             if len(self.stack) + bound <= len(self.best):
                 return
             self.stack.append(v)

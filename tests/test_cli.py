@@ -118,6 +118,32 @@ class TestBound:
         lines = out_file.read_text().splitlines()
         assert lines[0].startswith("max") and any(">=" in l for l in lines[1:])
 
+    # --dump-lp files recorded before the LP solver was cut to one phase
+    DUMPED = {
+        "--m 2 --n 5 --w 2 --d 6": (
+            "max 2 1\n"
+            "2 1 >= -1\n"
+            "-2 -8/3 >= -4\n"
+            "0 5/3 >= -5\n"
+            "-32/9 64/9 >= -16\n"
+            "50/9 -40/9 >= -20\n"
+            "-50/9 25/9 >= -25\n"
+        ),
+        "--m 1 --n 5 --w 2 --d 4": (
+            "max 1\n"
+            "1 >= -1\n"
+            "-8/3 >= -4\n"
+            "5/3 >= -5\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("args", sorted(DUMPED))
+    def test_dump_lp_bytes(self, args, tmp_path, capsys):
+        out_file = tmp_path / "instance.lp"
+        rc, _ = run(["bound", *args.split(), "--dump-lp", str(out_file)], capsys)
+        assert rc == 0
+        assert out_file.read_bytes() == self.DUMPED[args].encode()
+
     def test_missing_params(self, capsys):
         rc, _ = run(["bound", "--d", "6"], capsys)
         assert rc == 2

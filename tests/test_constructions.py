@@ -82,7 +82,7 @@ class TestDevelop:
             1, ((0,), (1,)), (("inf",), ("a1",)),
             (BaseWord((("g", 0, 0), ("inf",), ("g", 0, 1), ("a", 1))),),
         )
-        code = develop(table, distance=1)
+        code = develop(table)
         assert [w.support for w in code.words] == [(0, 1, 2, 3)]
 
     def test_family_13_first_table(self):
@@ -103,7 +103,7 @@ class TestDevelop:
         )  # orbit 2 under Z2... declared full
         table = BaseCodewordTable(2, ((0,), (1,)), ((), ()), (word,))
         with pytest.raises(ConstructionError) as exc:
-            develop(table, distance=2)
+            develop(table)
         assert "orbit" in str(exc.value)
 
     def test_overdeclared_orbit_rejected(self):
@@ -111,7 +111,7 @@ class TestDevelop:
         word = BaseWord((("g", 0, 0), ("g", 0, 1), ("g", 0, 2), ("g", 0, 3)), orbit=1)
         table = BaseCodewordTable(2, ((0, 1), (2, 3)), ((), ()), (word,))
         with pytest.raises(ConstructionError) as exc:
-            develop(table, distance=2)
+            develop(table)
         assert "orbit" in str(exc.value)
 
     def test_point_outside_layout(self):

@@ -5,6 +5,7 @@ from mcwc.core import (
     CodeParameters,
     DomainError,
     FormatError,
+    IngredientError,
     ShapeError,
 )
 from mcwc.designs import (
@@ -233,7 +234,8 @@ class TestGdd:
     )
 
     def test_td32_valid(self):
-        assert verify_gdd(self.TD32, {3}).valid
+        assert verify_gdd(self.TD32).valid
+        assert {len(block) for block in self.TD32.blocks} == {3}
 
     def test_pair_covered_twice(self):
         bad = GddDesign.build(
@@ -252,7 +254,8 @@ class TestGdd:
     @pytest.mark.parametrize("k,q", [(3, 2), (4, 3), (5, 4), (5, 5), (9, 8), (9, 9)])
     def test_transversal_designs(self, k, q):
         td = transversal_design(k, q)
-        assert verify_gdd(td, {k}).valid
+        assert verify_gdd(td).valid
+        assert {len(block) for block in td.blocks} == {k}
         assert len(td.blocks) == q * q
 
     def test_file_roundtrip(self):
@@ -297,6 +300,35 @@ class TestFrameConstructions:
 
         with pytest.raises(IngredientError):
             wfc_construct(td, {x: 4 for x in range(20)}, {x: 2 for x in range(20)}, {})
+
+    def test_wfc_rejects_an_invalid_ingredient(self):
+        # the right SFS type, but with a cell in row 20, outside its row parts
+        good = corpus.sfs_square(5, 5)
+        cells = dict(good.cells)
+        cells[(20, 0)] = cells[(0, 6)]
+        bad = SkewSquare.build("sfs", 21, good.v, cells,
+                               row_parts=good.row_parts, point_parts=good.point_parts)
+        key = sfs_type_key([(4, 2)] * 5)
+        assert bad.sfs_type() == key
+        with pytest.raises(IngredientError) as exc:
+            wfc_construct(transversal_design(5, 4), {x: 4 for x in range(20)},
+                          {x: 2 for x in range(20)}, {key: bad})
+        assert str(exc.value) == (
+            f"ingredient for type {key} is invalid: "
+            "row parts do not partition the row index set"
+        )
+
+    def test_wfc_verifies_each_ingredient_once(self, monkeypatch):
+        from mcwc import designs
+
+        ingredient = corpus.sfs_square(5, 5)
+        checked = []
+        monkeypatch.setattr(designs, "verify_square",
+                            lambda sq: checked.append(sq) or verify_square(sq))
+        frame = wfc_construct(transversal_design(5, 4), {x: 4 for x in range(20)},
+                              {x: 2 for x in range(20)},
+                              {sfs_type_key([(4, 2)] * 5): ingredient})
+        assert checked == [ingredient, frame]
 
     def test_wfc_missing_weight(self):
         with pytest.raises(DomainError, match="point 1 has no weight"):

@@ -65,6 +65,23 @@ class TestKnownValues:
         assert result.size == 1 and result.complete
 
 
+def plain_order(p: int) -> list[tuple[int, int]]:
+    """Reference candidate order: one color per vertex, from the highest vertex
+    down.  Expanded lowest first, each vertex is bounded by the number of
+    candidates still left."""
+    order: list[tuple[int, int]] = []
+    while p:
+        v = p.bit_length() - 1
+        order.append((v, len(order) + 1))
+        p &= ~(1 << v)
+    return order
+
+
+def _use_plain_order(mp):
+    """Swap the greedy coloring for the reference order."""
+    mp.setattr(oracle._CliqueSearch, "_color_order", staticmethod(plain_order))
+
+
 class TestSearchBehavior:
     def test_witness_verifies(self):
         for params in [
@@ -107,13 +124,15 @@ class TestSearchBehavior:
         with pytest.raises(ValueError):
             SearchConfig(vertex_cap=0)
 
-    def test_coloring_toggle_agrees(self):
+    def test_coloring_toggle_agrees(self, monkeypatch):
         for params in [
             CodeParameters((5, 5), (2, 2), 6),
             CodeParameters.uniform(1, 7, 3, 4),
         ]:
             fast = max_mcwc(params)
-            plain = max_mcwc(params, SearchConfig(greedy_coloring=False))
+            with monkeypatch.context() as mp:
+                _use_plain_order(mp)
+                plain = max_mcwc(params)
             assert plain.size == fast.size
 
 
@@ -124,7 +143,7 @@ def test_invalid_witness_raises_construction_error(monkeypatch):
     assert str(exc.value) == "oracle produced an invalid witness: forced"
 
 
-# (params, node budget, {(symmetry_reduction, greedy_coloring): (size, complete,
+# (params, node budget, {(symmetry_reduction, greedy coloring): (size, complete,
 # nodes, upper_bound, indices of the witness words in enumerate_words order)}),
 # recorded before the search was folded into one path
 U = CodeParameters.uniform
@@ -212,12 +231,14 @@ def _shape_id(params):
 
 @pytest.mark.parametrize("params, budget, expected", PINNED,
                          ids=[_shape_id(params) for params, _, _ in PINNED])
-def test_pinned_results(params, budget, expected):
+def test_pinned_results(params, budget, expected, monkeypatch):
     words = enumerate_words(params)
     for (symmetry, coloring), (size, complete, nodes, upper, indices) in expected.items():
-        cfg = SearchConfig(node_budget=budget, symmetry_reduction=symmetry,
-                           greedy_coloring=coloring)
-        result = max_mcwc(params, cfg)
+        cfg = SearchConfig(node_budget=budget, symmetry_reduction=symmetry)
+        with monkeypatch.context() as mp:
+            if not coloring:
+                _use_plain_order(mp)
+            result = max_mcwc(params, cfg)
         got = (result.size, result.complete, result.nodes, result.upper_bound)
         assert got == (size, complete, nodes, upper), (symmetry, coloring)
         assert sorted(result.witness.support_set()) == [words[i] for i in indices]

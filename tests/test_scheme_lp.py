@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -91,18 +92,18 @@ class TestSimplex:
         lp = RationalLinearProgram(1, (Fraction(1),))
         assert solve_lp(lp).status == "unbounded"
 
-    def test_infeasible(self):
+    def test_rows_must_hold_at_the_origin(self):
         lp = RationalLinearProgram(1, (Fraction(1),))
-        lp.add([1], "<=", Fraction(1))
-        lp.add([1], ">=", Fraction(2))
-        assert solve_lp(lp).status == "infeasible"
-
-    def test_equality_constraints(self):
-        lp = RationalLinearProgram(2, (Fraction(1), Fraction(2)))
-        lp.add([1, 1], "=", 4)
-        lp.add([1, 0], "<=", 3)
-        sol = solve_lp(lp)
-        assert sol.value == 8 and sol.x == (Fraction(0), Fraction(4))
+        with pytest.raises(DomainError, match="x = 0 violates"):
+            lp.add([1], "<=", Fraction(-1, 2))
+        with pytest.raises(DomainError, match="x = 0 violates"):
+            lp.add([1], ">=", 2)
+        with pytest.raises(DomainError, match="unknown relation"):
+            lp.add([1], "=", 0)
+        assert lp.constraints == []
+        lp.add([1], "<=", 0)
+        lp.add([1], ">=", 0)
+        assert solve_lp(lp).value == 0
 
     def test_two_variable_vertex(self):
         lp = RationalLinearProgram(2, (Fraction(3), Fraction(5)))
@@ -135,7 +136,7 @@ class TestSimplex:
             ([1, 1, 0], "<=", 5),
             ([0, 1, 2], "<=", 7),
             ([2, 0, 1], "<=", 9),
-            ([1, 1, 1], ">=", 1),
+            ([-1, -1, -1], ">=", -6),
         ]
         for row in rows:
             base.add(*row)
@@ -152,6 +153,21 @@ class TestSimplex:
         lp.add([1, -1], ">=", Fraction(-3, 2))
         text = format_lp(lp)
         assert text.splitlines() == ["max 1 1/2", "1 -1 >= -3/2"]
+
+
+def full_delsarte_lp(m, n, w, d):
+    """Reference Delsarte LP without the block-permutation quotient: one
+    variable per admissible class tuple and one row per frequency tuple."""
+    w = min(w, n - w)
+    tables = build_scheme_tables(w, n)
+    labels = [t for t in itertools.product(range(w + 1), repeat=m)
+              if sum(t) >= d // 2 and any(t)]
+    lp = RationalLinearProgram(len(labels), (Fraction(1),) * len(labels))
+    for ks in itertools.product(range(w + 1), repeat=m):
+        coeffs = [prod((tables.Q[i][k] for i, k in zip(t, ks)), start=Fraction(1))
+                  for t in labels]
+        lp.add(coeffs, ">=", -prod(tables.multiplicities[k] for k in ks))
+    return lp
 
 
 class TestLpBound:
@@ -184,10 +200,10 @@ class TestLpBound:
                   (3, 4, 2, 6), (2, 6, 2, 8), (3, 3, 1, 4), (4, 2, 1, 4)]
         for m, n, w, d in shapes:
             p = CodeParameters.uniform(m, n, w, d)
-            assert (
-                lp_bound(p, symmetrize=True).value
-                == lp_bound(p, symmetrize=False).value
-            ), (m, n, w, d)
+            full = solve_lp(full_delsarte_lp(m, n, w, d))
+            result = lp_bound(p)
+            assert result.certificate["optimum"] == full.value, (m, n, w, d)
+            assert result.value == max(1, min(1 + int(full.value), comb(n, w) ** m))
 
     def test_relaxation_dominates_oracle(self):
         # the LP is a valid relaxation: never below the true optimum
