@@ -321,8 +321,9 @@ def gv_lower_bound(params: CodeParameters) -> BoundResult:
 
 
 # The LP bound is consulted when its symmetrized LP is small: one variable per
-# class multiset, at most LP_VAR_CAP of them.  delsarte_lp enumerates every
-# class tuple, (w+1)^m of them, and refuses more than LP_CLASS_CAP.
+# class multiset, at most LP_VAR_CAP of them, and at most LP_CLASS_CAP class
+# tuples, (w+1)^m.  delsarte_lp builds from the multisets alone; the tuple cap
+# stays because lifting it would change which shapes get an LP row.
 LP_VAR_CAP = 64
 LP_CLASS_CAP = 4096
 

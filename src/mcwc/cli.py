@@ -179,6 +179,7 @@ def cmd_bound(args) -> int:
     # the upper bounds that 'best' weighs, each computed once; an LP outside
     # the gate is still computed for its own row
     table = upper_bounds(params) if args.method in ("all", "best") else {}
+    lp_result = table.get("lp")
     rows = []
     for name in methods:
         if name == "best":
@@ -192,12 +193,17 @@ def cmd_bound(args) -> int:
             except McwcError as exc:
                 rows.append([name, "-", str(exc)])
                 continue
+        if name == "lp":
+            lp_result = result
         note = "lower bound" if name == "gv" else ""
         rows.append([name, "-" if result.value is None else result.value,
                      note or result.certificate.get("reason", "")])
     _emit(rows, ["method", "value", "note"], args.format)
     if args.dump_lp:
-        lp, _labels = delsarte_lp(params)
+        # the instance the lp row solved, if it solved one; else built here
+        lp = lp_result.certificate.get("lp") if lp_result else None
+        if lp is None:
+            lp, _labels = delsarte_lp(params)
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(format_lp(lp))
     return 0

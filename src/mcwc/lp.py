@@ -1,10 +1,11 @@
 """Exact rational linear programming and the product-scheme size bound.
 
-The solver is a single-phase primal simplex over :class:`fractions.Fraction`
-with Bland's anti-cycling rule, so it terminates and its optimum is exact.
-It starts from the slack basis, so every constraint must hold at x = 0; the
-Delsarte rows (right-hand side -prod(multiplicities) <= -1) all do.
-No floating point is involved anywhere.
+The solver is a single-phase primal simplex with Bland's anti-cycling rule,
+pivoted fraction-free in integers over one common denominator (Edmonds 1967,
+Bareiss 1968), so it terminates and its optimum is exact.  It starts from
+the slack basis, so every constraint must hold at x = 0; the Delsarte rows
+(right-hand side -prod(multiplicities) <= -1) all do.  The Delsarte LP is
+built from orbit counts in integers.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm, prod
 from typing import Literal, Optional, Sequence
 
 from .bounds import LP_CLASS_CAP, BoundResult
@@ -49,19 +50,44 @@ class RationalLinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """``pivots`` counts simplex pivots; ``det_bits`` is the bit length of the
+    final basis determinant, the common denominator of the last tableau."""
+
     status: Literal["optimal", "unbounded"]
     value: Optional[Fraction] = None
     x: Optional[tuple[Fraction, ...]] = None
+    pivots: int = 0
+    det_bits: int = 1
 
 
-def _pivot(rows: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
+def _integer_row(values: Sequence[Fraction]) -> list[int]:
+    """The row times the positive lcm of its denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _pivot(
+    rows: list[list[int]], basis: list[int], nonbasic: list[int], r: int, j: int, det: int
+) -> int:
+    """Exchange basic variable ``basis[r]`` for nonbasic variable ``nonbasic[j]``,
+    fraction free: ``det`` is the common denominator of the integer tableau,
+    and the pivot becomes the new one, which it returns.  Every entry is a
+    minor of the initial tableau, so each division is exact (Bareiss)."""
+    prow = rows[r]
+    p = prow[j]
     for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            factor = row[c]
-            rows[i] = [v - factor * p for v, p in zip(row, rows[r])]
-    basis[r] = c
+        if i != r:
+            f = row[j]
+            if f:
+                new = [(p * a - f * b) // det for a, b in zip(row, prow)]
+            else:
+                new = [p * a // det for a in row]
+            # the leaving variable's column: det at row r, -f elsewhere
+            new[j] = -f
+            rows[i] = new
+    prow[j] = det
+    basis[r], nonbasic[j] = nonbasic[j], basis[r]
+    return p
 
 
 def solve_lp(lp: RationalLinearProgram) -> LpSolution:
@@ -69,61 +95,58 @@ def solve_lp(lp: RationalLinearProgram) -> LpSolution:
 
     A single-phase simplex with Bland's rule from the slack basis: every
     constraint holds at x = 0 (``RationalLinearProgram.add`` checks it), so
-    row i is the ``<=`` form of constraint i with slack column n + i basic.
+    row i is the ``<=`` form of constraint i with slack variable n + i basic.
+
+    The pivoting is fraction-free in integers (Edmonds 1967, Bareiss 1968):
+    the true tableau is the integer one over a common denominator D, the
+    basis determinant.  Each row starts scaled by the lcm of its denominators
+    with its slack coefficient kept at 1 (a rescaled slack), and the
+    objective by the lcm of its own.  Neither scaling changes the sign of a
+    reduced cost or the order of the ratios in a column, so the entering
+    variable, the leaving row and every tie-break are those of the same
+    simplex run on fractions.  The tableau keeps only the nonbasic columns and
+    the right-hand side; its last row holds D times the reduced costs.
     """
     n = lp.num_vars
     m = len(lp.constraints)
-    width = n + m  # the right-hand side sits after the last slack column
-    rows: list[list[Fraction]] = []
-    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+    rows: list[list[int]] = []
+    for coeffs, rel, rhs in lp.constraints:
         if rel == ">=":
             coeffs, rhs = [-c for c in coeffs], -rhs
-        row = list(coeffs) + [Fraction(0)] * m + [rhs]
-        row[n + i] = Fraction(1)
-        rows.append(row)
-    basis = list(range(n, width))
-    cost = [Fraction(c) for c in lp.objective] + [Fraction(0)] * m
+        rows.append(_integer_row([*coeffs, rhs]))
+    rows.append(_integer_row(lp.objective) + [0])
+    basis = list(range(n, n + m))
+    nonbasic = list(range(n))  # the variable of each tableau column
+    det = 1
+    pivots = 0
 
     while True:
-        # reduced costs z_j = cost_j - cost_B . column_j
-        reduced = list(cost)
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb != 0:
-                row = rows[i]
-                for j in range(width):
-                    if row[j] != 0:
-                        reduced[j] -= cb * row[j]
-        enter = -1
-        for j in range(width):
-            if reduced[j] > 0:
-                enter = j
-                break
+        reduced = rows[m]
+        enter = min((v for v, z in zip(nonbasic, reduced) if z > 0), default=-1)
         if enter < 0:
             break
+        j = nonbasic.index(enter)
         leave = -1
-        best_ratio: Optional[Fraction] = None
         for i in range(m):
-            a = rows[i][enter]
+            a = rows[i][j]
             if a > 0:
-                ratio = rows[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                if leave >= 0:
+                    # rows[i][-1] / a against the best ratio, cross-multiplied
+                    mine, best = rows[i][-1] * rows[leave][j], rows[leave][-1] * a
+                    if mine > best or (mine == best and basis[i] > basis[leave]):
+                        continue
+                leave = i
         if leave < 0:
-            return LpSolution("unbounded")
-        _pivot(rows, basis, leave, enter)
+            return LpSolution("unbounded", pivots=pivots, det_bits=det.bit_length())
+        det = _pivot(rows, basis, nonbasic, leave, j, det)
+        pivots += 1
 
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = rows[i][-1]
+            x[basis[i]] = Fraction(rows[i][-1], det)
     value = sum(c * v for c, v in zip(lp.objective, x))
-    return LpSolution("optimal", value, tuple(x))
+    return LpSolution("optimal", value, tuple(x), pivots, det.bit_length())
 
 
 def format_lp(lp: RationalLinearProgram) -> str:
@@ -146,8 +169,14 @@ def delsarte_lp(params: CodeParameters):
     and objective are invariant under simultaneously permuting class and
     constraint tuples, so restricting to symmetric points (one variable per
     sorted class multiset, one constraint per sorted frequency multiset)
-    leaves the optimum unchanged while shrinking the tableau from (w+1)^m to
-    a multiset count per side.
+    leaves the optimum unchanged.
+
+    It is built from orbit counts, never from the (w+1)^m class tuples: a
+    label's objective entry is its orbit size m!/prod(c_t!), where c_t counts
+    class t in the label.  Row ks sums prod_i Q[t_i][k_i] over the orbit, that
+    is M/V times the coefficient S of prod_t x_t^c_t in
+    prod_i (sum_t E_t(k_i) x_t), with M = prod_i mult[k_i] and
+    V = prod_t valency[t]^c_t, all integers.
     """
     if not params.is_uniform:
         raise ShapeError("the LP bound requires uniform parameters")
@@ -161,35 +190,43 @@ def delsarte_lp(params: CodeParameters):
         raise SizeError(
             f"LP would need {(w + 1) ** m} classes, above the cap of {LP_CLASS_CAP}"
         )
-    admissible = [
+    labels = [
         t
-        for t in itertools.product(range(w + 1), repeat=m)
+        for t in itertools.combinations_with_replacement(range(w + 1), m)
         if sum(t) >= u and any(t)
     ]
-    if not admissible or w < 1:
+    if not labels or w < 1:
         lp = RationalLinearProgram(0, ())
         return lp, []
     tables = build_scheme_tables(w, n)
-    Q = tables.Q
+    E = tables.eberlein
     mult = tables.multiplicities
+    val = tables.valencies
 
-    labels = sorted({tuple(sorted(t)) for t in admissible})
-    index = {lab: j for j, lab in enumerate(labels)}
-    objective = [Fraction(0)] * len(labels)
-    for t in admissible:
-        objective[index[tuple(sorted(t))]] += 1
+    # a count vector c is keyed by sum_t c_t (m+1)^t
+    place = [(m + 1) ** t for t in range(w + 1)]
+    counts = [[lab.count(t) for t in range(w + 1)] for lab in labels]
+    keys = [sum(c * p for c, p in zip(cnt, place)) for cnt in counts]
+    objective = [
+        Fraction(factorial(m) // prod(factorial(c) for c in cnt)) for cnt in counts
+    ]
+    orbit_den = [prod(v**c for v, c in zip(val, cnt)) for cnt in counts]
     lp = RationalLinearProgram(len(labels), tuple(objective))
     for ks in itertools.combinations_with_replacement(range(w + 1), m):
-        coeffs = [Fraction(0)] * len(labels)
-        for t in admissible:
-            c = Fraction(1)
-            for i, k in zip(t, ks):
-                c *= Q[i][k]
-            coeffs[index[tuple(sorted(t))]] += c
-        rhs = -Fraction(1)
+        # coefficients of prod_i (sum_t E_t(k_i) x_t)
+        poly = {0: 1}
         for k in ks:
-            rhs *= mult[k]
-        lp.add(coeffs, ">=", rhs)
+            terms = [(p, E[t][k]) for t, p in enumerate(place) if E[t][k]]
+            nxt: dict[int, int] = {}
+            for key, s in poly.items():
+                for p, e in terms:
+                    nxt[key + p] = nxt.get(key + p, 0) + s * e
+            poly = nxt
+        big_m = prod(mult[k] for k in ks)
+        coeffs = [
+            Fraction(big_m * poly.get(key, 0), den) for key, den in zip(keys, orbit_den)
+        ]
+        lp.add(coeffs, ">=", -big_m)
     return lp, labels
 
 
@@ -213,5 +250,12 @@ def lp_bound(params: CodeParameters) -> BoundResult:
     return BoundResult(
         method,
         value,
-        {"optimum": sol.value, "solution": sol.x, "classes": tuple(labels), "lp": lp},
+        {
+            "optimum": sol.value,
+            "solution": sol.x,
+            "classes": tuple(labels),
+            "lp": lp,
+            "pivots": sol.pivots,
+            "det_bits": sol.det_bits,
+        },
     )

@@ -144,6 +144,24 @@ class TestBound:
         assert rc == 0
         assert out_file.read_bytes() == self.DUMPED[args].encode()
 
+    def test_dump_lp_builds_once(self, tmp_path, capsys, monkeypatch):
+        from mcwc import cli, lp
+
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(a)
+            return build(*a, **k)
+
+        build = lp.delsarte_lp
+        for mod in (lp, cli):
+            monkeypatch.setattr(mod, "delsarte_lp", counted)
+        out_file = tmp_path / "instance.lp"
+        rc, _ = run(["bound", "--m", "2", "--n", "5", "--w", "2", "--d", "6",
+                     "--dump-lp", str(out_file)], capsys)
+        assert rc == 0 and len(calls) == 1
+        assert out_file.read_bytes() == self.DUMPED["--m 2 --n 5 --w 2 --d 6"].encode()
+
     def test_missing_params(self, capsys):
         rc, _ = run(["bound", "--d", "6"], capsys)
         assert rc == 2

@@ -4,11 +4,14 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mcwc import lp as lp_module
 from mcwc.core import CodeParameters, DomainError, ShapeError, SizeError
 from mcwc.scheme import build_scheme_tables, eberlein
 from mcwc.lp import (
     RationalLinearProgram,
+    delsarte_lp,
     format_lp,
     lp_bound,
     solve_lp,
@@ -214,3 +217,150 @@ class TestLpBound:
                     value = lp_bound(p).value
                     exact = max_cwc(n, 2 * u, w).size
                     assert exact <= value <= comb(n, w), (n, w, u)
+
+
+def fraction_simplex(lp):
+    """Reference solver: the same Bland's-rule simplex from the slack basis on
+    a full Fraction tableau.  Returns (status, value, x, [(row, column), ...])."""
+    n = lp.num_vars
+    m = len(lp.constraints)
+    width = n + m
+    rows = []
+    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+        if rel == ">=":
+            coeffs, rhs = [-c for c in coeffs], -rhs
+        row = list(coeffs) + [Fraction(0)] * m + [rhs]
+        row[n + i] = Fraction(1)
+        rows.append(row)
+    basis = list(range(n, width))
+    cost = [Fraction(c) for c in lp.objective] + [Fraction(0)] * m
+    pivots = []
+    while True:
+        reduced = list(cost)
+        for i in range(m):
+            for j in range(width):
+                reduced[j] -= cost[basis[i]] * rows[i][j]
+        enter = next((j for j in range(width) if reduced[j] > 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave < 0:
+            return "unbounded", None, None, pivots
+        pivots.append((leave, enter))
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [v - f * p for v, p in zip(rows[i], rows[leave])]
+        basis[leave] = enter
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = rows[i][-1]
+    return "optimal", sum(c * v for c, v in zip(lp.objective, x)), tuple(x), pivots
+
+
+def integer_simplex(lp):
+    """solve_lp with its pivots recorded as (row, entering variable)."""
+    pivots = []
+    inner = lp_module._pivot
+
+    def recorded(rows, basis, nonbasic, r, j, det):
+        pivots.append((r, nonbasic[j]))
+        return inner(rows, basis, nonbasic, r, j, det)
+
+    lp_module._pivot = recorded
+    try:
+        sol = solve_lp(lp)
+    finally:
+        lp_module._pivot = inner
+    assert sol.pivots == len(pivots)
+    return sol.status, sol.value, sol.x, pivots
+
+
+def tuple_delsarte_lp(m, n, w, d):
+    """Reference symmetrized Delsarte LP built by walking all (w+1)^m class
+    tuples per row and summing Fraction products of Q entries."""
+    w = min(w, n - w)
+    admissible = [t for t in itertools.product(range(w + 1), repeat=m)
+                  if sum(t) >= d // 2 and any(t)]
+    if not admissible or w < 1:
+        return RationalLinearProgram(0, ()), []
+    tables = build_scheme_tables(w, n)
+    labels = sorted({tuple(sorted(t)) for t in admissible})
+    index = {lab: j for j, lab in enumerate(labels)}
+    objective = [Fraction(0)] * len(labels)
+    for t in admissible:
+        objective[index[tuple(sorted(t))]] += 1
+    lp = RationalLinearProgram(len(labels), tuple(objective))
+    for ks in itertools.combinations_with_replacement(range(w + 1), m):
+        coeffs = [Fraction(0)] * len(labels)
+        for t in admissible:
+            coeffs[index[tuple(sorted(t))]] += prod(
+                (tables.Q[i][k] for i, k in zip(t, ks)), start=Fraction(1))
+        lp.add(coeffs, ">=", -prod(tables.multiplicities[k] for k in ks))
+    return lp, labels
+
+
+def reference_shapes():
+    """The bound workload's uniform grid, (3,8,3,6), and every criterion-4
+    shape with two or more blocks."""
+    grid = [(m, n, w, d) for m in range(2, 7) for n in range(3, 10)
+            for w in range(1, n // 2 + 1) for d in (4, 6, 8)
+            if d <= 2 * m * w and comb(m + w, w) <= 10]
+    sweep = [(m, n, w, 2 * u) for m in range(2, 12) for n in range(2, 301)
+             for w in range(1, n) if comb(n, w) ** m <= 300
+             for u in range(1, m * min(w, n - w) + 2)]
+    return sorted(set(grid + sweep + [(3, 8, 3, 6)]))
+
+
+class TestIntegerLp:
+    def test_matches_fraction_references(self):
+        shapes = reference_shapes()
+        solved = 0
+        for shape in shapes:
+            lp, labels = delsarte_lp(CodeParameters.uniform(*shape))
+            ref_lp, ref_labels = tuple_delsarte_lp(*shape)
+            assert labels == ref_labels, shape
+            assert format_lp(lp) == format_lp(ref_lp), shape
+            if labels:
+                assert integer_simplex(lp) == fraction_simplex(ref_lp), shape
+                solved += 1
+        assert (len(shapes), solved) == (325, 268)
+
+    @pytest.mark.parametrize("shape,pivots,det_bits",
+                             [((3, 8, 3, 6), 23, 216), ((4, 8, 3, 8), 49, 459)])
+    def test_certificate_counters(self, shape, pivots, det_bits):
+        # pivot counts recorded with the Fraction solver
+        cert = lp_bound(CodeParameters.uniform(*shape)).certificate
+        assert (cert["pivots"], cert["det_bits"]) == (pivots, det_bits)
+
+
+def _fractions():
+    return st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def origin_feasible_lps(draw):
+    n = draw(st.integers(1, 4))
+    lp = RationalLinearProgram(n, tuple(draw(st.lists(_fractions(), min_size=n, max_size=n))))
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.lists(_fractions(), min_size=n, max_size=n))
+        relation = draw(st.sampled_from(["<=", ">="]))
+        # rhs 0 rows are degenerate at the slack basis
+        size = draw(st.one_of(st.just(Fraction(0)), st.fractions(0, 8, max_denominator=6)))
+        lp.add(coeffs, relation, size if relation == "<=" else -size)
+    return lp
+
+
+@settings(max_examples=200, deadline=None)
+@given(origin_feasible_lps())
+def test_integer_simplex_follows_the_fraction_simplex(lp):
+    assert integer_simplex(lp) == fraction_simplex(lp)
