@@ -9,18 +9,23 @@ Distance conventions: :class:`~mcwc.core.CodeParameters` stores the literal
 minimum distance.  The closed-form bounds below are stated for even distance
 ``2u``; each operation converts explicitly and reports "inapplicable" when the
 stored distance is odd.
+
+Complementing or permuting blocks keeps every distance, so the bounds work on
+``params.canonical()``: equivalent shapes get the same value from each bound,
+and a shape that is uniform after complementing blocks gets the uniform bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
 from typing import Optional, Union
 
 import mpmath
 
-from .core import CodeParameters, DomainError, ShapeError
+from .core import CodeParameters, DomainError, ShapeError, canonical_weight
 
 RationalLike = Union[int, str, Fraction]
 
@@ -48,6 +53,7 @@ class BoundResult:
 
 
 def _require_uniform(params: CodeParameters, method: str) -> tuple[int, int, int]:
+    params = params.canonical()
     if not params.is_uniform:
         raise ShapeError(f"{method} requires uniform parameters")
     return params.m, params.block_lengths[0], params.block_weights[0]
@@ -75,46 +81,27 @@ def johnson_eq3(params: CodeParameters) -> BoundResult:
 # changes a later answer.
 _REC_CACHE: dict[int, dict] = {}
 
-_BlockKey = tuple[tuple[int, int], ...]  # sorted (w, n) pairs with 0 < w < n
+_BlockKey = tuple[tuple[int, int], ...]  # sorted canonical (w, n), 0 < w <= n/2
 _Rule = tuple  # ("eq1", w, n) | ("eq2", w, n) | ("eq3",) | ("product",) | ...
 
-# (w, n) -> the eq1 and eq2 steps from that block, as (child block, or None
-# when the child's weight is forced; rule; divisor; change of the reach).
-# Built once per block, so that memo entries share rule tuples and blocks.
-_STEPS: dict = {}
-
-
+# (w, n) -> the eq1 and eq2 steps from that block, as (canonical child block,
+# or None when its weight is forced; rule; divisor; change of the reach), built
+# once per block so that memo entries share them.  One step per child: at
+# n = 2w the eq2 child (w, 2w - 1) is the eq1 child (w - 1, 2w - 1), with the
+# same divisor w, so the eq2 step, which could never win, is not kept.
+@lru_cache(maxsize=None)
 def _steps(block: tuple[int, int]):
-    steps = _STEPS.get(block)
-    if steps is None:
-        w, n = block
-        here = min(w, n - w)
-        steps = _STEPS[block] = (
-            ((w - 1, n - 1) if w > 1 else None, ("eq1", w, n), w, min(w - 1, n - w) - here),
-            ((w, n - 1) if w < n - 1 else None, ("eq2", w, n), n - w, min(w, n - 1 - w) - here),
-        )
-    return steps
-
-
-def _reach(blocks: _BlockKey) -> int:
-    """Half the largest distance between two words."""
-    return sum(min(w, n - w) for w, n in blocks)
+    w, n = block
+    steps = {}
+    for rule, child_w, divisor in (("eq1", w - 1, w), ("eq2", w, n - w)):
+        child_w = canonical_weight(child_w, n - 1)
+        child = (child_w, n - 1) if child_w else None
+        steps.setdefault(child, (child, (rule, w, n), divisor, child_w - w))
+    return tuple(steps.values())
 
 
 def _space_size(blocks: _BlockKey) -> int:
     return prod(comb(n, w) for w, n in blocks)
-
-
-def _normalize_blocks(blocks) -> Optional[_BlockKey]:
-    """Drop blocks whose weight is forced (w in {0, n}); None when no word exists."""
-    kept = []
-    for w, n in blocks:
-        if w < 0 or w > n:
-            return None
-        if w == 0 or w == n:
-            continue
-        kept.append((w, n))
-    return tuple(sorted(kept))
 
 
 def _eq3_on_blocks(blocks, u: int) -> tuple[Optional[int], int, int]:
@@ -140,7 +127,7 @@ class _RecState:
 
 def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule, bool]:
     """(value, winning rule, whether the whole subtree was explored) for
-    normalized blocks with the given :func:`_reach`, at distance ``st.d`` > 2."""
+    canonical blocks of total weight ``reach``, at distance ``st.d`` > 2."""
     if not blocks or st.d > 2 * reach:
         return 1, ("single",), True
     hit = st.memo.get(blocks)
@@ -174,7 +161,8 @@ def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule
 
 def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> BoundResult:
     """Memoized minimization over the two single-block recursions, the
-    floor-of-ratio bound, the trivial product bound and the base cases.
+    floor-of-ratio bound, the trivial product bound and the base cases, on
+    the canonical blocks, which the rules and the trace name.
 
     ``state_budget`` caps the number of states explored per call; beyond it
     the sound product fallback is used, and the certificate's ``truncated``
@@ -183,16 +171,18 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
     what an unbudgeted call computes: an answer does not depend on call
     order or on an earlier call's budget.
     """
+    params = params.canonical()
     d = params.distance
-    blocks = _normalize_blocks(zip(params.block_weights, params.block_lengths))
+    # a block of canonical weight 0 has one forced pattern and is dropped
+    blocks = tuple(b for b in zip(params.block_weights, params.block_lengths) if b[0])
     st = _RecState(d, state_budget)
-    if blocks is None:
+    if any(w > n for w, n in blocks):
         value, rule, complete = 0, ("no-word",), True
     elif blocks and d <= 2:
         # distinct equal-weight words always differ in at least two coordinates
         value, rule, complete = _space_size(blocks), ("space",), True
     else:
-        value, rule, complete = _rec_bound(blocks, _reach(blocks), st)
+        value, rule, complete = _rec_bound(blocks, params.total_weight, st)
     return BoundResult(
         "johnson-recursive",
         value,
@@ -212,11 +202,11 @@ def _rec_trace(blocks, rule: _Rule, st: _RecState, limit: int = 64) -> tuple[_Ru
     trace = [rule]
     while rule[0] in ("eq1", "eq2") and len(trace) < limit:
         i = blocks.index(rule[1:])
-        child_block = _steps(blocks[i])[0 if rule[0] == "eq1" else 1][0]
+        child_block = next(c for c, r, _, _ in _steps(blocks[i]) if r == rule)
         blocks = blocks[:i] + blocks[i + 1 :]
         if child_block is not None:
             blocks = tuple(sorted((*blocks, child_block)))
-        _, rule, _ = _rec_bound(blocks, _reach(blocks), lookup)
+        _, rule, _ = _rec_bound(blocks, sum(w for w, _ in blocks), lookup)
         trace.append(rule)
     return tuple(trace)
 
@@ -305,7 +295,7 @@ def gv_lower_bound(params: CodeParameters) -> BoundResult:
     numerator = comb(n, w) ** m
     if u == 0:
         return BoundResult(method, numerator, {"numerator": numerator, "ball_volume": 0})
-    per_block = [comb(w, i) * comb(n - w, i) for i in range(min(w, n - w) + 1)]
+    per_block = [comb(w, i) * comb(n - w, i) for i in range(w + 1)]
     # ball[j] = number of words at distance exactly 2j from a fixed word
     ball = [1]
     for _ in range(m):
@@ -329,22 +319,21 @@ LP_CLASS_CAP = 4096
 
 
 def lp_applies(params: CodeParameters) -> bool:
-    """Whether :func:`upper_bounds` consults the LP bound: uniform shapes with
-    words (w <= n) at even distance whose LP is within both caps."""
+    """Whether :func:`upper_bounds` consults the LP bound: a canonical form that
+    is uniform with words (w <= n), even distance and an LP within both caps."""
+    params = params.canonical()
     if not params.is_uniform or params.distance % 2 != 0:
         return False
     n, w = params.block_lengths[0], params.block_weights[0]
-    if w > n:
-        return False
-    wn = min(w, n - w)
-    return comb(params.m + wn, wn) <= LP_VAR_CAP and (wn + 1) ** params.m <= LP_CLASS_CAP
+    return w <= n and comb(params.m + w, w) <= LP_VAR_CAP and (w + 1) ** params.m <= LP_CLASS_CAP
 
 
 def upper_bounds(params: CodeParameters) -> dict[str, BoundResult]:
     """Every upper bound that :func:`best_upper_bound` considers, keyed by
     method in a fixed order: johnson-recursive, johnson-eq3 and, for uniform
-    shapes, plotkin-discrete, spherical and the LP bound (when
-    :func:`lp_applies`).  Each bound is computed once."""
+    canonical forms, plotkin-discrete, spherical and the LP bound (when
+    :func:`lp_applies`).  Each bound is computed once, on the canonical form."""
+    params = params.canonical()
     results = [johnson_recursive(params), johnson_eq3(params)]
     if params.is_uniform:
         results.append(plotkin_discrete(params))
@@ -373,13 +362,7 @@ def best_upper_bound(params: CodeParameters) -> BoundResult:
 
 
 def _to_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (Fraction, int, str, float)):
         return Fraction(x)
     raise DomainError(f"expected a rational value, got {x!r}")
 
@@ -509,11 +492,9 @@ def asymptotic_point(delta: RationalLike, omega: RationalLike, dps: int = 30) ->
         raise DomainError(f"dps must be a positive number of digits, got {dps}")
     d = _to_fraction(delta)
     o = _to_fraction(omega)
-    q = Fraction(1) / o
-    concat = None
-    if q.denominator == 1 and q >= 2:
-        try:
-            concat = mu_c(d, o, dps)
-        except DomainError:
-            concat = None
+    _check_common_domain(d, o)
+    try:
+        concat = mu_c(d, o, dps)
+    except DomainError:  # 1/omega is not an integer, or delta is too large
+        concat = None
     return AsymptoticPoint(d, o, concat, mu_gv(d, o, dps), comparison_f(d / 2, o, dps), dps)

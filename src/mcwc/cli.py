@@ -174,7 +174,8 @@ _BOUND_FNS = {
 
 
 def cmd_bound(args) -> int:
-    params = _params_from_args(args)
+    # every row is computed on the one canonical form of the parameters
+    params = _params_from_args(args).canonical()
     methods = list(_BOUND_FNS) + ["best"] if args.method == "all" else [args.method]
     # the upper bounds that 'best' weighs, each computed once; an LP outside
     # the gate is still computed for its own row

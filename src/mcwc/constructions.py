@@ -386,6 +386,8 @@ def bibd_to_mcwc(design: ResolvableBibd) -> PartitionedCode:
     grid; classes index the blocks row by row in file order."""
     verify_bibd(design).require("invalid design")
     v, k, lam, alpha = design.v, design.k, design.lam, design.alpha
+    if k < 2 or alpha < 1:
+        raise DomainError("the class count needs k >= 2 and alpha >= 1")
     if (lam * (v - 1)) % (alpha * (k - 1)) != 0:
         raise DomainError("the class count lambda*(v-1)/(alpha*(k-1)) is not integral")
     m = (lam * (v - 1)) // (alpha * (k - 1))
@@ -624,6 +626,8 @@ def parse_decomposition(text: str) -> ColoredDecomposition:
                 if not mm:
                     raise FormatError(f"cannot parse partition item {item!r}", lineno)
                 idx = int(mm.group(1))
+                if idx in parts:
+                    raise FormatError(f"partition item S{idx} is repeated", lineno)
                 values = tuple(int(p) for p in mm.group(2).split(",") if p)
                 parts[idx] = values
             if sorted(parts) != list(range(1, m + 1)):

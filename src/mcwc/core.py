@@ -82,6 +82,12 @@ def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def canonical_weight(w: int, n: int) -> int:
+    """n - w when n/2 < w <= n, else w: complementing a block keeps every
+    distance.  A block with w > n has no word and keeps its weight."""
+    return n - w if n < 2 * w <= 2 * n else w
+
+
 @dataclass(frozen=True)
 class CodeParameters:
     """Shape of a partitioned code: block lengths, block weights and a distance.
@@ -130,6 +136,15 @@ class CodeParameters:
     @property
     def is_uniform(self) -> bool:
         return len(set(self.block_lengths)) == 1 and len(set(self.block_weights)) == 1
+
+    @lru_cache(maxsize=4096)  # every bound asks for it, most on one shape
+    def canonical(self) -> "CodeParameters":
+        """The equivalent shape with each weight at :func:`canonical_weight` and
+        the blocks sorted by (weight, length): equivalent shapes compare equal."""
+        lengths = self.block_lengths
+        blocks = sorted(zip(map(canonical_weight, self.block_weights, lengths), lengths))
+        weights, lengths = zip(*blocks)
+        return CodeParameters(lengths, weights, self.distance)
 
     def block_spans(self) -> tuple[tuple[int, int], ...]:
         """Half-open global index range of each block, as (start, end) pairs."""

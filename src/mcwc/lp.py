@@ -158,7 +158,8 @@ def format_lp(lp: RationalLinearProgram) -> str:
 
 
 def delsarte_lp(params: CodeParameters):
-    """Build the product-scheme LP instance for uniform parameters.
+    """Build the product-scheme LP instance for parameters whose canonical
+    form is uniform; the LP is built on that form, where w <= n/2.
 
     Returns (lp, labels) where labels[j] is the class tuple of variable j.
     Classes whose index sum is below half the distance are fixed to zero and
@@ -178,14 +179,17 @@ def delsarte_lp(params: CodeParameters):
     prod_i (sum_t E_t(k_i) x_t), with M = prod_i mult[k_i] and
     V = prod_t valency[t]^c_t, all integers.
     """
+    params = params.canonical()
     if not params.is_uniform:
         raise ShapeError("the LP bound requires uniform parameters")
     if params.distance % 2 != 0:
         raise DomainError("the LP bound requires an even distance")
     m = params.m
     n = params.block_lengths[0]
-    w = min(params.block_weights[0], n - params.block_weights[0])
+    w = params.block_weights[0]
     u = params.distance // 2
+    if w > n:  # no word exists
+        return RationalLinearProgram(0, ()), []
     if (w + 1) ** m > LP_CLASS_CAP:
         raise SizeError(
             f"LP would need {(w + 1) ** m} classes, above the cap of {LP_CLASS_CAP}"
@@ -195,9 +199,8 @@ def delsarte_lp(params: CodeParameters):
         for t in itertools.combinations_with_replacement(range(w + 1), m)
         if sum(t) >= u and any(t)
     ]
-    if not labels or w < 1:
-        lp = RationalLinearProgram(0, ())
-        return lp, []
+    if not labels:
+        return RationalLinearProgram(0, ()), []
     tables = build_scheme_tables(w, n)
     E = tables.eberlein
     mult = tables.multiplicities
@@ -237,9 +240,7 @@ def lp_bound(params: CodeParameters) -> BoundResult:
     if params.distance % 2 != 0:
         return BoundResult(method, None, {"reason": "odd distance"})
     lp, labels = delsarte_lp(params)
-    n = params.block_lengths[0]
-    w = params.block_weights[0]
-    trivial = comb(n, w) ** params.m
+    trivial = prod(map(comb, params.block_lengths, params.block_weights))
     if not labels:
         return BoundResult(method, 1, {"optimum": Fraction(0), "classes": ()})
     sol = solve_lp(lp)

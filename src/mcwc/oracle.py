@@ -160,13 +160,10 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
     Raises :class:`SizeError` when the vertex count exceeds ``cfg.vertex_cap``.
     When a budget runs out the incumbent is returned with ``complete=False``.
     """
-    count = prod(comb(n, w) if 0 <= w <= n else 0
-                 for n, w in zip(params.block_lengths, params.block_weights))
+    count = prod(map(comb, params.block_lengths, params.block_weights))
     if count > cfg.vertex_cap:
         raise SizeError(f"{count} candidate words exceed the vertex cap {cfg.vertex_cap}")
-    reach = 2 * sum(
-        min(w, n - w) for n, w in zip(params.block_lengths, params.block_weights)
-    )
+    reach = 2 * params.canonical().total_weight
     d = params.distance
     supports = enumerate_words(params)
     if count == 0 or d > reach or d <= 2:

@@ -86,6 +86,22 @@ class TestJohnsonRecursive:
         assert r.value >= 1016064  # the product fallback is sound
         assert johnson_recursive(uni(4, 9, 3, 6)).value == 1016064
 
+    def test_certificate_names_canonical_blocks(self):
+        # (7, 5; 5, 2) is (5, 7; 2, 2) with its first block complemented
+        r = johnson_recursive(CodeParameters((7, 5), (5, 2), 6))
+        twin = johnson_recursive(CodeParameters((5, 7), (2, 2), 6))
+        assert r.value == twin.value == 7
+        assert r.certificate["rule"] == ("eq1", 2, 5)
+        assert r.certificate["trace"] == twin.certificate["trace"]
+
+    def test_memo_holds_canonical_blocks_only(self):
+        bounds._REC_CACHE.clear()
+        johnson_recursive(CodeParameters((9, 8, 7), (6, 4, 3), 8))
+        keys = [blocks for memo in bounds._REC_CACHE.values() for blocks in memo]
+        assert keys and all(0 < 2 * w <= n for blocks in keys for w, n in blocks)
+        # at n = 2w both steps lead to (w - 1, 2w - 1), so only eq1 is kept
+        assert [rule for _, rule, _, _ in bounds._steps((2, 4))] == [("eq1", 2, 4)]
+
     def test_base_case_never_truncated(self):
         r = johnson_recursive(CodeParameters((3, 3), (2, 2), 10), state_budget=0)
         assert r.value == 1 and r.certificate["truncated"] is False
@@ -144,6 +160,49 @@ def test_budgeted_calls_never_change_a_later_answer(params, budgets):
     for budget in budgets:
         assert johnson_recursive(params, state_budget=budget).value >= exact
     assert johnson_recursive(params).value == exact
+
+
+@st.composite
+def equivalent_shapes(draw):
+    """A shape on 1-4 blocks with n <= 9 and any weight (0, n, above n/2 or
+    above n), and the same shape with some blocks complemented and the
+    blocks permuted."""
+    k = draw(st.integers(1, 4))
+    lengths = [draw(st.integers(1, 9)) for _ in range(k)]
+    weights = [draw(st.integers(0, n + 1)) for n in lengths]
+    reach = sum(min(w, n - w) for w, n in zip(weights, lengths) if w <= n)
+    d = draw(st.integers(0, 2 * reach + 3))
+    flipped = [n - w if w <= n and draw(st.booleans()) else w
+               for w, n in zip(weights, lengths)]
+    order = draw(st.permutations(range(k)))
+    return (CodeParameters(tuple(lengths), tuple(weights), d),
+            CodeParameters(tuple(lengths[i] for i in order),
+                           tuple(flipped[i] for i in order), d))
+
+
+def _shape_error_or(fn, params):
+    try:
+        return fn(params)
+    except ShapeError:
+        return "shape error"
+
+
+@settings(max_examples=150, deadline=None)
+@given(equivalent_shapes())
+@example((CodeParameters((6, 6, 6), (2, 2, 4), 6), uni(3, 6, 2, 6)))
+@example((uni(2, 9, 3, 6), uni(2, 9, 6, 6)))
+def test_complementing_and_permuting_blocks_keeps_every_bound(pair):
+    p, q = pair
+    assert p.canonical() == q.canonical()
+    tp, tq = upper_bounds(p), upper_bounds(q)
+    assert {k: r.value for k, r in tp.items()} == {k: r.value for k, r in tq.items()}
+    bp, bq = best_of(tp), best_of(tq)
+    assert (bp.value, bp.method) == (bq.value, bq.method)
+    assert johnson_eq3(p).value == johnson_eq3(q).value
+    if p.canonical().is_uniform:
+        # a uniform bound reads the canonical form, so it applies to both
+        for fn in (plotkin_bound, gv_lower_bound):
+            assert _shape_error_or(fn, p) == _shape_error_or(fn, q) != "shape error"
 
 
 class TestPlotkin:
@@ -256,6 +315,14 @@ class TestBestUpper:
             "johnson-recursive", "johnson-eq3",
         ]
 
+    def test_table_is_computed_on_the_canonical_form(self):
+        # weight 3 of 5 complements to 2, so lambda = 2 + 2 - 3 in the table
+        assert upper_bounds(uni(2, 5, 3, 6))["johnson-eq3"].certificate["lambda"] == 1
+        assert johnson_eq3(uni(2, 5, 3, 6)).certificate["lambda"] == 3
+        mixed = upper_bounds(CodeParameters((6, 6, 6), (2, 2, 4), 6))
+        assert list(mixed) == list(upper_bounds(uni(3, 6, 2, 6)))
+        assert best_of(mixed).value == 110 and best_of(mixed).method == "lp"
+
     def test_best_is_first_strict_minimum(self):
         # every bound in the table reaches 5, so the first one wins
         table = upper_bounds(uni(2, 5, 2, 6))
@@ -327,6 +394,8 @@ class TestAsymptotics:
         for dps in (0, -5):
             with pytest.raises(DomainError):
                 asymptotic_point(Fraction(1, 4), Fraction(1, 2), dps)
+        with pytest.raises(DomainError, match=r"^omega must lie in \(0, 1/2\]$"):
+            asymptotic_point(Fraction(1, 4), 0)  # checked before 1/omega is formed
 
     def test_asymptotic_point(self):
         point = asymptotic_point(Fraction(1, 4), Fraction(1, 2))

@@ -243,6 +243,14 @@ class TestBound:
                        "--method", "johnson"], capsys)
         assert rc == 0 and out.splitlines()[1].split() == ["johnson", "3864"]
 
+    def test_mixed_twin_rows_equal_the_uniform_twin(self, capsys):
+        # complementing the last block (4 -> 6 - 4) keeps every distance
+        _, mixed = run(["--format", "tsv", "bound", "--lengths", "6,6,6", "--weights", "2,2,4",
+                        "--d", "6"], capsys)
+        _, uniform = run(["--format", "tsv", "bound", "--m", "3", "--n", "6", "--w", "2",
+                          "--d", "6"], capsys)
+        assert mixed == uniform and uniform.endswith("best\t110\tvia lp\n")
+
     def test_infeasible_shape_has_no_word(self, capsys):
         rc, out = run(["--format", "tsv", "bound", "--m", "2", "--n", "3", "--w", "5",
                        "--d", "4"], capsys)
@@ -409,12 +417,13 @@ class TestExitContract:
             ["search", "--m", "1", "--n", "5", "--w", "2", "--d", "4", "--vertex-cap", "-1"],
             ["asymptotic", "--delta", "abc", "--omega", "1/2"],
             ["asymptotic", "--delta", "1/4", "--omega", "1/0"],
+            ["asymptotic", "--delta", "1/4", "--omega", "0"],
             ["asymptotic", "--delta", "1/4", "--omega", "1/2", "--dps", "0"],
             ["asymptotic", "--delta", "1/4", "--omega", "1/2", "--dps", "-5"],
         ],
         ids=["lengths", "weights", "search-lengths", "n1", "outer-token", "outer-count",
              "outer-missing", "decomp-weights", "budget", "vertex-cap", "delta", "omega",
-             "dps-zero", "dps-negative"],
+             "omega-zero", "dps-zero", "dps-negative"],
     )
     def test_malformed_numbers(self, argv, tmp_path, capsys):
         from mcwc.constructions import format_decomposition, ordered_pair_decomposition
@@ -503,6 +512,16 @@ class TestExitContract:
         assert rc == 1
         assert [row[2] for row in rows] == ["ok", "ERROR", "ok"]
         assert rows[1] == [str(empty), "-", "ERROR", "empty file"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["bibd 2 1 0 1\nclass\nblock 0\nblock 1\n", "bibd 3 2 0 0\nclass\n"],
+        ids=["k-one", "alpha-zero"],
+    )
+    def test_bibd_without_a_class_count_is_an_error(self, text, tmp_path, capsys):
+        path = tmp_path / "design.bibd"
+        path.write_text(text)
+        self.assert_error(["construct", "bibd", str(path)], capsys)
 
     def test_missing_file_is_an_error(self, code_file, tmp_path, capsys):
         self.assert_error(["verify", code_file, str(tmp_path / "absent.mcwc")], capsys)

@@ -6,6 +6,7 @@ from mcwc import corpus
 from mcwc.core import (
     CodeParameters,
     ConstructionError,
+    DomainError,
     FormatError,
     PartitionedCode,
     ShapeError,
@@ -168,6 +169,19 @@ class TestBibd:
         text = format_bibd(affine_plane_bibd(3))
         assert format_bibd(parse_bibd(text)) == text
 
+    # designs that verify_bibd accepts but whose class count
+    # lambda*(v-1)/(alpha*(k-1)) has a zero denominator
+    @pytest.mark.parametrize(
+        "text",
+        ["bibd 2 1 0 1\nclass\nblock 0\nblock 1\n", "bibd 3 2 0 0\nclass\n"],
+        ids=["k-one", "alpha-zero"],
+    )
+    def test_zero_class_count_denominator(self, text):
+        design = parse_bibd(text)
+        assert verify_bibd(design).valid
+        with pytest.raises(DomainError, match="^the class count needs k >= 2 and alpha >= 1$"):
+            bibd_to_mcwc(design)
+
 
 class TestDecompositions:
     def test_digons(self):
@@ -206,6 +220,11 @@ class TestDecompositions:
     def test_file_roundtrip(self):
         text = format_decomposition(ordered_pair_decomposition(3))
         assert format_decomposition(parse_decomposition(text)) == text
+
+    def test_repeated_partition_item(self):
+        text = "decomp 3 2\nmember partition S1=0 S1=1 S2=2\n"
+        with pytest.raises(FormatError, match=r"^line 2: partition item S1 is repeated$"):
+            parse_decomposition(text)
 
 
 class TestQary:

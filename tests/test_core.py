@@ -130,6 +130,31 @@ class TestParameters:
         p = CodeParameters((3,), (4,), 2)
         assert p.block_weights == (4,)
 
+    def test_canonical_complements_and_sorts(self):
+        p = CodeParameters((6, 6, 6), (4, 2, 2), 6)
+        assert p.canonical() == CodeParameters.uniform(3, 6, 2, 6)
+        # w = n complements to the forced weight 0; w = n/2 stays
+        assert CodeParameters((4, 3, 4), (2, 3, 3), 2).canonical() == CodeParameters(
+            (3, 4, 4), (0, 1, 2), 2
+        )
+
+    def test_canonical_keeps_infeasible_blocks(self):
+        p = CodeParameters((3, 5, 2), (7, 4, 3), 4)
+        c = p.canonical()
+        assert c == CodeParameters((5, 2, 3), (1, 3, 7), 4)
+        assert c.canonical() == c
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 12)), min_size=1, max_size=4),
+           st.integers(0, 20))
+    def test_canonical_is_idempotent(self, blocks, d):
+        p = CodeParameters(tuple(n for n, _ in blocks), tuple(w for _, w in blocks), d)
+        c = p.canonical()
+        assert c.canonical() == c and c.distance == d
+        assert sorted(c.block_lengths) == sorted(p.block_lengths)
+        for n, w in zip(c.block_lengths, c.block_weights):
+            assert 2 * w <= n or w > n
+
 
 class TestCodeFiles:
     TEXT = "mcwc 2 6\npart 1 3 2\npart 2 3 2\n0 1 3 4\n"

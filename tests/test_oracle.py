@@ -63,6 +63,17 @@ class TestKnownValues:
     def test_unreachable_distance(self):
         result = max_mcwc(CodeParameters((6, 6), (1, 1), 10))
         assert result.size == 1 and result.complete
+        # weight 5 of 6 is as far from reaching 10 as weight 1
+        result = max_mcwc(CodeParameters((6, 6), (1, 5), 10))
+        assert result.size == 1 and result.complete and result.nodes == 0
+
+    def test_mixed_twin_searches_against_the_uniform_bound(self):
+        # (7, 7; 3, 4) is uniform(2, 7, 3, 10) with its second block
+        # complemented; both get the LP's upper bound, 2
+        twin = max_mcwc(CodeParameters((7, 7), (3, 4), 10))
+        uniform = max_mcwc(CodeParameters.uniform(2, 7, 3, 10))
+        assert twin.upper_bound == uniform.upper_bound == 2
+        assert twin.size == uniform.size and twin.complete
 
 
 def plain_order(p: int) -> list[tuple[int, int]]:
