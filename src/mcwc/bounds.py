@@ -236,13 +236,16 @@ def plotkin_discrete(params: CodeParameters) -> BoundResult:
 
     The refined inequality is implicit in M; the largest consistent M is found
     by descending from the continuous value, so the result never exceeds
-    :func:`plotkin_bound`.  Returns 1 when no M down to 1 is consistent.
+    :func:`plotkin_bound`.  Returns 0 on a shape with no word (w > n), and 1
+    when no M down to 1 is consistent.
     """
     method = "plotkin-discrete"
     base = plotkin_bound(params)
     if not base.applicable:
         return BoundResult(method, None, base.certificate)
     m, n, w = _require_uniform(params, method)
+    if w > n:
+        return BoundResult(method, 0, {"reason": "no word"})
     u = params.distance // 2
     start = base.value
     for candidate in range(start, 0, -1):
@@ -265,6 +268,8 @@ def spherical_bound(params: CodeParameters) -> BoundResult:
     m, n, w = _require_uniform(params, method)
     if params.distance % 2 != 0:
         return BoundResult(method, None, {"reason": "odd distance"})
+    if w > n:
+        return BoundResult(method, 0, {"reason": "no word"})
     u = params.distance // 2
     b = Fraction(u) - Fraction(m * w * (n - w), n)
     cert = {"u": u, "b": b}

@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import corpus
@@ -361,7 +362,10 @@ def cmd_table(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, built once per process, and the options whose default
+    comes from an environment variable, as {action: (variable, fallback)}."""
     parser = argparse.ArgumentParser(
         prog="mcwc",
         description="multiply constant-weight codes: bounds, constructions, search",
@@ -432,18 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exact optimum for small parameters", parents=[common])
     add_params(p)
-    # argparse converts a string default with ``type`` only when this
-    # subcommand runs, so a malformed variable is a usage error of 'search'
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=os.environ.get("MCWC_NODE_BUDGET", 10_000_000),
-    )
-    p.add_argument(
-        "--vertex-cap",
-        type=int,
-        default=os.environ.get("MCWC_VERTEX_CAP", 2000),
-    )
+    # defaults read from the environment by main() on every call
+    env_defaults = {
+        p.add_argument("--budget", type=int): ("MCWC_NODE_BUDGET", 10_000_000),
+        p.add_argument("--vertex-cap", type=int): ("MCWC_VERTEX_CAP", 2000),
+    }
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--emit-witness")
     p.set_defaults(fn=cmd_search)
@@ -453,11 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1-max", type=int, default=21)
     p.add_argument("--oracle-cap", type=int, default=500)
     p.set_defaults(fn=cmd_table)
-    return parser
+    return parser, env_defaults
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, env_defaults = build_parser()
+    # argparse converts a string default with ``type`` only when its
+    # subcommand runs, so a malformed variable is a usage error of 'search'
+    for action, (variable, fallback) in env_defaults.items():
+        action.default = os.environ.get(variable, fallback)
     args = parser.parse_args(argv)
     args.format = args.format or args.format_global or "text"
     try:

@@ -21,6 +21,7 @@ from .core import (
     ShapeError,
     SizeError,
     VerificationReport,
+    _closest_pair,
     _content_lines,
     _ints,
     _read_text,
@@ -50,12 +51,14 @@ def verify_qary(code: QaryCode) -> VerificationReport:
             return VerificationReport(False, f"word {k} has length {len(word)}")
         if any(not 0 <= s < code.q for s in word):
             return VerificationReport(False, f"word {k} has a symbol outside [0, {code.q})")
-    for a, b in itertools.combinations(range(len(code.words)), 2):
-        d = sum(x != y for x, y in zip(code.words[a], code.words[b]))
-        if d < code.distance:
-            return VerificationReport(
-                False, f"words {a} and {b} are at distance {d} < {code.distance}"
-            )
+    # one bit per (coordinate, symbol): every distance doubles
+    bits = [sum(1 << (k * code.q + s) for k, s in enumerate(word)) for word in code.words]
+    found = _closest_pair(bits, 2 * code.distance)
+    if found is not None and found[0] < 2 * code.distance:
+        d, a, b = found
+        return VerificationReport(
+            False, f"words {a} and {b} are at distance {d // 2} < {code.distance}"
+        )
     return VerificationReport(True)
 
 

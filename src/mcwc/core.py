@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, repeat
+from math import comb
 from typing import Iterable, Iterator, Optional
 
 
@@ -246,11 +248,10 @@ class PartitionedCode:
         return tuple(sorted(self.words, key=lambda w: w.support))
 
 
-def _closest_pair(words, stop_below: int) -> Optional[tuple[int, int, int]]:
-    """``(distance, i, j)`` of the first pair ``i < j`` in scan order that
-    attains the least distance, or of the first pair closer than
+def _closest_pair(bits: list[int], stop_below: int) -> Optional[tuple[int, int, int]]:
+    """``(distance, i, j)`` of the first pair ``i < j`` of packed words in scan
+    order that attains the least distance, or of the first pair closer than
     ``stop_below``, where the scan stops; ``None`` when fewer than two words."""
-    bits = [w.bits for w in words]
     found = None
     least = float("inf")
     for i, bi in enumerate(bits):
@@ -264,9 +265,81 @@ def _closest_pair(words, stop_below: int) -> Optional[tuple[int, int, int]]:
     return found
 
 
+def _canonical_supports(code: PartitionedCode) -> list[tuple[int, ...]]:
+    """Each word's support with every block above half weight complemented
+    (see :func:`canonical_weight`), which keeps every distance."""
+    params = code.params
+    flip = 0
+    for mask, w, n in zip(_block_masks(params.block_lengths), params.block_weights,
+                          params.block_lengths):
+        if canonical_weight(w, n) != w:
+            flip |= mask
+    if not flip:
+        return [word.support for word in code.words]
+    supports = []
+    for word in code.words:
+        bits = word.bits ^ flip
+        support = []
+        while bits:
+            low = bits & -bits
+            support.append(low.bit_length() - 1)
+            bits ^= low
+        supports.append(tuple(support))
+    return supports
+
+
+def _first_pair_sharing(supports, s: int) -> Optional[tuple[int, int]]:
+    """The first pair ``i < j`` (least i, then least j) of sorted supports that
+    share at least ``s`` points, from one index keyed by s-subsets; or None."""
+    owner: dict[tuple[int, ...], int] = {}
+    claim = owner.setdefault
+    found = None
+    for j, support in enumerate(supports):
+        # the least earlier word that shares an s-subset with word j, else j
+        i = min(map(claim, combinations(support, s), repeat(j)))
+        if i < j and (found is None or i < found[0]):
+            found = (i, j)
+            if i == 0:
+                break
+    return found
+
+
+def _closest_pair_indexed(code: PartitionedCode, stop_below: int) -> Optional[tuple[int, int, int]]:
+    """:func:`_closest_pair` of the code's words, for distinct words that carry
+    the code's block weights.
+
+    On canonical supports of total weight W, a pair sharing s points is at
+    distance 2(W - s).  So the first pair closer than ``stop_below`` is the
+    first pair sharing t = W - ceil(stop_below / 2) + 1 points, and otherwise
+    the first closest pair is the first one sharing the most points, tried
+    from t - 1 down.  Where a level would index more s-subsets than there
+    are pairs, the scan runs instead.
+    """
+    words = code.words
+    count = len(words)
+    if count < 2:
+        return None
+    params = code.params
+    total = sum(map(canonical_weight, params.block_weights, params.block_lengths))
+    t = total - (stop_below + 1) // 2 + 1
+    supports = _canonical_supports(code) if t > 0 else []
+    for s in range(t, 0, -1):
+        if count * comb(total, s) > count * (count - 1) // 2:
+            return _closest_pair([word.bits for word in words], stop_below)
+        found = _first_pair_sharing(supports, s)
+        if found is not None:
+            break
+    else:
+        # every pair is too close (t <= 0) or no two words share a point:
+        # all pairs are equally far apart, and the scan stops at the first
+        found = (0, 1)
+    i, j = found
+    return (words[i].bits ^ words[j].bits).bit_count(), i, j
+
+
 def min_distance(code: PartitionedCode) -> Optional[int]:
     """Minimum pairwise Hamming distance; ``None`` when fewer than two words."""
-    found = _closest_pair(code.words, 1)
+    found = _closest_pair([word.bits for word in code.words], 1)
     return None if found is None else found[0]
 
 
@@ -295,8 +368,8 @@ def verify_mcwc(code: PartitionedCode) -> VerificationReport:
     d = params.distance
     words = code.words
     # distinct words with equal block weights are >= 2 apart, so a pair at
-    # distance 2 is a closest one and the scan may stop there
-    found = _closest_pair(words, max(d, 3))
+    # distance 2 is a closest one and the search may stop there
+    found = _closest_pair_indexed(code, max(d, 3))
     if found is not None and found[0] < d:
         dist, i, j = found
         return VerificationReport(

@@ -241,6 +241,8 @@ def lp_bound(params: CodeParameters) -> BoundResult:
         return BoundResult(method, None, {"reason": "odd distance"})
     lp, labels = delsarte_lp(params)
     trivial = prod(map(comb, params.block_lengths, params.block_weights))
+    if not trivial:
+        return BoundResult(method, 0, {"reason": "no word"})
     if not labels:
         return BoundResult(method, 1, {"optimum": Fraction(0), "classes": ()})
     sol = solve_lp(lp)

@@ -254,9 +254,19 @@ class TestBound:
     def test_infeasible_shape_has_no_word(self, capsys):
         rc, out = run(["--format", "tsv", "bound", "--m", "2", "--n", "3", "--w", "5",
                        "--d", "4"], capsys)
-        rows = dict(line.split("\t", 1) for line in out.splitlines())
         assert rc == 0
-        assert rows["best"] == "0\tvia johnson-recursive" and rows["gv"] == "0\tlower bound"
+        # every bound that applies answers 0, and the closed forms say why
+        assert out.splitlines() == [
+            "method\tvalue\tnote",
+            "johnson\t0\t",
+            "johnson-eq3\t0\t",
+            "plotkin\t0\t",
+            "plotkin-discrete\t0\tno word",
+            "spherical\t0\tno word",
+            "gv\t0\tlower bound",
+            "lp\t0\tno word",
+            "best\t0\tvia johnson-recursive",
+        ]
 
 
 class TestAsymptotic:

@@ -1,8 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcwc import core
 from mcwc.core import (
     CodeParameters,
     ConstructionError,
@@ -107,6 +109,65 @@ class TestVerify:
             report = verify_mcwc(code)
             assert report.valid and report.min_distance == min_distance(code)
         assert min_distance(whole) == 2 and min_distance(spread) == 6
+
+
+def all_pairs_report(code):
+    """The distance verdict of the pairwise scan, for distinct words that carry
+    the code's block weights: what verify_mcwc reported before its index."""
+    d = code.params.distance
+    words = code.words
+    found = core._closest_pair([w.bits for w in words], max(d, 3))
+    if found is not None and found[0] < d:
+        dist, i, j = found
+        return VerificationReport(
+            False, f"words {i} {words[i]} and {j} {words[j]} are at distance {dist} < {d}"
+        )
+    return VerificationReport(True, min_distance=None if found is None else found[0])
+
+
+class TestVerifyKernel:
+    def test_violation_names_least_row_first(self):
+        # rows 1 and 2 clash before row 3 does, but (0, 3) comes first row-major
+        params = CodeParameters((8,), (2,), 4)
+        code = PartitionedCode.from_supports(params, [[0, 1], [2, 3], [3, 4], [1, 5]])
+        assert verify_mcwc(code).violation == "words 0 <0, 1> and 3 <1, 5> are at distance 2 < 4"
+
+    def test_huge_index_takes_the_scan(self, monkeypatch):
+        # 20-subsets of 20 canonical points: the index would dwarf the pairs
+        params = CodeParameters.uniform(1, 40, 20, 20)
+        rng = random.Random(0)
+        code = PartitionedCode.from_supports(params, [rng.sample(range(40), 20) for _ in range(5)])
+        expected = all_pairs_report(code)
+        scans = []
+        scan = core._closest_pair
+        monkeypatch.setattr(core, "_closest_pair", lambda *a: scans.append(a) or scan(*a))
+        assert verify_mcwc(code) == expected
+        assert len(scans) == 1
+
+    def test_871_word_code_takes_the_index(self, monkeypatch):
+        from mcwc import corpus
+        from mcwc.designs import (
+            bfc_fill, fill_hole, mcwc_to_square, sfs_type_key, square_to_mcwc,
+            transversal_design, wfc_construct,
+        )
+
+        frame = wfc_construct(
+            transversal_design(5, 4),
+            {x: 4 for x in range(20)},
+            {x: 2 for x in range(20)},
+            {sfs_type_key([(4, 2)] * 5): corpus.sfs_square(5, 5)},
+        )
+        h19 = corpus.hsas_square(11, 3, 19)
+        star19 = fill_hole(h19, mcwc_to_square(corpus.small_code(3, 3)))
+        code = square_to_mcwc(bfc_fill(frame, 3, 3, [h19] * 4 + [star19]))
+        assert len(code) == 871
+
+        def no_scan(*args):
+            raise AssertionError("pairwise scan")
+
+        monkeypatch.setattr(core, "_closest_pair", no_scan)
+        report = verify_mcwc(code)
+        assert report.valid and report.min_distance == 6
 
 
 class TestParameters:
@@ -264,3 +325,40 @@ def test_serialize_parse_roundtrip(pw):
     again = parse_code(text)
     assert again.support_set() == code.support_set()
     assert format_code(again) == text
+
+
+@st.composite
+def candidate_codes(draw):
+    """Distinct words with exact block weights on 1-3 blocks, some above half
+    weight, at any distance from 0 to past twice the canonical weight; often
+    with a word planted at distance 2 from another, at a random row."""
+    m = draw(st.integers(1, 3))
+    lengths = [draw(st.integers(2, 8)) for _ in range(m)]
+    # the first block has a positive canonical weight; any may be complemented
+    canon = [draw(st.integers(k == 0, n // 2)) for k, n in enumerate(lengths)]
+    weights = [draw(st.sampled_from([c, n - c])) for c, n in zip(canon, lengths)]
+    total = sum(canon)
+    params = CodeParameters(tuple(lengths), tuple(weights), draw(st.integers(0, 2 * total + 3)))
+    spans = params.block_spans()
+
+    def support():
+        return [a + i for (a, _), n, w in zip(spans, lengths, weights)
+                for i in draw(st.permutations(range(n)))[:w]]
+
+    supports = [support() for _ in range(draw(st.integers(2, 40)))]
+    movable = [spans[k] for k, (n, w) in enumerate(zip(lengths, weights)) if 0 < w < n]
+    if supports and movable and draw(st.booleans()):
+        base = draw(st.sampled_from(supports))
+        a, b = draw(st.sampled_from(movable))
+        out = draw(st.sampled_from([x for x in base if a <= x < b]))
+        into = draw(st.sampled_from([x for x in range(a, b) if x not in base]))
+        planted = [x for x in base if x != out] + [into]
+        supports.insert(draw(st.integers(0, len(supports))), planted)
+    unique = dict.fromkeys(tuple(sorted(s)) for s in supports)
+    return PartitionedCode.from_supports(params, unique)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_codes())
+def test_verify_matches_the_pairwise_scan(code):
+    assert verify_mcwc(code) == all_pairs_report(code)
