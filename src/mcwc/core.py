@@ -265,27 +265,33 @@ def _closest_pair(bits: list[int], stop_below: int) -> Optional[tuple[int, int, 
     return found
 
 
-def _canonical_supports(code: PartitionedCode) -> list[tuple[int, ...]]:
+def _canonical_supports(params: CodeParameters, supports, bits) -> list[tuple[int, ...]]:
     """Each word's support with every block above half weight complemented
-    (see :func:`canonical_weight`), which keeps every distance."""
-    params = code.params
+    (see :func:`canonical_weight`), which keeps every distance.  ``supports``
+    and ``bits`` list the same words; only one of them is read."""
     flip = 0
     for mask, w, n in zip(_block_masks(params.block_lengths), params.block_weights,
                           params.block_lengths):
         if canonical_weight(w, n) != w:
             flip |= mask
     if not flip:
-        return [word.support for word in code.words]
-    supports = []
-    for word in code.words:
-        bits = word.bits ^ flip
+        return list(supports)
+    out = []
+    for b in bits:
+        b ^= flip
         support = []
-        while bits:
-            low = bits & -bits
+        while b:
+            low = b & -b
             support.append(low.bit_length() - 1)
-            bits ^= low
-        supports.append(tuple(support))
-    return supports
+            b ^= low
+        out.append(tuple(support))
+    return out
+
+
+def _index_beats_scan(count: int, total: int, s: int) -> bool:
+    """Whether keying ``count`` words by their s-subsets of ``total`` canonical
+    points takes no more keys than there are pairs of words."""
+    return count * comb(total, s) <= count * (count - 1) // 2
 
 
 def _first_pair_sharing(supports, s: int) -> Optional[tuple[int, int]]:
@@ -322,9 +328,10 @@ def _closest_pair_indexed(code: PartitionedCode, stop_below: int) -> Optional[tu
     params = code.params
     total = sum(map(canonical_weight, params.block_weights, params.block_lengths))
     t = total - (stop_below + 1) // 2 + 1
-    supports = _canonical_supports(code) if t > 0 else []
+    supports = (_canonical_supports(params, (word.support for word in words),
+                                    (word.bits for word in words)) if t > 0 else [])
     for s in range(t, 0, -1):
-        if count * comb(total, s) > count * (count - 1) // 2:
+        if not _index_beats_scan(count, total, s):
             return _closest_pair([word.bits for word in words], stop_below)
         found = _first_pair_sharing(supports, s)
         if found is not None:

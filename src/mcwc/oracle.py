@@ -4,29 +4,40 @@ Words with the required block weights are the vertices of a compatibility
 graph (edges join words at distance >= d); the largest code is a maximum
 clique.  Every parameter set follows one path:
 
+* :func:`enumerate_words` lists the words once, each support with its packed
+  bits, combining every block's combinations by product and OR;
 * trivial answers first: with no word, a distance no two words reach (one
   word is optimal) or d <= 2 (every word fits), the answer is a prefix of
-  :func:`enumerate_words` whose length is also its upper bound;
-* otherwise one branch and bound over bitset rows, seeded by greedy cliques
-  and stopped early once the incumbent meets :func:`best_upper_bound`.
+  the words whose length is also its upper bound;
+* otherwise the graph is built from one index of shared canonical points
+  (two words are closer than d exactly when they share enough of them; see
+  :func:`_compatibility_graph`), and one branch and bound over its bitset
+  rows, seeded by greedy cliques, stops early once the incumbent meets the
+  best of the :func:`upper_bounds` table.
 
 With ``symmetry_reduction`` the search is restricted to cliques through
 vertex 0, which is valid because coordinate permutations inside blocks act
 transitively on the words.  The candidate order and its pruning bounds come
 from a greedy coloring.  The search is single-threaded and deterministic.
+The witness is made from the enumerated (support, bits) pairs of the chosen
+words and checked by :func:`verify_mcwc` on every path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, prod
+from typing import Optional
 
-from .bounds import best_upper_bound
+from .bounds import BoundResult, best_of, upper_bounds
 from .core import (
     CodeParameters,
     PartitionedCode,
+    PartitionedWord,
     SizeError,
+    _canonical_supports,
+    _index_beats_scan,
     verify_mcwc,
 )
 
@@ -49,6 +60,9 @@ class OracleResult:
     complete: bool  # False: budget ran out, size is a lower bound only
     nodes: int
     upper_bound: int
+    # the upper_bounds table the search target came from; a trivial answer
+    # keeps only a table that was passed in
+    bounds: Optional[dict[str, BoundResult]] = field(default=None, compare=False)
 
 
 class _Budget(Exception):
@@ -64,6 +78,9 @@ class _CliqueSearch:
 
     def __init__(self, adj: list[int], cfg: SearchConfig, target: int):
         self.adj = adj
+        full = (1 << len(adj)) - 1
+        # the candidates that stay available after coloring vertex v
+        self.nonadj = [full ^ (row | 1 << v) for v, row in enumerate(adj)]
         self.node_budget = cfg.node_budget
         self.target = target
         self.nodes = 0
@@ -73,7 +90,9 @@ class _CliqueSearch:
     def _color_order(self, p: int) -> list[tuple[int, int]]:
         """Greedy coloring of the candidate set; returns (vertex, bound) pairs
         in increasing bound order, where bound = color index + 1."""
+        nonadj = self.nonadj
         order: list[tuple[int, int]] = []
+        append = order.append
         color = 0
         rest = p
         while rest:
@@ -81,11 +100,9 @@ class _CliqueSearch:
             avail = rest
             while avail:
                 v = avail.bit_length() - 1
-                bit = 1 << v
-                avail &= ~self.adj[v]
-                avail &= ~bit
-                rest &= ~bit
-                order.append((v, color))
+                avail &= nonadj[v]
+                rest ^= 1 << v
+                append((v, color))
         return order
 
     def _expand(self, p: int):
@@ -98,13 +115,16 @@ class _CliqueSearch:
                 if len(self.best) >= self.target:
                     raise _TargetReached
             return
+        adj = self.adj
+        stack = self.stack
+        depth = len(stack)
         for v, bound in reversed(self._color_order(p)):
-            if len(self.stack) + bound <= len(self.best):
+            if depth + bound <= len(self.best):
                 return
-            self.stack.append(v)
-            self._expand(p & self.adj[v])
-            self.stack.pop()
-            p &= ~(1 << v)
+            stack.append(v)
+            self._expand(p & adj[v])
+            stack.pop()
+            p ^= 1 << v
 
     def run(self, p: int, seed: list[int]) -> tuple[list[int], bool]:
         self.best = list(seed)
@@ -142,21 +162,61 @@ def _greedy_seed(adj: list[int], vertices: int) -> list[int]:
     return best
 
 
-def enumerate_words(params: CodeParameters) -> list[tuple[int, ...]]:
-    """All supports with exact block weights, in lexicographic block-major order."""
-    per_block = []
-    for (start, _end), n, w in zip(
-        params.block_spans(), params.block_lengths, params.block_weights
-    ):
-        per_block.append(
-            [tuple(start + i for i in c) for c in itertools.combinations(range(n), w)]
-        )
-    return [tuple(itertools.chain(*combo)) for combo in itertools.product(*per_block)]
+def enumerate_words(params: CodeParameters, bits: bool = False) -> list:
+    """All supports with exact block weights, in lexicographic block-major
+    order; with ``bits``, (support, packed bits) pairs."""
+    bit = [1 << i for i in range(params.total_length)].__getitem__
+    words = [((), 0)]
+    for (start, end), w in zip(params.block_spans(), params.block_weights):
+        block = [(c, sum(map(bit, c))) for c in itertools.combinations(range(start, end), w)]
+        words = [(s + c, b | cb) for s, b in words for c, cb in block]
+    return words if bits else [s for s, _ in words]
 
 
-def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> OracleResult:
+def _compatibility_graph(params: CodeParameters, words: list) -> list[int]:
+    """Bitset rows of the graph joining (support, bits) words at distance >= d,
+    the parameters' distance, for 3 <= d <= twice the canonical total weight.
+
+    On canonical supports of total weight W, two words are closer than d
+    exactly when they share t = W - ceil(d / 2) + 1 points, so each row is
+    every word but those sharing one of its t-subsets.  Where that index
+    would hold more keys than there are pairs, every pair is compared.
+    """
+    nv = len(words)
+    d = params.distance
+    total = params.canonical().total_weight
+    t = total - (d + 1) // 2 + 1
+    if not _index_beats_scan(nv, total, t):
+        masks = [b for _, b in words]
+        return [sum(1 << j for j, mj in enumerate(masks) if (mi ^ mj).bit_count() >= d)
+                for mi in masks]
+    supports = _canonical_supports(params, (s for s, _ in words), (b for _, b in words))
+    keyed = [list(itertools.combinations(s, t)) for s in supports]
+    near: dict[tuple[int, ...], int] = {}
+    get = near.get
+    for j, keys in enumerate(keyed):
+        bit = 1 << j
+        for key in keys:
+            near[key] = get(key, 0) | bit
+    full = (1 << nv) - 1
+    adj = []
+    for keys in keyed:
+        close = 0
+        for key in keys:
+            close |= near[key]
+        adj.append(full ^ close)
+    return adj
+
+
+def max_mcwc(
+    params: CodeParameters,
+    cfg: SearchConfig = SearchConfig(),
+    bounds: Optional[dict[str, BoundResult]] = None,
+) -> OracleResult:
     """Exact largest code size for the parameters, with a verified witness.
 
+    The search stops once it meets the best of ``bounds``, an
+    :func:`upper_bounds` table of ``params`` computed here when not given.
     Raises :class:`SizeError` when the vertex count exceeds ``cfg.vertex_cap``.
     When a budget runs out the incumbent is returned with ``complete=False``.
     """
@@ -165,46 +225,31 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
         raise SizeError(f"{count} candidate words exceed the vertex cap {cfg.vertex_cap}")
     reach = 2 * params.canonical().total_weight
     d = params.distance
-    supports = enumerate_words(params)
+    words = enumerate_words(params, bits=True)
     if count == 0 or d > reach or d <= 2:
         # no word; or no two words are d apart, so any one word is optimal; or
         # distinct words with equal block weights differ in >= 2 places, so
         # every word fits
         size = 0 if count == 0 else 1 if d > reach else count
-        witness = PartitionedCode.from_supports(params, supports[:size])
-        return _verified(params, witness, True, 0, size)
-    masks = []
-    for s in supports:
-        b = 0
-        for i in s:
-            b |= 1 << i
-        masks.append(b)
-    nv = len(supports)
-    adj = [0] * nv
-    for i in range(nv):
-        mi = masks[i]
-        row = adj[i]
-        for j in range(i + 1, nv):
-            if (mi ^ masks[j]).bit_count() >= d:
-                row |= 1 << j
-                adj[j] |= 1 << i
-        adj[i] = row
-
-    target = best_upper_bound(params).value
+        return _verified(params, words[:size], True, 0, size, bounds)
+    adj = _compatibility_graph(params, words)
+    if bounds is None:
+        bounds = upper_bounds(params)
+    target = best_of(bounds).value
     # every word is equivalent to vertex 0 under within-block coordinate
     # permutations, so some maximum clique contains vertex 0
     root = [0] if cfg.symmetry_reduction else []
-    candidates = adj[0] if root else (1 << nv) - 1
+    candidates = adj[0] if root else (1 << len(words)) - 1
     search = _CliqueSearch(adj, cfg, target - len(root))
     best, complete = search.run(candidates, _greedy_seed(adj, candidates))
-    chosen = root + sorted(best)
-    witness = PartitionedCode.from_supports(params, [supports[i] for i in chosen])
-    return _verified(params, witness, complete, search.nodes, target)
+    chosen = [words[i] for i in root + sorted(best)]
+    return _verified(params, chosen, complete, search.nodes, target, bounds)
 
 
-def _verified(params, witness, complete, nodes, target) -> OracleResult:
+def _verified(params, words, complete, nodes, target, bounds) -> OracleResult:
+    witness = PartitionedCode(params, tuple(PartitionedWord(params, *w) for w in words))
     verify_mcwc(witness).require("oracle produced an invalid witness")
-    return OracleResult(len(witness), witness, complete, nodes, target)
+    return OracleResult(len(witness), witness, complete, nodes, target, bounds)
 
 
 def max_cwc(n: int, d: int, w: int, cfg: SearchConfig = SearchConfig()) -> OracleResult:

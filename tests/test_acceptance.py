@@ -17,13 +17,10 @@ from mcwc.bounds import (
     comparison_f,
     gv_lower_bound,
     johnson_eq3,
-    johnson_recursive,
-    lp_applies,
     mu_c,
     mu_gv,
     plotkin_bound,
-    plotkin_discrete,
-    spherical_bound,
+    upper_bounds,
 )
 from mcwc.constructions import develop
 from mcwc.designs import (
@@ -100,25 +97,45 @@ def _sweep_instances():
     return out
 
 
+def _sweep_record(key, cfg):
+    """(key, oracle result, every upper bound by method, gv) of one instance;
+    the oracle searches against the same bound table that is returned."""
+    params = CodeParameters.uniform(*key)
+    table = upper_bounds(params)
+    oracle = max_mcwc(params, cfg, table)
+    bounds = dict(table, plotkin=plotkin_bound(params))
+    return key, oracle, bounds, gv_lower_bound(params)
+
+
 @pytest.fixture(scope="module")
 def sweep_records():
     started = time.monotonic()
     cfg = SearchConfig(node_budget=SWEEP_BUDGET_NODES)
-    records = []
-    for m, n, w, d in _sweep_instances():
-        params = CodeParameters.uniform(m, n, w, d)
-        oracle = max_mcwc(params, cfg)
-        bounds = {
-            "johnson-recursive": johnson_recursive(params),
-            "johnson-eq3": johnson_eq3(params),
-            "plotkin": plotkin_bound(params),
-            "plotkin-discrete": plotkin_discrete(params),
-            "spherical": spherical_bound(params),
-        }
-        if lp_applies(params):
-            bounds["lp"] = lp_bound(params)
-        records.append(((m, n, w, d), oracle, bounds, gv_lower_bound(params)))
+    records = [_sweep_record(key, cfg) for key in _sweep_instances()]
     return records, time.monotonic() - started
+
+
+def test_sweep_record_solves_each_lp_once(monkeypatch):
+    from mcwc import lp
+
+    calls = {"lp_bound": 0, "solve_lp": 0}
+
+    def counted(fn):
+        def wrapper(*a, **k):
+            calls[fn.__name__] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lp, name, counted(getattr(lp, name)))
+    cfg = SearchConfig(node_budget=SWEEP_BUDGET_NODES)
+    # a trivial answer, a seed and a search that meet the target, and a
+    # search that ends below it
+    for key in [(1, 5, 2, 2), (2, 5, 2, 6), (1, 8, 3, 4), (3, 4, 2, 6)]:
+        before = dict(calls)
+        _, oracle, bounds, _ = _sweep_record(key, cfg)
+        assert calls == {k: v + 1 for k, v in before.items()}, key
+        assert oracle.bounds["lp"] is bounds["lp"]
 
 
 def test_criterion_4_bound_consistency_sweep(sweep_records):

@@ -1,4 +1,7 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcwc import oracle
 from mcwc.core import (
@@ -8,7 +11,7 @@ from mcwc.core import (
     VerificationReport,
     verify_mcwc,
 )
-from mcwc.bounds import gv_lower_bound, johnson_recursive
+from mcwc.bounds import BoundResult, best_of, gv_lower_bound, johnson_recursive, upper_bounds
 from mcwc.oracle import SearchConfig, enumerate_words, max_cwc, max_mcwc
 
 
@@ -20,6 +23,67 @@ class TestEnumeration:
     def test_block_offsets(self):
         words = enumerate_words(CodeParameters((2, 2), (1, 1), 2))
         assert words == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+def reference_graph(supports, d):
+    """The compatibility graph by comparing every pair of words: row i has
+    bit j set when words i and j are at distance >= d."""
+    masks = []
+    for s in supports:
+        b = 0
+        for i in s:
+            b |= 1 << i
+        masks.append(b)
+    nv = len(supports)
+    adj = [0] * nv
+    for i in range(nv):
+        mi = masks[i]
+        row = adj[i]
+        for j in range(i + 1, nv):
+            if (mi ^ masks[j]).bit_count() >= d:
+                row |= 1 << j
+                adj[j] |= 1 << i
+        adj[i] = row
+    return adj
+
+
+@st.composite
+def shapes(draw, max_words=120):
+    """1-3 blocks of length <= 8 and any weight 0..n (so blocks above half
+    weight occur), with at most ``max_words`` words."""
+    lengths, weights, count = [], [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 8))
+        w = draw(st.sampled_from([w for w in range(n + 1) if count * comb(n, w) <= max_words]))
+        lengths.append(n)
+        weights.append(w)
+        count *= comb(n, w)
+    return CodeParameters(tuple(lengths), tuple(weights), 0)
+
+
+class TestCompatibilityGraph:
+    @settings(max_examples=120, deadline=None)
+    @given(shapes(), st.booleans())
+    def test_indexed_graph_equals_pair_loop(self, shape, force_scan):
+        words = enumerate_words(shape, bits=True)
+        for support, bits in words:
+            assert bits == sum(1 << i for i in support)
+        supports = [s for s, _ in words]
+        with pytest.MonkeyPatch.context() as mp:
+            if force_scan:
+                mp.setattr(oracle, "_index_beats_scan", lambda *args: False)
+            for d in range(3, 2 * shape.canonical().total_weight + 1):
+                params = CodeParameters(shape.block_lengths, shape.block_weights, d)
+                assert oracle._compatibility_graph(params, words) == \
+                    reference_graph(supports, d), d
+
+    def test_scan_where_the_index_is_larger(self):
+        # 4 words with C(2, 1) = 2 keys each: 8 keys against 6 pairs
+        params = CodeParameters((2, 2), (1, 1), 3)
+        assert not oracle._index_beats_scan(4, 2, 1)
+        words = enumerate_words(params, bits=True)
+        assert oracle._compatibility_graph(params, words) == \
+            reference_graph([s for s, _ in words], 3)
 
 
 class TestKnownValues:
@@ -116,6 +180,10 @@ class TestSearchBehavior:
         with pytest.raises(SizeError):
             max_mcwc(CodeParameters((9, 9), (4, 4), 6), SearchConfig(vertex_cap=100))
 
+    def test_budget_pin_8_2_1_6(self):
+        result = max_mcwc(CodeParameters.uniform(8, 2, 1, 6), SearchConfig(node_budget=50_000))
+        assert (result.size, result.complete, result.nodes) == (19, False, 50_001)
+
     def test_budget_exhaustion_reports_lower_bound(self):
         params = CodeParameters.uniform(8, 2, 1, 6)
         result = max_mcwc(params, SearchConfig(node_budget=2000))
@@ -145,6 +213,33 @@ class TestSearchBehavior:
                 _use_plain_order(mp)
                 plain = max_mcwc(params)
             assert plain.size == fast.size
+
+
+class TestBoundTable:
+    def test_table_is_computed_and_kept(self):
+        params = CodeParameters.uniform(3, 4, 2, 6)
+        result = max_mcwc(params, SearchConfig(node_budget=100))
+        table = upper_bounds(params)
+        assert {k: r.value for k, r in result.bounds.items()} == \
+            {k: r.value for k, r in table.items()}
+        assert result.upper_bound == best_of(table).value == 15
+
+    def test_given_table_sets_the_target(self):
+        # 12 is the proven optimum of (3,4,2,6); with it as the target the
+        # search stops at the first 12-word clique
+        params = CodeParameters.uniform(3, 4, 2, 6)
+        table = dict(upper_bounds(params), exact=BoundResult("exact", 12, {}))
+        result = max_mcwc(params, SearchConfig(node_budget=20_000), table)
+        assert result.bounds is table
+        assert (result.size, result.complete, result.upper_bound) == (12, True, 12)
+        assert result.nodes < 17_797
+
+    def test_trivial_answer_keeps_a_given_table(self):
+        params = CodeParameters.uniform(1, 5, 2, 2)
+        table = upper_bounds(params)
+        assert max_mcwc(params, bounds=table).bounds is table
+        result = max_mcwc(params)
+        assert result.bounds is None and result.upper_bound == result.size == 10
 
 
 def test_invalid_witness_raises_construction_error(monkeypatch):
