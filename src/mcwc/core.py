@@ -288,12 +288,6 @@ def _canonical_supports(params: CodeParameters, supports, bits) -> list[tuple[in
     return out
 
 
-def _index_beats_scan(count: int, total: int, s: int) -> bool:
-    """Whether keying ``count`` words by their s-subsets of ``total`` canonical
-    points takes no more keys than there are pairs of words."""
-    return count * comb(total, s) <= count * (count - 1) // 2
-
-
 def _first_pair_sharing(supports, s: int) -> Optional[tuple[int, int]]:
     """The first pair ``i < j`` (least i, then least j) of sorted supports that
     share at least ``s`` points, from one index keyed by s-subsets; or None."""
@@ -331,7 +325,7 @@ def _closest_pair_indexed(code: PartitionedCode, stop_below: int) -> Optional[tu
     supports = (_canonical_supports(params, (word.support for word in words),
                                     (word.bits for word in words)) if t > 0 else [])
     for s in range(t, 0, -1):
-        if not _index_beats_scan(count, total, s):
+        if count * comb(total, s) > count * (count - 1) // 2:
             return _closest_pair([word.bits for word in words], stop_below)
         found = _first_pair_sharing(supports, s)
         if found is not None:

@@ -37,7 +37,6 @@ from .core import (
     PartitionedWord,
     SizeError,
     _canonical_supports,
-    _index_beats_scan,
     verify_mcwc,
 )
 
@@ -60,8 +59,8 @@ class OracleResult:
     complete: bool  # False: budget ran out, size is a lower bound only
     nodes: int
     upper_bound: int
-    # the upper_bounds table the search target came from; a trivial answer
-    # keeps only a table that was passed in
+    # the upper_bounds table the search target came from; None for a trivial
+    # answer, which needs no table
     bounds: Optional[dict[str, BoundResult]] = field(default=None, compare=False)
 
 
@@ -162,15 +161,15 @@ def _greedy_seed(adj: list[int], vertices: int) -> list[int]:
     return best
 
 
-def enumerate_words(params: CodeParameters, bits: bool = False) -> list:
-    """All supports with exact block weights, in lexicographic block-major
-    order; with ``bits``, (support, packed bits) pairs."""
+def enumerate_words(params: CodeParameters) -> list[tuple[tuple[int, ...], int]]:
+    """(support, packed bits) of every word with exact block weights, in
+    lexicographic block-major order of the supports."""
     bit = [1 << i for i in range(params.total_length)].__getitem__
     words = [((), 0)]
     for (start, end), w in zip(params.block_spans(), params.block_weights):
         block = [(c, sum(map(bit, c))) for c in itertools.combinations(range(start, end), w)]
         words = [(s + c, b | cb) for s, b in words for c, cb in block]
-    return words if bits else [s for s, _ in words]
+    return words
 
 
 def _compatibility_graph(params: CodeParameters, words: list) -> list[int]:
@@ -179,17 +178,14 @@ def _compatibility_graph(params: CodeParameters, words: list) -> list[int]:
 
     On canonical supports of total weight W, two words are closer than d
     exactly when they share t = W - ceil(d / 2) + 1 points, so each row is
-    every word but those sharing one of its t-subsets.  Where that index
-    would hold more keys than there are pairs, every pair is compared.
+    every word but those sharing one of its t-subsets.  Every word is a
+    vertex, so nv >= 2^W >= C(W, t) and the index holds at most nv^2 keys,
+    about twice the number of pairs.
     """
     nv = len(words)
     d = params.distance
     total = params.canonical().total_weight
     t = total - (d + 1) // 2 + 1
-    if not _index_beats_scan(nv, total, t):
-        masks = [b for _, b in words]
-        return [sum(1 << j for j, mj in enumerate(masks) if (mi ^ mj).bit_count() >= d)
-                for mi in masks]
     supports = _canonical_supports(params, (s for s, _ in words), (b for _, b in words))
     keyed = [list(itertools.combinations(s, t)) for s in supports]
     near: dict[tuple[int, ...], int] = {}
@@ -208,16 +204,11 @@ def _compatibility_graph(params: CodeParameters, words: list) -> list[int]:
     return adj
 
 
-def max_mcwc(
-    params: CodeParameters,
-    cfg: SearchConfig = SearchConfig(),
-    bounds: Optional[dict[str, BoundResult]] = None,
-) -> OracleResult:
+def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> OracleResult:
     """Exact largest code size for the parameters, with a verified witness.
 
-    The search stops once it meets the best of ``bounds``, an
-    :func:`upper_bounds` table of ``params`` computed here when not given.
-    Raises :class:`SizeError` when the vertex count exceeds ``cfg.vertex_cap``.
+    The search stops once it meets the best of the :func:`upper_bounds` table
+    of ``params``, which the result keeps.  Raises :class:`SizeError` when the vertex count exceeds ``cfg.vertex_cap``.
     When a budget runs out the incumbent is returned with ``complete=False``.
     """
     count = prod(map(comb, params.block_lengths, params.block_weights))
@@ -225,16 +216,15 @@ def max_mcwc(
         raise SizeError(f"{count} candidate words exceed the vertex cap {cfg.vertex_cap}")
     reach = 2 * params.canonical().total_weight
     d = params.distance
-    words = enumerate_words(params, bits=True)
+    words = enumerate_words(params)
     if count == 0 or d > reach or d <= 2:
         # no word; or no two words are d apart, so any one word is optimal; or
         # distinct words with equal block weights differ in >= 2 places, so
         # every word fits
         size = 0 if count == 0 else 1 if d > reach else count
-        return _verified(params, words[:size], True, 0, size, bounds)
+        return _verified(params, words[:size], True, 0, size, None)
     adj = _compatibility_graph(params, words)
-    if bounds is None:
-        bounds = upper_bounds(params)
+    bounds = upper_bounds(params)
     target = best_of(bounds).value
     # every word is equivalent to vertex 0 under within-block coordinate
     # permutations, so some maximum clique contains vertex 0

@@ -11,7 +11,7 @@ from mcwc.core import (
     VerificationReport,
     verify_mcwc,
 )
-from mcwc.bounds import BoundResult, best_of, gv_lower_bound, johnson_recursive, upper_bounds
+from mcwc.bounds import best_of, gv_lower_bound, johnson_recursive, upper_bounds
 from mcwc.oracle import SearchConfig, enumerate_words, max_cwc, max_mcwc
 
 
@@ -22,7 +22,7 @@ class TestEnumeration:
 
     def test_block_offsets(self):
         words = enumerate_words(CodeParameters((2, 2), (1, 1), 2))
-        assert words == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert words == [((0, 2), 0b101), ((0, 3), 0b1001), ((1, 2), 0b110), ((1, 3), 0b1010)]
 
 
 def reference_graph(supports, d):
@@ -63,27 +63,16 @@ def shapes(draw, max_words=120):
 
 class TestCompatibilityGraph:
     @settings(max_examples=120, deadline=None)
-    @given(shapes(), st.booleans())
-    def test_indexed_graph_equals_pair_loop(self, shape, force_scan):
-        words = enumerate_words(shape, bits=True)
+    @given(shapes())
+    def test_indexed_graph_equals_pair_loop(self, shape):
+        words = enumerate_words(shape)
         for support, bits in words:
             assert bits == sum(1 << i for i in support)
         supports = [s for s, _ in words]
-        with pytest.MonkeyPatch.context() as mp:
-            if force_scan:
-                mp.setattr(oracle, "_index_beats_scan", lambda *args: False)
-            for d in range(3, 2 * shape.canonical().total_weight + 1):
-                params = CodeParameters(shape.block_lengths, shape.block_weights, d)
-                assert oracle._compatibility_graph(params, words) == \
-                    reference_graph(supports, d), d
-
-    def test_scan_where_the_index_is_larger(self):
-        # 4 words with C(2, 1) = 2 keys each: 8 keys against 6 pairs
-        params = CodeParameters((2, 2), (1, 1), 3)
-        assert not oracle._index_beats_scan(4, 2, 1)
-        words = enumerate_words(params, bits=True)
-        assert oracle._compatibility_graph(params, words) == \
-            reference_graph([s for s, _ in words], 3)
+        for d in range(3, 2 * shape.canonical().total_weight + 1):
+            params = CodeParameters(shape.block_lengths, shape.block_weights, d)
+            assert oracle._compatibility_graph(params, words) == \
+                reference_graph(supports, d), d
 
 
 class TestKnownValues:
@@ -224,21 +213,8 @@ class TestBoundTable:
             {k: r.value for k, r in table.items()}
         assert result.upper_bound == best_of(table).value == 15
 
-    def test_given_table_sets_the_target(self):
-        # 12 is the proven optimum of (3,4,2,6); with it as the target the
-        # search stops at the first 12-word clique
-        params = CodeParameters.uniform(3, 4, 2, 6)
-        table = dict(upper_bounds(params), exact=BoundResult("exact", 12, {}))
-        result = max_mcwc(params, SearchConfig(node_budget=20_000), table)
-        assert result.bounds is table
-        assert (result.size, result.complete, result.upper_bound) == (12, True, 12)
-        assert result.nodes < 17_797
-
-    def test_trivial_answer_keeps_a_given_table(self):
-        params = CodeParameters.uniform(1, 5, 2, 2)
-        table = upper_bounds(params)
-        assert max_mcwc(params, bounds=table).bounds is table
-        result = max_mcwc(params)
+    def test_trivial_answer_keeps_no_table(self):
+        result = max_mcwc(CodeParameters.uniform(1, 5, 2, 2))
         assert result.bounds is None and result.upper_bound == result.size == 10
 
 
@@ -338,7 +314,7 @@ def _shape_id(params):
 @pytest.mark.parametrize("params, budget, expected", PINNED,
                          ids=[_shape_id(params) for params, _, _ in PINNED])
 def test_pinned_results(params, budget, expected, monkeypatch):
-    words = enumerate_words(params)
+    words = [support for support, _ in enumerate_words(params)]
     for (symmetry, coloring), (size, complete, nodes, upper, indices) in expected.items():
         cfg = SearchConfig(node_budget=budget, symmetry_reduction=symmetry)
         with monkeypatch.context() as mp:
