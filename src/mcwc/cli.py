@@ -308,8 +308,11 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _table_achieved(n1: int, n2: int, oracle_cap: int) -> tuple[Optional[int], str]:
-    """Best verified code size for T(2,n1;2,n2;6), with its source tag."""
+def _table_achieved(n1: int, n2: int) -> tuple[Optional[int], str]:
+    """Best verified code size for T(2,n1;2,n2;6), with its source tag.  The
+    shipped file names say which source covers a cell: an explicit code, a
+    base-codeword table, or a holey square HSAS(s=n2, v=n1; t, 3) whose hole
+    takes the square of the explicit code (3, t)."""
     if (n1, n2) in corpus.SMALL_PAIRS:
         code = corpus.small_code(n1, n2)
         verify_mcwc(code).require(f"shipped code ({n1},{n2}) is invalid")
@@ -317,20 +320,10 @@ def _table_achieved(n1: int, n2: int, oracle_cap: int) -> tuple[Optional[int], s
     if n1 in corpus.DEVELOP_FAMILIES:
         code = develop_table(corpus.develop_table(n1, n2))
         return len(code), "develop"
-    if n1 in (11, 15, 19):
-        star3 = mcwc_to_square(corpus.small_code(3, 3))
-        if n2 <= 2 * n1 - 3:
-            square = fill_hole(corpus.hsas_square(n1, 3, n2), star3)
-        else:
-            star5 = mcwc_to_square(corpus.small_code(3, 5))
-            square = fill_hole(corpus.hsas_square(n1, 5, n2), star5)
-        return len(square_to_mcwc(square)), "hole-fill"
-    from math import comb
-
-    if comb(n1, 2) * comb(n2, 2) <= oracle_cap:
-        result = max_mcwc(CodeParameters((n1, n2), (2, 2), 6))
-        if result.complete:
-            return result.size, "oracle"
+    for v, t, s in corpus.HSAS_SHAPES:
+        if (v, s) == (n1, n2):
+            square = fill_hole(corpus.hsas_square(v, t, s), mcwc_to_square(corpus.small_code(3, t)))
+            return len(square_to_mcwc(square)), "hole-fill"
     return None, "none"
 
 
@@ -343,11 +336,11 @@ def cmd_table(args) -> int:
     rows = []
     ok = True
     for n1 in n1_values:
-        if n1 % 2 == 0:
-            raise McwcError("n1 must be odd")
+        if n1 < 3 or n1 % 2 == 0:
+            raise McwcError(f"n1 must be odd and at least 3, got {n1}")
         for n2 in range(n1, 2 * n1, 2):
             target = (n2 * (n1 - 1)) // 4
-            achieved, method = _table_achieved(n1, n2, args.oracle_cap)
+            achieved, method = _table_achieved(n1, n2)
             if achieved is None:
                 status = "open"
             elif (n1, n2) == (5, 7):
@@ -448,7 +441,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("table", help="lower/upper summary for two blocks of weight 2", parents=[common])
     p.add_argument("--n1", help="comma-separated odd n1 values")
     p.add_argument("--n1-max", type=int, default=21)
-    p.add_argument("--oracle-cap", type=int, default=500)
     p.set_defaults(fn=cmd_table)
     return parser, env_defaults
 

@@ -22,11 +22,12 @@ from .core import (
     SizeError,
     VerificationReport,
     _closest_pair,
-    _content_lines,
     _ints,
     _read_text,
+    _records,
     verify_mcwc,
 )
+from .designs import transversal_design
 
 # ---------------------------------------------------------------------------
 # q-ary codes and concatenation
@@ -156,17 +157,16 @@ def _parse_point(token: str, lineno=None) -> Point:
 
 def _layout(table: BaseCodewordTable) -> dict[Point, int]:
     """Global coordinate of every labeled point: class-major group points
-    first, then the fixed points, side 1 before side 2."""
+    first, then the fixed points, side 1 before side 2.  A class or fixed
+    point listed twice raises ``ConstructionError``."""
     coord: dict[Point, int] = {}
-    offset = 0
     for side in range(2):
-        for c in table.classes[side]:
-            for e in range(table.group_order):
-                coord[("g", e, c)] = offset
-                offset += 1
-        for token in table.fixed[side]:
-            coord[_parse_point(token)] = offset
-            offset += 1
+        points = [("g", e, c) for c in table.classes[side] for e in range(table.group_order)]
+        for p in points + [_parse_point(token) for token in table.fixed[side]]:
+            if p in coord:
+                what = f"class {p[2]}" if p[0] == "g" else f"point {_point_str(p)}"
+                raise ConstructionError(f"the layout lists {what} twice")
+            coord[p] = len(coord)
     return coord
 
 
@@ -187,9 +187,6 @@ def develop(table: BaseCodewordTable) -> PartitionedCode:
     if g < 1:
         raise DomainError("group order must be positive")
     coord = _layout(table)
-    side1 = set(
-        coord[("g", e, c)] for c in table.classes[0] for e in range(g)
-    ) | set(coord[_parse_point(t)] for t in table.fixed[0])
     n1, n2 = table.side_lengths
     params = CodeParameters((n1, n2), (2, 2), 6)
     supports: list[tuple[int, ...]] = []
@@ -201,7 +198,8 @@ def develop(table: BaseCodewordTable) -> PartitionedCode:
                 raise ConstructionError(
                     f"base word {k} {word} uses {_point_str(p)}, outside the declared layout"
                 )
-        in1 = sum(1 for p in word.points if coord[p] in side1)
+        # side 1 holds the coordinates below n1
+        in1 = sum(1 for p in word.points if coord[p] < n1)
         if in1 != 2:
             raise ConstructionError(
                 f"base word {k} {word} has {in1} points on the first side, expected 2"
@@ -239,27 +237,22 @@ def develop(table: BaseCodewordTable) -> PartitionedCode:
 
 
 def parse_base_table(text: str) -> BaseCodewordTable:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty base-codeword file")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "develop":
-        raise FormatError("expected header 'develop <g> <m>'", lineno)
-    g, m = _ints(tokens[1:], lineno, "header fields must be integers")
+    head, fields, body = _records(text, "base-codeword", "develop <g> <m>")
+    g, m = _ints(fields, head, "header fields must be integers")
     if m != 2:
-        raise FormatError("only two-sided tables are supported (m = 2)", lineno)
+        raise FormatError("only two-sided tables are supported (m = 2)", head)
     classes: dict[int, tuple[int, ...]] = {}
     fixed: dict[int, tuple[str, ...]] = {}
     words: list[BaseWord] = []
-    for lineno, line in lines[1:]:
-        tokens = line.split()
+    for lineno, tokens in body:
         if tokens[0] == "layout":
             if len(tokens) < 3:
                 raise FormatError("expected 'layout <side> classes=... [fixed=...]'", lineno)
             (side,) = _ints(tokens[1:2], lineno, "layout side must be an integer")
             if side not in (1, 2):
                 raise FormatError("side must be 1 or 2", lineno)
+            if side in classes:
+                raise FormatError(f"'layout {side}' is repeated", lineno)
             cls: tuple[int, ...] = ()
             fix: tuple[str, ...] = ()
             for item in tokens[2:]:
@@ -425,17 +418,10 @@ def bibd_to_mcwc(design: ResolvableBibd) -> PartitionedCode:
 
 
 def parse_bibd(text: str) -> ResolvableBibd:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty design file")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 5 or tokens[0] != "bibd":
-        raise FormatError("expected header 'bibd <v> <k> <lambda> <alpha>'", lineno)
-    v, k, lam, alpha = _ints(tokens[1:], lineno, "header fields must be integers")
+    head, fields, body = _records(text, "design", "bibd <v> <k> <lambda> <alpha>")
+    v, k, lam, alpha = _ints(fields, head, "header fields must be integers")
     classes: list[list[tuple[int, ...]]] = []
-    for lineno, line in lines[1:]:
-        tokens = line.split()
+    for lineno, tokens in body:
         if tokens[0] == "class":
             classes.append([])
         elif tokens[0] == "block":
@@ -458,18 +444,10 @@ def format_bibd(design: ResolvableBibd) -> str:
 
 def affine_plane_bibd(q: int) -> ResolvableBibd:
     """The resolvable BIBD(q^2, q, 1) of lines of the affine plane over GF(q),
-    with alpha = 1; parallel classes are the direction classes."""
-    from .designs import _gf_add, _gf_mul_table
-
-    mul = _gf_mul_table(q)
-    classes = []
-    # lines y = s*x + b for each slope s, then the vertical lines x = c
-    for s in range(q):
-        cl = []
-        for b in range(q):
-            cl.append(tuple(x * q + _gf_add(q, mul[s][x], b) for x in range(q)))
-        classes.append(cl)
-    classes.append([tuple(c * q + y for y in range(q)) for c in range(q)])
+    with alpha = 1: TD(q, q), whose blocks, q at a time, are the lines of one
+    slope each, followed by its groups, the vertical lines."""
+    td = transversal_design(q, q)
+    classes = [td.blocks[s * q:(s + 1) * q] for s in range(q)] + [td.groups]
     return ResolvableBibd.build(q * q, q, 1, 1, classes)
 
 
@@ -609,17 +587,10 @@ def decomposition_to_mcwc(
 
 
 def parse_decomposition(text: str) -> ColoredDecomposition:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty decomposition file")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "decomp":
-        raise FormatError("expected header 'decomp <n> <m>'", lineno)
-    n, m = _ints(tokens[1:], lineno, "header fields must be integers")
+    head, fields, body = _records(text, "decomposition", "decomp <n> <m>")
+    n, m = _ints(fields, head, "header fields must be integers")
     members: list[Member] = []
-    for lineno, line in lines[1:]:
-        tokens = line.split()
+    for lineno, tokens in body:
         if tokens[0] != "member" or len(tokens) < 2:
             raise FormatError("expected a 'member ...' line", lineno)
         if tokens[1] == "partition":

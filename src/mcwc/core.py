@@ -405,26 +405,35 @@ def _ints(tokens: Iterable[str], lineno: Optional[int], message: str) -> list[in
         raise FormatError(message, lineno) from None
 
 
+def _records(text: str, what: str, header: str):
+    """The content lines of a data file whose first line matches the usage
+    string ``header`` (e.g. ``"gdd <points>"``) in keyword and token count.
+
+    Returns the header's line number, its fields after the keyword, and the
+    other lines as (line number, tokens) pairs; no content line raises
+    ``FormatError("empty <what> file")``."""
+    lines = [(lineno, line.split()) for lineno, line in _content_lines(text)]
+    if not lines:
+        raise FormatError(f"empty {what} file")
+    (lineno, tokens), body = lines[0], lines[1:]
+    usage = header.split()
+    if len(tokens) != len(usage) or tokens[0] != usage[0]:
+        raise FormatError(f"expected header '{header}'", lineno)
+    return lineno, tokens[1:], body
+
+
 def parse_code(text: str) -> PartitionedCode:
     """Parse the canonical code file format; errors cite line numbers."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty code file")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 3 or tokens[0] != "mcwc":
-        raise FormatError("expected header 'mcwc <m> <d>'", lineno)
-    m, d = _ints(tokens[1:], lineno, "header fields must be integers")
+    head, fields, body = _records(text, "code", "mcwc <m> <d>")
+    m, d = _ints(fields, head, "header fields must be integers")
     if m < 1:
-        raise FormatError("m must be positive", lineno)
+        raise FormatError("m must be positive", head)
     lengths: list[int] = []
     weights: list[int] = []
-    pos = 1
     for i in range(1, m + 1):
-        if pos >= len(lines):
+        if i > len(body):
             raise FormatError(f"missing 'part {i}' line")
-        lineno, line = lines[pos]
-        tokens = line.split()
+        lineno, tokens = body[i - 1]
         if len(tokens) != 4 or tokens[0] != "part":
             raise FormatError(f"expected 'part {i} <n> <w>'", lineno)
         idx, n, w = _ints(tokens[1:], lineno, "part fields must be integers")
@@ -432,18 +441,17 @@ def parse_code(text: str) -> PartitionedCode:
             raise FormatError(f"expected part index {i}, got {idx}", lineno)
         lengths.append(n)
         weights.append(w)
-        pos += 1
     try:
         params = CodeParameters(tuple(lengths), tuple(weights), d)
     except DomainError as exc:
         # cite the first line with a value CodeParameters rejects, in its check
         # order: the part lines' lengths, their weights, the header's distance
-        culprits = [ln for (ln, _), n in zip(lines[1:], lengths) if n <= 0]
-        culprits += [ln for (ln, _), w in zip(lines[1:], weights) if w < 0]
-        raise FormatError(str(exc), (culprits + [lines[0][0]])[0]) from None
+        culprits = [ln for (ln, _), n in zip(body, lengths) if n <= 0]
+        culprits += [ln for (ln, _), w in zip(body, weights) if w < 0]
+        raise FormatError(str(exc), (culprits + [head])[0]) from None
     words = []
-    for lineno, line in lines[pos:]:
-        indices = _ints(line.split(), lineno, "support indices must be integers")
+    for lineno, tokens in body[m:]:
+        indices = _ints(tokens, lineno, "support indices must be integers")
         if indices != sorted(indices):
             raise FormatError("support indices must be ascending", lineno)
         try:

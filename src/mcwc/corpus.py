@@ -8,7 +8,9 @@ Three groups of files live under ``mcwc/data``:
   frame and holey-square ingredients.
 
 Everything here is data: the regression suite re-verifies every file, and the
-loaders run no verification themselves.
+loaders run no verification themselves.  The shape lists come from the file
+names; ``mcwc table`` reads its rows from them, so a cell is covered exactly
+when a file for it is shipped.
 """
 
 from __future__ import annotations

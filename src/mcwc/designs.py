@@ -16,6 +16,7 @@ points of one hole, and row i together with column i must
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -29,9 +30,9 @@ from .core import (
     PartitionedCode,
     ShapeError,
     VerificationReport,
-    _content_lines,
     _ints,
     _read_text,
+    _records,
     verify_mcwc,
 )
 
@@ -335,73 +336,45 @@ def transversal_design(k: int, q: int) -> GddDesign:
     (i, a*l_i + b) with distinct field labels l_i, plus the slope point (q, a)
     when k = q + 1, so this construction supports k <= q + 1.
     """
-    mul = _gf_mul_table(q)
+    add, mul = _field(q)
     if k > q + 1:
         raise DomainError(f"this construction needs k <= q + 1, got k = {k}, q = {q}")
     groups = [tuple(i * q + x for x in range(q)) for i in range(k)]
     blocks = []
     for a in range(q):
         for b in range(q):
-            block = [i * q + _gf_add(q, mul[a][i], b) for i in range(min(k, q))]
+            block = [i * q + add[mul[a][i]][b] for i in range(min(k, q))]
             if k == q + 1:
                 block.append(q * q + a)
             blocks.append(tuple(block))
     return GddDesign.build(k * q, groups, blocks)
 
 
-def _gf_add(q: int, x: int, y: int) -> int:
-    if q in (4, 8):
-        return x ^ y
-    if q == 9:
-        return 3 * ((x // 3 + y // 3) % 3) + (x % 3 + y % 3) % 3
-    return (x + y) % q
+# GF(q), q = p^k, in a polynomial basis: element sum(c_i p^i), 0 <= c_i < p,
+# is the polynomial sum(c_i x^i) over GF(p) reduced by x^k = sum(r_i x^i),
+# with r listed from the constant term up: x^2 = x + 1 for GF(4), x^3 = x + 1
+# for GF(8) and x^2 = -1 for GF(9).  A prime q is the case k = 1.
+_REDUCTIONS = {4: (2, (1, 1)), 8: (2, (1, 1, 0)), 9: (3, (2, 0))}
 
 
-def _gf_mul_table(q: int) -> list[list[int]]:
-    def is_prime(p):
-        return p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))
-
-    if is_prime(q):
-        return [[(a * b) % q for b in range(q)] for a in range(q)]
-    if q == 4:
-        # GF(4) as GF(2)[x]/(x^2+x+1), elements 0,1,2=x,3=x+1
-        table = [[0] * 4 for _ in range(4)]
-        for a in range(1, 4):
-            for b in range(1, 4):
-                prod, acc = 0, a
-                for bit in range(2):
-                    if b >> bit & 1:
-                        prod ^= acc
-                    acc <<= 1
-                    if acc & 4:
-                        acc ^= 0b111
-                table[a][b] = prod
-        return table
-    if q == 8:
-        table = [[0] * 8 for _ in range(8)]
-        for a in range(1, 8):
-            for b in range(1, 8):
-                prod, acc = 0, a
-                for bit in range(3):
-                    if b >> bit & 1:
-                        prod ^= acc
-                    acc <<= 1
-                    if acc & 8:
-                        acc ^= 0b1011
-                table[a][b] = prod
-        return table
-    if q == 9:
-        # GF(9) as GF(3)[x]/(x^2+1), element 3*h + l for h*x + l
-        table = [[0] * 9 for _ in range(9)]
-        for a in range(9):
-            ah, al = divmod(a, 3)
-            for b in range(9):
-                bh, bl = divmod(b, 3)
-                high = (ah * bl + al * bh) % 3
-                low = (al * bl - ah * bh) % 3
-                table[a][b] = 3 * high + low
-        return table
-    raise DomainError(f"no field arithmetic available for q = {q}")
+def _field(q: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The addition and multiplication tables of GF(q)."""
+    p, reduction = _REDUCTIONS.get(q, (q, (0,)))
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise DomainError(f"no field arithmetic available for q = {q}")
+    k = len(reduction)
+    vectors = [tuple(a // p**i % p for i in range(k)) for a in range(q)]
+    index = {c: a for a, c in enumerate(vectors)}
+    add = [[index[tuple((x + y) % p for x, y in zip(u, v))] for v in vectors] for u in vectors]
+    mul = []
+    for u in vectors:
+        shifts = [u]  # u x^j for j < k, each reduced
+        for _ in range(k - 1):
+            low, top = (0,) + shifts[-1][:-1], shifts[-1][-1]
+            shifts.append(tuple((c + top * r) % p for c, r in zip(low, reduction)))
+        mul.append([index[tuple(sum(c * s[i] for c, s in zip(v, shifts)) % p for i in range(k))]
+                    for v in vectors])
+    return add, mul
 
 
 # ---------------------------------------------------------------------------
@@ -627,25 +600,16 @@ def fill_hole(frame: SkewSquare, filler: SkewSquare) -> SkewSquare:
 
 
 def parse_square(text: str) -> SkewSquare:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty square file")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "square":
-        raise FormatError("expected header 'square <kind> <s> <v>'", lineno)
+    head, fields, body = _records(text, "square", "square <kind> <s> <v>")
     try:
-        kind = SquareKind(tokens[1])
+        kind = SquareKind(fields[0])
     except ValueError:
-        raise FormatError(f"unknown square kind {tokens[1]!r}", lineno) from None
-    s, v = _ints(tokens[2:], lineno, "side and point count must be integers")
+        raise FormatError(f"unknown square kind {fields[0]!r}", head) from None
+    s, v = _ints(fields[1:], head, "side and point count must be integers")
     cells: dict[Cell, Pair] = {}
-    hole_rows: list[int] = []
-    hole_points: list[int] = []
-    row_parts: list[list[int]] = []
-    point_parts: list[list[int]] = []
-    for lineno, line in lines[1:]:
-        tokens = line.split()
+    # the single-use directives, each a list of integers or of integer groups
+    once: dict[str, list] = {}
+    for lineno, tokens in body:
         tag = tokens[0]
         if tag == "cell":
             if len(tokens) != 5:
@@ -654,17 +618,15 @@ def parse_square(text: str) -> SkewSquare:
             if (i, j) in cells:
                 raise FormatError(f"cell ({i},{j}) filled twice", lineno)
             cells[(i, j)] = frozenset((a, b))
-        elif tag == "hole-rows":
-            hole_rows = _ints(tokens[1:], lineno, "expected integers")
-        elif tag == "hole-points":
-            hole_points = _ints(tokens[1:], lineno, "expected integers")
-        elif tag in ("row-part", "point-part"):
-            groups = " ".join(tokens[1:]).split(";")
-            parts = [_ints(g.split(), lineno, "expected integers") for g in groups if g.strip()]
-            if tag == "row-part":
-                row_parts = parts
+        elif tag in ("hole-rows", "hole-points", "row-part", "point-part"):
+            if tag in once:
+                raise FormatError(f"'{tag}' is repeated", lineno)
+            if tag.startswith("hole-"):
+                once[tag] = _ints(tokens[1:], lineno, "expected integers")
             else:
-                point_parts = parts
+                groups = " ".join(tokens[1:]).split(";")
+                once[tag] = [_ints(g.split(), lineno, "expected integers")
+                             for g in groups if g.strip()]
         else:
             raise FormatError(f"unknown directive {tag!r}", lineno)
     return SkewSquare.build(
@@ -672,10 +634,10 @@ def parse_square(text: str) -> SkewSquare:
         s,
         v,
         cells,
-        hole_rows=hole_rows,
-        hole_points=hole_points,
-        row_parts=row_parts,
-        point_parts=point_parts,
+        hole_rows=once.get("hole-rows", ()),
+        hole_points=once.get("hole-points", ()),
+        row_parts=once.get("row-part", ()),
+        point_parts=once.get("point-part", ()),
     )
 
 
@@ -712,17 +674,10 @@ def save_square(sq: SkewSquare, path) -> None:
 
 
 def parse_gdd(text: str) -> GddDesign:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError("empty design file")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 2 or tokens[0] != "gdd":
-        raise FormatError("expected header 'gdd <points>'", lineno)
-    (x,) = _ints(tokens[1:], lineno, "point count must be an integer")
+    head, fields, body = _records(text, "design", "gdd <points>")
+    (x,) = _ints(fields, head, "point count must be an integer")
     groups, blocks = [], []
-    for lineno, line in lines[1:]:
-        tokens = line.split()
+    for lineno, tokens in body:
         if tokens[0] == "group":
             groups.append(_ints(tokens[1:], lineno, "group points must be integers"))
         elif tokens[0] == "block":

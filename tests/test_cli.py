@@ -362,6 +362,43 @@ class TestTable:
         rc, _ = run(["table", "--n1", "4"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("n1", ["1", "-1"])
+    def test_n1_below_3_rejected(self, n1, capsys):
+        rc = main(["table", "--n1", n1])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"error: n1 must be odd and at least 3, got {n1}\n"
+
+    def test_oracle_cap_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--n1", "3", "--oracle-cap", "500"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle-cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n1", [11, 15, 19])
+    def test_t5_hole_fill_rows(self, n1, capsys):
+        # the last row of each hole-fill family fills a hole of five rows
+        rc, out = run(["--format", "tsv", "table", "--n1", str(n1)], capsys)
+        assert rc == 0
+        n2 = 2 * n1 - 1
+        assert out.splitlines()[-1].split("\t") == [
+            str(n1), str(n2), str(n2 * (n1 - 1) // 4), str(n2 * (n1 - 1) // 4), "hole-fill", "ok"]
+
+    def test_source_below_target(self, monkeypatch, capsys):
+        from mcwc import cli
+        from mcwc.core import PartitionedCode
+
+        shipped = corpus.small_code
+
+        def one_word_short(n1, n2):
+            code = shipped(n1, n2)
+            return PartitionedCode(code.params, code.words[1:]) if (n1, n2) == (3, 5) else code
+
+        monkeypatch.setattr(cli.corpus, "small_code", one_word_short)
+        rc, out = run(["--format", "tsv", "table", "--n1", "3"], capsys)
+        assert rc == 1
+        assert out.splitlines()[1:] == ["3\t3\t1\t1\ttable\tok", "3\t5\t2\t1\ttable\tBELOW-TARGET"]
+
     def test_unresolved_cells_reported_open(self, capsys):
         rc, out = run(["table", "--n1", "23"], capsys)
         assert rc == 0
@@ -522,6 +559,15 @@ class TestExitContract:
         assert rc == 1
         assert [row[2] for row in rows] == ["ok", "ERROR", "ok"]
         assert rows[1] == [str(empty), "-", "ERROR", "empty file"]
+
+    def test_unknown_kind_is_an_error_row(self, code_file, tmp_path, capsys):
+        other = tmp_path / "notes.txt"
+        other.write_text("# a file of no known kind\nhello 1 2\n")
+        rc, out = run(["--format", "tsv", "verify", str(other), code_file], capsys)
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert rc == 1
+        assert rows[0] == [str(other), "hello", "ERROR", "unknown file kind 'hello'"]
+        assert rows[1][2] == "ok"
 
     @pytest.mark.parametrize(
         "text",

@@ -133,6 +133,25 @@ class TestDevelop:
             parse_base_table(text)
         assert str(exc.value) == "line 2: cannot parse point token 'b7'"
 
+    def test_repeated_layout_line(self):
+        # a second 'layout 1' would drop the first one's fixed=inf
+        text = ("develop 3 2\nlayout 1 classes=0,1,2,3 fixed=inf\nlayout 2 classes=4\n"
+                "layout 1 classes=0,1,2,3\nw inf 0_0 0_4 1_4\n")
+        with pytest.raises(FormatError, match=r"^line 4: 'layout 1' is repeated$"):
+            parse_base_table(text)
+
+    @pytest.mark.parametrize("classes,fixed,repeated", [
+        (((0, 1, 2, 3), (3, 5, 6, 7)), (("inf",), ("a1",)), "class 3"),
+        (((0, 0), (1,)), ((), ()), "class 0"),
+        (((0,), (1,)), (("inf",), ("inf",)), "point inf"),
+        (((0,), (1,)), (("a1", "a1"), ()), "point a1"),
+    ])
+    def test_layout_lists_a_class_or_point_twice(self, classes, fixed, repeated):
+        word = BaseWord((("inf",), ("g", 0, 0), ("g", 0, 5), ("g", 0, 6)))
+        table = BaseCodewordTable(3, classes, fixed, (word,))
+        with pytest.raises(ConstructionError, match=f"^the layout lists {repeated} twice$"):
+            develop(table)
+
 
 class TestBibd:
     def test_affine_plane_order_3(self):

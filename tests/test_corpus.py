@@ -177,3 +177,35 @@ def test_mutated_file_parses_or_raises_format_error(data):
         parse("\n".join(lines))
     except FormatError:
         pass
+
+
+# usage string of the header and the file's name in the "empty" error, by suffix
+HEADERS = {
+    ".mcwc": ("mcwc <m> <d>", "code", "header fields must be integers"),
+    ".dev": ("develop <g> <m>", "base-codeword", "header fields must be integers"),
+    ".sq": ("square <kind> <s> <v>", "square", "side and point count must be integers"),
+    ".bibd": ("bibd <v> <k> <lambda> <alpha>", "design", "header fields must be integers"),
+    ".decomp": ("decomp <n> <m>", "decomposition", "header fields must be integers"),
+    ".gdd": ("gdd <points>", "design", "point count must be an integer"),
+}
+
+
+@pytest.mark.parametrize("suffix", list(HEADERS))
+def test_malformed_header(suffix):
+    """Every grammar reports an empty file, a wrong header keyword or token
+    count, and a non-integer header field with the same words and line."""
+    usage, what, not_int = HEADERS[suffix]
+    parse, _ = FORMATS[suffix]
+    keyword, *fields = usage.split()
+    good = [keyword] + ["sas" if f == "<kind>" else "3" for f in fields]
+    cases = {
+        "# only a comment\n\n": f"empty {what} file",
+        "\n" + " ".join(["wrong"] + good[1:]) + "\n": f"line 2: expected header '{usage}'",
+        " ".join(good[:-1]) + "\n": f"line 1: expected header '{usage}'",
+        " ".join(good + ["3"]) + "  # extra\n": f"line 1: expected header '{usage}'",
+        "# c\n" + " ".join(good[:-1] + ["x"]) + "\n": f"line 2: {not_int}",
+    }
+    for text, message in cases.items():
+        with pytest.raises(FormatError) as exc:
+            parse(text)
+        assert str(exc.value) == message, text

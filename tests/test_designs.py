@@ -9,6 +9,7 @@ from mcwc.core import (
     ShapeError,
 )
 from mcwc.designs import (
+    _field,
     sas_as_hsas,
     GddDesign,
     SkewSquare,
@@ -464,3 +465,121 @@ class TestSquareFiles:
         with pytest.raises(FormatError) as exc:
             parse_square(text)
         assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("line", [
+        "hole-rows 0", "hole-points 0", "row-part 0; 1 2", "point-part 0; 1 2",
+    ])
+    def test_repeated_single_use_directive(self, line):
+        # a second line would silently replace the first
+        text = f"square hsas 3 3\n{line}\ncell 0 1 0 1\n{line}\n"
+        tag = line.split()[0]
+        with pytest.raises(FormatError, match=f"^line 4: '{tag}' is repeated$"):
+            parse_square(text)
+
+
+# ---------------------------------------------------------------------------
+# The field tables and designs as built before the one polynomial-basis field,
+# kept as a reference: hand-written GF(4), GF(8) and GF(9) arithmetic, and the
+# affine plane built on its own beside TD(q, q).
+# ---------------------------------------------------------------------------
+
+
+def _reference_add(q, x, y):
+    if q in (4, 8):
+        return x ^ y
+    if q == 9:
+        return 3 * ((x // 3 + y // 3) % 3) + (x % 3 + y % 3) % 3
+    return (x + y) % q
+
+
+def _reference_mul_table(q):
+    if q in (2, 3, 5, 7, 11, 13):
+        return [[(a * b) % q for b in range(q)] for a in range(q)]
+    if q in (4, 8):
+        # GF(2)[x] modulo x^2+x+1 (0b111) or x^3+x+1 (0b1011)
+        modulus = {4: 0b111, 8: 0b1011}[q]
+        table = [[0] * q for _ in range(q)]
+        for a in range(1, q):
+            for b in range(1, q):
+                prod, acc = 0, a
+                for bit in range(q.bit_length() - 1):
+                    if b >> bit & 1:
+                        prod ^= acc
+                    acc <<= 1
+                    if acc & q:
+                        acc ^= modulus
+                table[a][b] = prod
+        return table
+    assert q == 9  # GF(3)[x] modulo x^2+1, element 3*h + l for h*x + l
+    table = [[0] * 9 for _ in range(9)]
+    for a in range(9):
+        ah, al = divmod(a, 3)
+        for b in range(9):
+            bh, bl = divmod(b, 3)
+            table[a][b] = 3 * ((ah * bl + al * bh) % 3) + (al * bl - ah * bh) % 3
+    return table
+
+
+def _reference_transversal_design(k, q):
+    mul = _reference_mul_table(q)
+    groups = [tuple(i * q + x for x in range(q)) for i in range(k)]
+    blocks = []
+    for a in range(q):
+        for b in range(q):
+            block = [i * q + _reference_add(q, mul[a][i], b) for i in range(min(k, q))]
+            if k == q + 1:
+                block.append(q * q + a)
+            blocks.append(tuple(block))
+    return GddDesign.build(k * q, groups, blocks)
+
+
+def _reference_affine_plane(q):
+    from mcwc.constructions import ResolvableBibd
+
+    mul = _reference_mul_table(q)
+    # lines y = s*x + b for each slope s, then the vertical lines x = c
+    classes = [[tuple(x * q + _reference_add(q, mul[s][x], b) for x in range(q))
+                for b in range(q)] for s in range(q)]
+    classes.append([tuple(c * q + y for y in range(q)) for c in range(q)])
+    return ResolvableBibd.build(q * q, q, 1, 1, classes)
+
+
+SUPPORTED_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13]
+
+
+class TestFieldAndDesigns:
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_field_tables(self, q):
+        add, mul = _field(q)
+        assert add == [[_reference_add(q, x, y) for y in range(q)] for x in range(q)]
+        assert mul == _reference_mul_table(q)
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_transversal_designs_unchanged(self, q):
+        for k in range(q + 2):
+            assert transversal_design(k, q) == _reference_transversal_design(k, q), k
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_affine_plane_is_td_q_q(self, q):
+        from mcwc.constructions import affine_plane_bibd, verify_bibd
+
+        design = affine_plane_bibd(q)
+        assert design == _reference_affine_plane(q)
+        assert verify_bibd(design).valid
+
+    @pytest.mark.parametrize("q", [0, 1, 6, 10, 12, 16])
+    def test_no_field(self, q):
+        from mcwc.constructions import affine_plane_bibd
+
+        message = f"^no field arithmetic available for q = {q}$"
+        # the field is checked before k, so k = q + 2 reports the field
+        for build in (lambda: transversal_design(3, q), lambda: transversal_design(q + 2, q),
+                      lambda: affine_plane_bibd(q)):
+            with pytest.raises(DomainError, match=message):
+                build()
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_k_beyond_q_plus_one(self, q):
+        with pytest.raises(DomainError, match=f"^this construction needs k <= q \\+ 1, "
+                                              f"got k = {q + 2}, q = {q}$"):
+            transversal_design(q + 2, q)
