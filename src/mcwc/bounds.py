@@ -75,10 +75,10 @@ def johnson_eq3(params: CodeParameters) -> BoundResult:
 
 # -- recursive Johnson bound -------------------------------------------------
 
-# d -> {blocks: (value, rule)} for every state whose whole subtree was explored
-# within a call's state budget.  Such an entry equals what a call without a
-# budget computes, so the memo is shared across calls: a budgeted call never
-# changes a later answer.
+# d -> {blocks: (value, rule)}, filled by every call that ends within its state
+# budget, so each entry equals what a call without a budget computes.  A call
+# that the budget cuts off takes its entries out again and answers on a private
+# table, as it would on an empty memo.
 _REC_CACHE: dict[int, dict] = {}
 
 _BlockKey = tuple[tuple[int, int], ...]  # sorted canonical (w, n), 0 < w <= n/2
@@ -113,35 +113,29 @@ def _eq3_on_blocks(blocks, u: int) -> tuple[Optional[int], int, int]:
     return (u * big // denom if denom > 0 else None), denom, big
 
 
+@dataclass(slots=True)
 class _RecState:
-    __slots__ = ("d", "visited", "budget", "memo", "partial")
-
-    def __init__(self, d: int, budget: int, partial: Optional[dict] = None):
-        self.d = d
-        self.visited = 0
-        self.budget = budget
-        self.memo = _REC_CACHE.setdefault(d, {})
-        # states of this call whose subtree the budget cut off; never shared
-        self.partial = {} if partial is None else partial
+    d: int
+    budget: int
+    memo: dict
+    visited: int = 0
+    truncated: bool = False
 
 
-def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule, bool]:
-    """(value, winning rule, whether the whole subtree was explored) for
-    canonical blocks of total weight ``reach``, at distance ``st.d`` > 2."""
+def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule]:
+    """(value, winning rule) for canonical blocks of total weight ``reach``, at
+    distance ``st.d`` > 2; sets ``st.truncated`` where the budget cuts it off."""
     if not blocks or st.d > 2 * reach:
-        return 1, ("single",), True
+        return 1, ("single",)
     hit = st.memo.get(blocks)
     if hit is not None:
-        return hit[0], hit[1], True
-    hit = st.partial.get(blocks)
-    if hit is not None:
-        return hit[0], hit[1], False
+        return hit
     st.visited += 1
     best = _space_size(blocks)
     rule: _Rule = ("product",)
     if st.visited > st.budget:
-        return best, rule, False
-    complete = True
+        st.truncated = True
+        return best, rule
     if st.d % 2 == 0:
         v3 = _eq3_on_blocks(blocks, st.d // 2)[0]
         if v3 is not None and v3 < best:
@@ -150,13 +144,11 @@ def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule
         rest = blocks[:i] + blocks[i + 1 :]
         for child_block, step, divisor, dreach in _steps(block):
             child = rest if child_block is None else tuple(sorted((*rest, child_block)))
-            value, _, done = _rec_bound(child, reach + dreach, st)
-            complete = complete and done
-            v = block[1] * value // divisor
+            v = block[1] * _rec_bound(child, reach + dreach, st)[0] // divisor
             if v < best:
                 best, rule = v, step
-    (st.memo if complete else st.partial)[blocks] = (best, rule)
-    return best, rule, complete
+    st.memo[blocks] = (best, rule)
+    return best, rule
 
 
 def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> BoundResult:
@@ -164,32 +156,40 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
     floor-of-ratio bound, the trivial product bound and the base cases, on
     the canonical blocks, which the rules and the trace name.
 
-    ``state_budget`` caps the number of states explored per call; beyond it
-    the sound product fallback is used, and the certificate's ``truncated``
-    is True.  The memo table is shared across calls but holds only states
-    whose whole subtree was explored within budget, so every entry equals
-    what an unbudgeted call computes: an answer does not depend on call
-    order or on an earlier call's budget.
+    ``state_budget`` caps the number of states a call expands; beyond it the
+    sound product fallback is used, and the certificate's ``truncated`` is
+    True.  A complete answer is exact.  A truncated one equals the same call
+    on an empty memo: the call removes what it added to the shared memo and
+    answers again on a private table.  ``states`` counts the expansions of
+    the call that gave the answer, 0 on a memoized root.
     """
     params = params.canonical()
     d = params.distance
     # a block of canonical weight 0 has one forced pattern and is dropped
     blocks = tuple(b for b in zip(params.block_weights, params.block_lengths) if b[0])
-    st = _RecState(d, state_budget)
+    st = _RecState(d, state_budget, _REC_CACHE.setdefault(d, {}))
     if any(w > n for w, n in blocks):
-        value, rule, complete = 0, ("no-word",), True
+        value, rule = 0, ("no-word",)
     elif blocks and d <= 2:
         # distinct equal-weight words always differ in at least two coordinates
-        value, rule, complete = _space_size(blocks), ("space",), True
+        value, rule = _space_size(blocks), ("space",)
     else:
-        value, rule, complete = _rec_bound(blocks, params.total_weight, st)
+        known = len(st.memo)
+        try:
+            value, rule = _rec_bound(blocks, params.total_weight, st)
+        finally:  # an interrupted call must not leave cut-off entries either
+            while st.truncated and len(st.memo) > known:  # newest pops first
+                st.memo.popitem()
+        if st.truncated:
+            st = _RecState(d, state_budget, {})
+            value, rule = _rec_bound(blocks, params.total_weight, st)
     return BoundResult(
         "johnson-recursive",
         value,
         {
             "rule": rule,
             "states": st.visited,
-            "truncated": not complete,
+            "truncated": st.truncated,
             "trace": _rec_trace(blocks, rule, st),
         },
     )
@@ -197,8 +197,8 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
 
 def _rec_trace(blocks, rule: _Rule, st: _RecState, limit: int = 64) -> tuple[_Rule, ...]:
     """Path of winning rules from the root state down to a terminal rule,
-    read from the memo and from the call's partial states."""
-    lookup = _RecState(st.d, 0, st.partial)
+    read from the table that the answer came from."""
+    lookup = _RecState(st.d, 0, st.memo)
     trace = [rule]
     while rule[0] in ("eq1", "eq2") and len(trace) < limit:
         i = blocks.index(rule[1:])
@@ -206,7 +206,7 @@ def _rec_trace(blocks, rule: _Rule, st: _RecState, limit: int = 64) -> tuple[_Ru
         blocks = blocks[:i] + blocks[i + 1 :]
         if child_block is not None:
             blocks = tuple(sorted((*blocks, child_block)))
-        _, rule, _ = _rec_bound(blocks, sum(w for w, _ in blocks), lookup)
+        rule = _rec_bound(blocks, sum(w for w, _ in blocks), lookup)[1]
         trace.append(rule)
     return tuple(trace)
 

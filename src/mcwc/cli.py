@@ -328,11 +328,9 @@ def _table_achieved(n1: int, n2: int) -> tuple[Optional[int], str]:
 
 
 def cmd_table(args) -> int:
-    n1_values = (
-        _int_list(args.n1, "--n1")
-        if args.n1
-        else list(range(3, args.n1_max + 1, 2))
-    )
+    if not args.n1 and args.n1_max < 3:
+        raise McwcError(f"--n1-max must be at least 3, got {args.n1_max}")
+    n1_values = _int_list(args.n1, "--n1") if args.n1 else list(range(3, args.n1_max + 1, 2))
     rows = []
     ok = True
     for n1 in n1_values:

@@ -422,8 +422,10 @@ def parse_bibd(text: str) -> ResolvableBibd:
     v, k, lam, alpha = _ints(fields, head, "header fields must be integers")
     classes: list[list[tuple[int, ...]]] = []
     for lineno, tokens in body:
-        if tokens[0] == "class":
+        if tokens == ["class"]:
             classes.append([])
+        elif tokens[0] == "class":
+            raise FormatError("expected 'class'", lineno)
         elif tokens[0] == "block":
             if not classes:
                 raise FormatError("a 'class' line must precede the first block", lineno)

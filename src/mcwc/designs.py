@@ -621,7 +621,9 @@ def parse_square(text: str) -> SkewSquare:
         elif tag in ("hole-rows", "hole-points", "row-part", "point-part"):
             if tag in once:
                 raise FormatError(f"'{tag}' is repeated", lineno)
-            if tag.startswith("hole-"):
+            if kind is not (SquareKind.HSAS if tag.startswith("hole-") else SquareKind.SFS):
+                raise FormatError(f"'{tag}' is not used by a {kind.value} square", lineno)
+            if kind is SquareKind.HSAS:
                 once[tag] = _ints(tokens[1:], lineno, "expected integers")
             else:
                 groups = " ".join(tokens[1:]).split(";")

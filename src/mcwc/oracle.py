@@ -241,7 +241,3 @@ def _verified(params, words, complete, nodes, target, bounds) -> OracleResult:
     verify_mcwc(witness).require("oracle produced an invalid witness")
     return OracleResult(len(witness), witness, complete, nodes, target, bounds)
 
-
-def max_cwc(n: int, d: int, w: int, cfg: SearchConfig = SearchConfig()) -> OracleResult:
-    """Single-block convenience wrapper."""
-    return max_mcwc(CodeParameters.uniform(1, n, w, d), cfg)

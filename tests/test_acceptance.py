@@ -35,7 +35,7 @@ from mcwc.designs import (
     wfc_construct,
 )
 from mcwc.lp import lp_bound
-from mcwc.oracle import SearchConfig, max_cwc, max_mcwc
+from mcwc.oracle import SearchConfig, max_mcwc
 
 
 def _report(number, name, started, budget):
@@ -71,8 +71,8 @@ def test_criterion_3_oracle_agreement():
     assert max_mcwc(CodeParameters((3, 5), (2, 2), 6)).size == 2
     assert max_mcwc(CodeParameters((5, 5), (2, 2), 6)).size == 5
     assert max_mcwc(CodeParameters((5, 7), (2, 2), 6)).size == 6
-    assert max_cwc(5, 4, 2).size == 2
-    assert max_cwc(4, 2, 2).size == 6
+    assert max_mcwc(CodeParameters.uniform(1, 5, 2, 4)).size == 2
+    assert max_mcwc(CodeParameters.uniform(1, 4, 2, 2)).size == 6
     _report(3, "oracle agreement", started, 60.0)
 
 
@@ -194,8 +194,9 @@ def test_criterion_6_scheme_algebra():
             for u in range(1, min(w, n - w) + 1):
                 params = CodeParameters.uniform(1, n, w, 2 * u)
                 value = lp_bound(params).value
-                assert max_cwc(n, 2 * u, w).size <= value, (n, w, u)
-    assert lp_bound(CodeParameters.uniform(1, 5, 2, 4)).value == 2 == max_cwc(5, 4, 2).size
+                assert max_mcwc(params).size <= value, (n, w, u)
+    one_block = CodeParameters.uniform(1, 5, 2, 4)
+    assert lp_bound(one_block).value == 2 == max_mcwc(one_block).size
     _report(6, "scheme algebra and LP relaxation", started, 30.0)
 
 

@@ -162,6 +162,103 @@ def test_budgeted_calls_never_change_a_later_answer(params, budgets):
     assert johnson_recursive(params).value == exact
 
 
+def _answer(params, budget):
+    r = johnson_recursive(params, state_budget=budget)
+    c = r.certificate
+    return r.value, c["rule"], c["trace"], c["states"], c["truncated"]
+
+
+def _memo_snapshot():
+    return {d: dict(memo) for d, memo in bounds._REC_CACHE.items() if memo}
+
+
+@st.composite
+def histories(draw):
+    """Earlier calls on 2-3-block shapes with n <= 9, at budgets 0-40 or the
+    default (None); each is a fresh shape or, to share the final call's memo
+    states, a part of the final shape at its distance."""
+    final = draw(small_shapes())
+    blocks = list(zip(final.block_lengths, final.block_weights))
+    earlier = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            shape = draw(small_shapes())
+        else:
+            part = draw(st.lists(st.sampled_from(blocks), min_size=2, max_size=3))
+            part = [(n - 1, w - 1) if w and n > 1 and draw(st.booleans()) else (n, w)
+                    for n, w in part]
+            shape = CodeParameters(tuple(n for n, _ in part), tuple(w for _, w in part),
+                                   final.distance)
+        earlier.append((shape, draw(st.one_of(st.none(), st.integers(0, 40)))))
+    return earlier, final, draw(st.integers(0, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(histories())
+@example(([(uni(3, 9, 3, 6), None)], uni(4, 9, 3, 6), 50))
+def test_an_answer_is_exact_or_as_on_an_empty_memo(case):
+    earlier, params, budget = case
+    for shape, b in earlier:
+        johnson_recursive(shape, **({} if b is None else {"state_budget": b}))
+    before = _memo_snapshot()
+    got = _answer(params, budget)
+    value, _, _, _, truncated = got
+    if not truncated:
+        assert value == _johnson_reference(params)
+        return
+    assert _memo_snapshot() == before  # a cut-off call leaves the memo as it found it
+    bounds._REC_CACHE.clear()
+    assert got == _answer(params, budget)
+
+
+class TestBudgetedAnswers:
+    def test_roadmap_case_reads_as_on_an_empty_memo(self):
+        bounds._REC_CACHE.clear()
+        johnson_recursive(uni(3, 9, 3, 6))
+        r = johnson_recursive(uni(4, 9, 3, 6), state_budget=50)
+        c = r.certificate
+        assert (r.value, c["truncated"], c["states"]) == (1354752, True, 90)
+
+    def test_truncated_call_leaves_the_memo_as_it_found_it(self):
+        bounds._REC_CACHE.clear()
+        johnson_recursive(uni(3, 9, 3, 6))
+        johnson_recursive(CodeParameters((5, 7, 9, 11), (2, 2, 3, 3), 8), state_budget=5)
+        before = _memo_snapshot()
+        r = johnson_recursive(uni(4, 9, 3, 6), state_budget=50)
+        assert r.certificate["truncated"] is True
+        assert _memo_snapshot() == before
+        assert johnson_recursive(uni(4, 9, 3, 6)).value == 1016064
+
+    def test_interrupted_call_leaves_the_memo_as_it_found_it(self, monkeypatch):
+        class Interrupt(Exception):
+            pass
+
+        bounds._REC_CACHE.clear()
+        johnson_recursive(uni(3, 9, 3, 6))
+        before = _memo_snapshot()
+        calls = []
+        space_size = bounds._space_size
+
+        def interrupt_after_the_cut(blocks):  # called once per new state
+            calls.append(blocks)
+            if len(calls) > 60:
+                raise Interrupt
+            return space_size(blocks)
+
+        monkeypatch.setattr(bounds, "_space_size", interrupt_after_the_cut)
+        with pytest.raises(Interrupt):
+            johnson_recursive(uni(4, 9, 3, 6), state_budget=50)
+        monkeypatch.undo()
+        assert _memo_snapshot() == before
+        assert johnson_recursive(uni(4, 9, 3, 6)).value == 1016064
+
+    def test_memoized_root_costs_no_state(self):
+        johnson_recursive(uni(4, 9, 3, 6))
+        r = johnson_recursive(uni(4, 9, 3, 6), state_budget=0)
+        assert r.certificate["states"] == 0 and r.certificate["truncated"] is False
+        assert r.value == 1016064
+
+
 @st.composite
 def equivalent_shapes(draw):
     """A shape on 1-4 blocks with n <= 9 and any weight (0, n, above n/2 or

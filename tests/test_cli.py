@@ -482,6 +482,14 @@ class TestExitContract:
         paths = {"INNER": str(inner), "DECOMP": str(dec)}
         self.assert_error([paths.get(a, a) for a in argv], capsys)
 
+    @pytest.mark.parametrize("argv", [["--n1", "1"], ["--n1-max", "1"], ["--n1-max", "2"]],
+                             ids=["n1", "n1-max", "n1-max-even"])
+    def test_table_below_the_smallest_n1(self, argv, capsys):
+        rc = main(["table", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
     @pytest.mark.parametrize("op", ["bibd", "decomp"])
     def test_construct_closes_its_input(self, op, tmp_path, capsys):
         import warnings

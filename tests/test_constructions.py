@@ -188,6 +188,12 @@ class TestBibd:
         text = format_bibd(affine_plane_bibd(3))
         assert format_bibd(parse_bibd(text)) == text
 
+    def test_class_line_takes_no_tokens(self):
+        # the design verifies, so the extra tokens would pass unnoticed
+        text = format_bibd(affine_plane_bibd(3)).replace("class\n", "class extra tokens\n", 1)
+        with pytest.raises(FormatError, match="^line 2: expected 'class'$"):
+            parse_bibd(text)
+
     # designs that verify_bibd accepts but whose class count
     # lambda*(v-1)/(alpha*(k-1)) has a zero denominator
     @pytest.mark.parametrize(

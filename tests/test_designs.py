@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mcwc import corpus
@@ -471,9 +473,28 @@ class TestSquareFiles:
     ])
     def test_repeated_single_use_directive(self, line):
         # a second line would silently replace the first
-        text = f"square hsas 3 3\n{line}\ncell 0 1 0 1\n{line}\n"
         tag = line.split()[0]
+        kind = "hsas" if tag.startswith("hole-") else "sfs"
+        text = f"square {kind} 3 3\n{line}\ncell 0 1 0 1\n{line}\n"
         with pytest.raises(FormatError, match=f"^line 4: '{tag}' is repeated$"):
+            parse_square(text)
+
+    @pytest.mark.parametrize("kind,line", [
+        ("sas", "hole-rows 0 1"), ("sas", "row-part 0; 1"), ("sas*", "hole-points 0"),
+        ("sfs", "hole-rows 0"), ("sfs", "hole-points 0"),
+        ("hsas", "row-part 0; 1 2"), ("hsas", "point-part 0; 1 2"),
+    ])
+    def test_directive_of_another_kind(self, kind, line):
+        # the square would still verify, with the line silently ignored
+        tag = line.split()[0]
+        text = f"square {kind} 3 3\ncell 0 1 0 1\n{line}\n"
+        with pytest.raises(FormatError, match=f"^line 3: '{tag}' is not used by a "
+                                              f"{re.escape(kind)} square$"):
+            parse_square(text)
+
+    def test_sas_with_hole_and_part_lines_is_rejected(self):
+        text = format_square(_sas55()).replace("\n", "\nhole-rows 0 1\nrow-part 0; 1\n", 1)
+        with pytest.raises(FormatError, match="^line 2: 'hole-rows' is not used"):
             parse_square(text)
 
 

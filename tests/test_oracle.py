@@ -12,7 +12,7 @@ from mcwc.core import (
     verify_mcwc,
 )
 from mcwc.bounds import best_of, gv_lower_bound, johnson_recursive, upper_bounds
-from mcwc.oracle import SearchConfig, enumerate_words, max_cwc, max_mcwc
+from mcwc.oracle import SearchConfig, enumerate_words, max_mcwc
 
 
 class TestEnumeration:
@@ -90,16 +90,16 @@ class TestKnownValues:
         assert result.size == 6 and result.complete
 
     def test_a_5_4_2(self):
-        assert max_cwc(5, 4, 2).size == 2
+        assert max_mcwc(CodeParameters.uniform(1, 5, 2, 4)).size == 2
 
     def test_a_4_2_2(self):
-        assert max_cwc(4, 2, 2).size == 6
+        assert max_mcwc(CodeParameters.uniform(1, 4, 2, 2)).size == 6
 
     def test_a_6_4_3(self):
         # sandwiched by the LP relaxation
         from mcwc.lp import lp_bound
 
-        exact = max_cwc(6, 4, 3).size
+        exact = max_mcwc(CodeParameters.uniform(1, 6, 3, 4)).size
         assert exact == 4
         assert exact <= lp_bound(CodeParameters.uniform(1, 6, 3, 4)).value
 
@@ -107,7 +107,7 @@ class TestKnownValues:
         for n, w in [(5, 2), (6, 3)]:
             from math import comb
 
-            assert max_cwc(n, 2, w).size == comb(n, w)
+            assert max_mcwc(CodeParameters.uniform(1, n, w, 2)).size == comb(n, w)
 
     def test_infeasible_weight(self):
         result = max_mcwc(CodeParameters((3,), (4,), 2))

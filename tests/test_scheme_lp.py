@@ -16,7 +16,7 @@ from mcwc.lp import (
     lp_bound,
     solve_lp,
 )
-from mcwc.oracle import max_cwc
+from mcwc.oracle import max_mcwc
 
 
 class TestEberlein:
@@ -215,7 +215,7 @@ class TestLpBound:
                 for u in range(1, min(w, n - w) + 1):
                     p = CodeParameters.uniform(1, n, w, 2 * u)
                     value = lp_bound(p).value
-                    exact = max_cwc(n, 2 * u, w).size
+                    exact = max_mcwc(p).size
                     assert exact <= value <= comb(n, w), (n, w, u)
 
 
