@@ -119,6 +119,7 @@ class _RecState:
     budget: int
     memo: dict
     visited: int = 0
+    past_budget: int = 0  # states met after the budget was spent
     truncated: bool = False
 
 
@@ -130,12 +131,13 @@ def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule
     hit = st.memo.get(blocks)
     if hit is not None:
         return hit
-    st.visited += 1
     best = _space_size(blocks)
     rule: _Rule = ("product",)
-    if st.visited > st.budget:
+    if st.visited >= st.budget:
+        st.past_budget += 1
         st.truncated = True
         return best, rule
+    st.visited += 1
     if st.d % 2 == 0:
         v3 = _eq3_on_blocks(blocks, st.d // 2)[0]
         if v3 is not None and v3 < best:
@@ -161,7 +163,9 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
     True.  A complete answer is exact.  A truncated one equals the same call
     on an empty memo: the call removes what it added to the shared memo and
     answers again on a private table.  ``states`` counts the expansions of
-    the call that gave the answer, 0 on a memoized root.
+    the call that gave the answer, at most ``state_budget`` and 0 on a
+    memoized root; ``past_budget`` counts the states it met once the budget
+    was spent, each answered by the product fallback.
     """
     params = params.canonical()
     d = params.distance
@@ -189,6 +193,7 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
         {
             "rule": rule,
             "states": st.visited,
+            "past_budget": st.past_budget,
             "truncated": st.truncated,
             "trace": _rec_trace(blocks, rule, st),
         },

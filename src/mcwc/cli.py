@@ -301,7 +301,7 @@ def cmd_search(args) -> int:
     result = max_mcwc(params, cfg)
     status = "optimum" if result.complete else "lower-bound-only"
     print(f"{status} {result.size} (upper bound {result.upper_bound},"
-          f" {result.nodes} nodes)")
+          f" {result.nodes} nodes, {result.stop})")
     if args.emit_witness:
         save_code(result.witness, args.emit_witness)
         print(f"wrote {args.emit_witness}")

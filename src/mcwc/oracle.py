@@ -17,8 +17,17 @@ clique.  Every parameter set follows one path:
 
 With ``symmetry_reduction`` the search is restricted to cliques through
 vertex 0, which is valid because coordinate permutations inside blocks act
-transitively on the words.  The candidate order and its pruning bounds come
-from a greedy coloring.  The search is single-threaded and deterministic.
+transitively on the words.  The top level of the search then branches once
+per orbit under the stabilizer of word 0 (:func:`_orbit_masks`): after a
+branch on v returns, v's whole orbit leaves the candidates, since every
+clique through another member maps onto one through v.  The masks are
+computed only once the first top-level branch has returned without meeting
+the target.  The candidate order and its pruning bounds come from a greedy
+coloring that records only the vertices whose color can still beat the
+incumbent (BBMC's k_min, San Segundo et al. 2011): every candidate is still
+colored, so the bounds and the tree are those of the full coloring, and the
+vertices left out are those the bound would prune anyway.  The search is
+single-threaded and deterministic.
 The witness is made from the enumerated (support, bits) pairs of the chosen
 words and checked by :func:`verify_mcwc` on every path.
 """
@@ -27,8 +36,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb, prod
-from typing import Optional
+from typing import Callable, Optional
 
 from .bounds import BoundResult, best_of, upper_bounds
 from .core import (
@@ -56,12 +66,20 @@ class SearchConfig:
 class OracleResult:
     size: int
     witness: PartitionedCode
-    complete: bool  # False: budget ran out, size is a lower bound only
+    # why the answer stands: "trivial" (no search needed), "target-reached"
+    # (the incumbent met the upper bound), "exhausted" (the search finished)
+    # or "node-budget" (the budget ran out, size is a lower bound only)
+    stop: str
     nodes: int
     upper_bound: int
     # the upper_bounds table the search target came from; None for a trivial
     # answer, which needs no table
     bounds: Optional[dict[str, BoundResult]] = field(default=None, compare=False)
+
+    @property
+    def complete(self) -> bool:
+        """True when ``size`` is proven optimal."""
+        return self.stop != "node-budget"
 
 
 class _Budget(Exception):
@@ -73,27 +91,45 @@ class _TargetReached(Exception):
 
 
 class _CliqueSearch:
-    """Branch and bound on an adjacency list of int bitmasks."""
+    """Branch and bound on an adjacency list of int bitmasks.
 
-    def __init__(self, adj: list[int], cfg: SearchConfig, target: int):
+    ``make_orbits``, when given, is called at most once and returns, per
+    vertex, the bitmask of its orbit under a group of graph automorphisms
+    that maps the candidate set onto itself; the top level then drops a
+    whole orbit per branch.
+    """
+
+    def __init__(self, adj: list[int], cfg: SearchConfig, target: int,
+                 make_orbits: Optional[Callable[[], list[int]]] = None):
         self.adj = adj
         full = (1 << len(adj)) - 1
         # the candidates that stay available after coloring vertex v
         self.nonadj = [full ^ (row | 1 << v) for v, row in enumerate(adj)]
         self.node_budget = cfg.node_budget
         self.target = target
+        self.make_orbits = make_orbits
+        self.orbits: Optional[list[int]] = None
         self.nodes = 0
         self.best: list[int] = []
         self.stack: list[int] = []
 
-    def _color_order(self, p: int) -> list[tuple[int, int]]:
-        """Greedy coloring of the candidate set; returns (vertex, bound) pairs
-        in increasing bound order, where bound = color index + 1."""
+    def _color_order(self, p: int, kmin: int) -> list[tuple[int, int]]:
+        """Greedy coloring of the candidate set; returns the (vertex, color)
+        pairs with color > ``kmin`` in increasing color order.  A color bounds
+        the clique among the candidates up to its pair, so the vertices of
+        colors <= ``kmin`` cannot beat the incumbent and are not recorded."""
         nonadj = self.nonadj
-        order: list[tuple[int, int]] = []
-        append = order.append
         color = 0
         rest = p
+        while rest and color < kmin:
+            color += 1
+            avail = rest
+            while avail:
+                v = avail.bit_length() - 1
+                avail &= nonadj[v]
+                rest ^= 1 << v
+        order: list[tuple[int, int]] = []
+        append = order.append
         while rest:
             color += 1
             avail = rest
@@ -104,7 +140,7 @@ class _CliqueSearch:
                 append((v, color))
         return order
 
-    def _expand(self, p: int):
+    def _expand(self, p: int, top: bool = False):
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _Budget
@@ -117,25 +153,35 @@ class _CliqueSearch:
         adj = self.adj
         stack = self.stack
         depth = len(stack)
-        for v, bound in reversed(self._color_order(p)):
+        for v, bound in reversed(self._color_order(p, len(self.best) - depth)):
             if depth + bound <= len(self.best):
                 return
+            if top and not p >> v & 1:
+                continue  # dropped with the orbit of an earlier branch
             stack.append(v)
             self._expand(p & adj[v])
             stack.pop()
-            p ^= 1 << v
+            if top:
+                # every clique through another member of v's orbit maps onto
+                # one through v inside the same orbit-closed candidate set
+                if self.orbits is None:
+                    self.orbits = self.make_orbits()
+                p &= ~self.orbits[v]
+            else:
+                p ^= 1 << v
 
-    def run(self, p: int, seed: list[int]) -> tuple[list[int], bool]:
+    def run(self, p: int, seed: list[int]) -> tuple[list[int], str]:
+        """(best clique, stop reason) over the candidates ``p``."""
         self.best = list(seed)
-        complete = True
+        if len(self.best) >= self.target:
+            return self.best, "target-reached"
         try:
-            if len(self.best) < self.target:
-                self._expand(p)
+            self._expand(p, top=self.make_orbits is not None)
         except _TargetReached:
-            pass  # incumbent met a proven upper bound
+            return self.best, "target-reached"  # incumbent met a proven upper bound
         except _Budget:
-            complete = False
-        return self.best, complete
+            return self.best, "node-budget"
+        return self.best, "exhausted"
 
 
 _SEED_STARTS = 32
@@ -204,12 +250,31 @@ def _compatibility_graph(params: CodeParameters, words: list) -> list[int]:
     return adj
 
 
+def _orbit_masks(params: CodeParameters, words: list) -> list[int]:
+    """Per (support, bits) word, the bitmask of its orbit under the coordinate
+    permutations that fix word 0: permutations inside each block that keep
+    word 0's support there, and swaps of blocks of equal shape.  A word's
+    orbit key is the sorted tuple of (block shape, overlap with word 0 in the
+    block)."""
+    zero = words[0][1]
+    parts = [(n, w, zero & ((1 << end) - (1 << start))) for (start, end), n, w
+             in zip(params.block_spans(), params.block_lengths, params.block_weights)]
+    keys = [tuple(sorted((n, w, (bits & z).bit_count()) for n, w, z in parts))
+            for _, bits in words]
+    orbit: dict[tuple, int] = {}
+    for i, key in enumerate(keys):
+        orbit[key] = orbit.get(key, 0) | 1 << i
+    return [orbit[key] for key in keys]
+
+
 def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> OracleResult:
     """Exact largest code size for the parameters, with a verified witness.
 
     The search stops once it meets the best of the :func:`upper_bounds` table
-    of ``params``, which the result keeps.  Raises :class:`SizeError` when the vertex count exceeds ``cfg.vertex_cap``.
-    When a budget runs out the incumbent is returned with ``complete=False``.
+    of ``params``, which the result keeps.  Raises :class:`SizeError` when the
+    vertex count exceeds ``cfg.vertex_cap``.  When a budget runs out the
+    incumbent is returned with ``complete=False``; ``stop`` says why the
+    search ended.
     """
     count = prod(map(comb, params.block_lengths, params.block_weights))
     if count > cfg.vertex_cap:
@@ -222,22 +287,25 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
         # distinct words with equal block weights differ in >= 2 places, so
         # every word fits
         size = 0 if count == 0 else 1 if d > reach else count
-        return _verified(params, words[:size], True, 0, size, None)
+        return _verified(params, words[:size], "trivial", 0, size, None)
     adj = _compatibility_graph(params, words)
     bounds = upper_bounds(params)
     target = best_of(bounds).value
     # every word is equivalent to vertex 0 under within-block coordinate
-    # permutations, so some maximum clique contains vertex 0
-    root = [0] if cfg.symmetry_reduction else []
-    candidates = adj[0] if root else (1 << len(words)) - 1
-    search = _CliqueSearch(adj, cfg, target - len(root))
-    best, complete = search.run(candidates, _greedy_seed(adj, candidates))
+    # permutations, so some maximum clique contains vertex 0; the stabilizer
+    # of vertex 0 then leaves its neighbourhood, the candidates, unchanged
+    if cfg.symmetry_reduction:
+        root, candidates = [0], adj[0]
+        orbits = partial(_orbit_masks, params, words)
+    else:
+        root, candidates, orbits = [], (1 << len(words)) - 1, None
+    search = _CliqueSearch(adj, cfg, target - len(root), orbits)
+    best, stop = search.run(candidates, _greedy_seed(adj, candidates))
     chosen = [words[i] for i in root + sorted(best)]
-    return _verified(params, chosen, complete, search.nodes, target, bounds)
+    return _verified(params, chosen, stop, search.nodes, target, bounds)
 
 
-def _verified(params, words, complete, nodes, target, bounds) -> OracleResult:
+def _verified(params, words, stop, nodes, target, bounds) -> OracleResult:
     witness = PartitionedCode(params, tuple(PartitionedWord(params, *w) for w in words))
     verify_mcwc(witness).require("oracle produced an invalid witness")
-    return OracleResult(len(witness), witness, complete, nodes, target, bounds)
-
+    return OracleResult(len(witness), witness, stop, nodes, target, bounds)

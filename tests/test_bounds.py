@@ -165,7 +165,7 @@ def test_budgeted_calls_never_change_a_later_answer(params, budgets):
 def _answer(params, budget):
     r = johnson_recursive(params, state_budget=budget)
     c = r.certificate
-    return r.value, c["rule"], c["trace"], c["states"], c["truncated"]
+    return r.value, c["rule"], c["trace"], c["states"], c["past_budget"], c["truncated"]
 
 
 def _memo_snapshot():
@@ -202,7 +202,8 @@ def test_an_answer_is_exact_or_as_on_an_empty_memo(case):
         johnson_recursive(shape, **({} if b is None else {"state_budget": b}))
     before = _memo_snapshot()
     got = _answer(params, budget)
-    value, _, _, _, truncated = got
+    value, _, _, states, past_budget, truncated = got
+    assert states <= budget and truncated == (past_budget > 0)
     if not truncated:
         assert value == _johnson_reference(params)
         return
@@ -217,7 +218,7 @@ class TestBudgetedAnswers:
         johnson_recursive(uni(3, 9, 3, 6))
         r = johnson_recursive(uni(4, 9, 3, 6), state_budget=50)
         c = r.certificate
-        assert (r.value, c["truncated"], c["states"]) == (1354752, True, 90)
+        assert (r.value, c["truncated"], c["states"], c["past_budget"]) == (1354752, True, 50, 40)
 
     def test_truncated_call_leaves_the_memo_as_it_found_it(self):
         bounds._REC_CACHE.clear()

@@ -327,6 +327,14 @@ class TestSearch:
         rc, out = run(["search", "--lengths", "5,7", "--weights", "2,2", "--d", "6"], capsys)
         assert rc == 0 and out.startswith("optimum 6")
 
+    def test_search_reports_why_it_stopped(self, capsys):
+        rc, out = run(["search", "--m", "3", "--n", "4", "--w", "2", "--d", "6"], capsys)
+        assert rc == 0 and out == "optimum 12 (upper bound 15, 1937 nodes, exhausted)\n"
+        rc, out = run(["search", "--m", "2", "--n", "5", "--w", "3", "--d", "4"], capsys)
+        assert rc == 0 and out.startswith("optimum 20 (") and out.endswith(", target-reached)\n")
+        rc, out = run(["search", "--m", "1", "--n", "5", "--w", "2", "--d", "2"], capsys)
+        assert rc == 0 and out == "optimum 10 (upper bound 10, 0 nodes, trivial)\n"
+
     def test_emit_witness(self, tmp_path, capsys):
         path = tmp_path / "witness.mcwc"
         rc, out = run(
@@ -440,7 +448,7 @@ class TestExitContract:
     def test_budget_variable_is_honored(self, monkeypatch, capsys):
         monkeypatch.setenv("MCWC_NODE_BUDGET", "10")
         rc, out = run(["search", "--m", "1", "--n", "10", "--w", "4", "--d", "4"], capsys)
-        assert rc == 0 and out.startswith("lower-bound-only") and "11 nodes" in out
+        assert rc == 0 and out.startswith("lower-bound-only") and "11 nodes, node-budget)" in out
 
     @pytest.mark.parametrize(
         "op", ["square-to-code", "code-to-square", "bibd", "decomp", "concat", "fill-hole"]

@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -129,14 +130,17 @@ class TestKnownValues:
         assert twin.size == uniform.size and twin.complete
 
 
-def plain_order(p: int) -> list[tuple[int, int]]:
+def plain_order(p: int, kmin: int) -> list[tuple[int, int]]:
     """Reference candidate order: one color per vertex, from the highest vertex
-    down.  Expanded lowest first, each vertex is bounded by the number of
-    candidates still left."""
+    down, keeping the colors above ``kmin``.  Expanded lowest first, each
+    vertex is bounded by the number of candidates still left."""
     order: list[tuple[int, int]] = []
+    color = 0
     while p:
         v = p.bit_length() - 1
-        order.append((v, len(order) + 1))
+        color += 1
+        if color > kmin:
+            order.append((v, color))
         p &= ~(1 << v)
     return order
 
@@ -203,6 +207,98 @@ class TestSearchBehavior:
                 plain = max_mcwc(params)
             assert plain.size == fast.size
 
+    @pytest.mark.parametrize("params, budget, stop", [
+        (CodeParameters((3,), (4,), 2), 100, "trivial"),
+        (CodeParameters.uniform(1, 5, 2, 2), 100, "trivial"),
+        (CodeParameters.uniform(2, 5, 3, 4), 20_000, "target-reached"),
+        (CodeParameters((5, 7), (2, 2), 6), 20_000, "exhausted"),
+        (CodeParameters.uniform(3, 4, 2, 6), 20_000, "exhausted"),
+        (CodeParameters.uniform(8, 2, 1, 6), 2_000, "node-budget"),
+    ])
+    def test_stop_reason(self, params, budget, stop):
+        result = max_mcwc(params, SearchConfig(node_budget=budget))
+        assert result.stop == stop
+        assert result.complete == (stop != "node-budget")
+
+
+@st.composite
+def orbit_shapes(draw, max_words=60):
+    """1-3 blocks of length <= 6 and any weight, each new or a repeat of an
+    earlier block (so blocks of equal shape occur), with at most
+    ``max_words`` words."""
+    blocks, count = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        fits = [(n, w) for n in range(1, 7) for w in range(n + 1)
+                if count * comb(n, w) <= max_words]
+        repeats = [b for b in blocks if b in fits]
+        n, w = draw(st.sampled_from(repeats if repeats and draw(st.booleans()) else fits))
+        blocks.append((n, w))
+        count *= comb(n, w)
+    return CodeParameters(tuple(n for n, _ in blocks), tuple(w for _, w in blocks), 0)
+
+
+def orbit_permutation(params, a, b):
+    """A coordinate permutation, as a dict, that fixes the support of word 0
+    and maps support ``a`` onto ``b``; raises when their (block shape,
+    overlap with word 0) profiles differ.  Blocks of equal profile are paired
+    in order; inside a pair, a's points on word 0, a's other points, word 0's
+    other points and the rest go to b's counterparts in order."""
+    zero = set(enumerate_words(params)[0][0])
+    spans = params.block_spans()
+
+    def parts(s, j):
+        block = range(*spans[j])
+        return ([i for i in block if i in s and i in zero],
+                [i for i in block if i in s and i not in zero],
+                [i for i in block if i not in s and i in zero],
+                [i for i in block if i not in s and i not in zero])
+
+    def profile(s, j):
+        return params.block_lengths[j], params.block_weights[j], len(parts(s, j)[0])
+
+    targets: dict = {}
+    for j in range(len(spans)):
+        targets.setdefault(profile(b, j), []).append(j)
+    perm = {}
+    for j in range(len(spans)):
+        k = targets[profile(a, j)].pop(0)
+        for src, dst in zip(parts(a, j), parts(b, k)):
+            assert len(src) == len(dst)
+            perm.update(zip(src, dst))
+    return perm
+
+
+class TestOrbitRejection:
+    @settings(max_examples=60, deadline=None)
+    @given(orbit_shapes(), st.data())
+    def test_words_of_one_orbit_are_mapped_onto_each_other(self, shape, data):
+        words = enumerate_words(shape)
+        supports = [s for s, _ in words]
+        index = {s: i for i, s in enumerate(supports)}
+        masks = oracle._orbit_masks(shape, words)
+        for _ in range(3):
+            i = data.draw(st.integers(0, len(words) - 1))
+            j = data.draw(st.sampled_from([j for j in range(len(words)) if masks[i] >> j & 1]))
+            assert masks[j] == masks[i]
+            perm = orbit_permutation(shape, supports[i], supports[j])
+            assert sorted(perm) == sorted(perm.values()) == list(range(shape.total_length))
+            image = [index[tuple(sorted(perm[c] for c in s))] for s in supports]
+            assert image[0] == 0 and image[i] == j
+            for x, y in itertools.combinations(range(len(words)), 2):
+                dist = len(set(supports[x]) ^ set(supports[y]))
+                assert len(set(supports[image[x]]) ^ set(supports[image[y]])) == dist
+
+    @settings(max_examples=40, deadline=None)
+    @given(orbit_shapes(), st.data())
+    def test_symmetry_reduction_keeps_the_size(self, shape, data):
+        reach = 2 * shape.canonical().total_weight
+        d = data.draw(st.integers(3, max(3, reach)))
+        params = CodeParameters(shape.block_lengths, shape.block_weights, d)
+        reduced, full = (max_mcwc(params, SearchConfig(node_budget=20_000, symmetry_reduction=s))
+                         for s in (True, False))
+        if reduced.complete and full.complete:
+            assert reduced.size == full.size
+
 
 class TestBoundTable:
     def test_table_is_computed_and_kept(self):
@@ -227,7 +323,10 @@ def test_invalid_witness_raises_construction_error(monkeypatch):
 
 # (params, node budget, {(symmetry_reduction, greedy coloring): (size, complete,
 # nodes, upper_bound, indices of the witness words in enumerate_words order)}),
-# recorded before the search was folded into one path
+# recorded before the search was folded into one path; the (True, True) node
+# counts of (5, 7; 2, 2; 6) and uniform(3, 4, 2, 6) and the (True, False) entry
+# of (5, 7; 2, 2; 6) were re-recorded when the top level began to branch once
+# per orbit (sizes and witnesses unchanged)
 U = CodeParameters.uniform
 PINNED = [
     (CodeParameters((3,), (4,), 2), 10_000_000, {
@@ -279,13 +378,13 @@ PINNED = [
         (False, False): (19, False, 20001, 20, [0, 5, 11, 14, 22, 23, 32, 36, 41, 47, 50, 58, 63, 67, 74, 78, 85, 86, 99]),
     }),
     (CodeParameters((5, 7), (2, 2), 6), 20_000, {
-        (True, True): (6, True, 5591, 7, [0, 32, 60, 103, 139, 191]),
-        (True, False): (6, False, 20001, 7, [0, 32, 60, 103, 139, 191]),
+        (True, True): (6, True, 266, 7, [0, 32, 60, 103, 139, 191]),
+        (True, False): (6, True, 3277, 7, [0, 32, 60, 103, 139, 191]),
         (False, True): (6, False, 20001, 7, [0, 32, 60, 103, 139, 191]),
         (False, False): (6, False, 20001, 7, [0, 32, 60, 103, 139, 191]),
     }),
     (U(3, 4, 2, 6), 20_000, {
-        (True, True): (12, True, 17797, 15, [0, 29, 43, 52, 92, 105, 129, 140, 154, 157, 185, 204]),
+        (True, True): (12, True, 1937, 15, [0, 29, 43, 52, 92, 105, 129, 140, 154, 157, 185, 204]),
         (True, False): (12, False, 20001, 15, [0, 29, 43, 52, 92, 105, 129, 140, 154, 157, 185, 204]),
         (False, True): (12, False, 20001, 15, [0, 29, 43, 52, 92, 105, 129, 140, 154, 157, 185, 204]),
         (False, False): (12, False, 20001, 15, [0, 29, 43, 52, 92, 105, 129, 140, 154, 157, 185, 204]),
