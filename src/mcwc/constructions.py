@@ -18,6 +18,7 @@ from .core import (
     DomainError,
     FormatError,
     PartitionedCode,
+    PartitionedWord,
     ShapeError,
     SizeError,
     VerificationReport,
@@ -143,16 +144,15 @@ def _point_str(p: Point) -> str:
     return f"a{p[1]}"
 
 
+_POINT = re.compile(r"inf|a(\d+)|(\d+)_(\d+)")
+
+
 def _parse_point(token: str, lineno=None) -> Point:
-    if token == "inf":
-        return ("inf",)
-    m = re.fullmatch(r"a(\d+)", token)
-    if m:
-        return ("a", int(m.group(1)))
-    m = re.fullmatch(r"(\d+)_(\d+)", token)
-    if m:
-        return ("g", int(m.group(1)), int(m.group(2)))
-    raise FormatError(f"cannot parse point token {token!r}", lineno)
+    m = _POINT.fullmatch(token)
+    if m is None:
+        raise FormatError(f"cannot parse point token {token!r}", lineno)
+    a, e, c = m.groups()
+    return ("g", int(e), int(c)) if e else ("a", int(a)) if a else ("inf",)
 
 
 def _layout(table: BaseCodewordTable) -> dict[Point, int]:
@@ -170,10 +170,15 @@ def _layout(table: BaseCodewordTable) -> dict[Point, int]:
     return coord
 
 
-def _translate(p: Point, t: int, g: int) -> Point:
-    if p[0] == "g":
-        return ("g", (p[1] + t) % g, p[2])
-    return p
+def _path(p: Point, coord: dict[Point, int], rings: dict[int, list[int]], g: int) -> list[int]:
+    """The coordinates of p's translates t = 0, 1, ..., up to the first off the layout."""
+    if p[0] != "g":
+        return [coord[p]] * g
+    if p[2] in rings:
+        return rings[p[2]][p[1] % g:p[1] % g + g]
+    # a fixed point e_c of no listed class c moves like a group point
+    path = [coord.get(("g", (p[1] + t) % g, p[2])) for t in range(g)]
+    return path[:path.index(None)] if None in path else path
 
 
 def develop(table: BaseCodewordTable) -> PartitionedCode:
@@ -189,7 +194,11 @@ def develop(table: BaseCodewordTable) -> PartitionedCode:
     coord = _layout(table)
     n1, n2 = table.side_lengths
     params = CodeParameters((n1, n2), (2, 2), 6)
-    supports: list[tuple[int, ...]] = []
+    # each class's coordinates twice over: a point's translates are a slice
+    rings = {c: [*range(coord[("g", 0, c)], coord[("g", 0, c)] + g)] * 2
+             for side in table.classes for c in side}
+    words: list[PartitionedWord] = []
+    repeated = None  # the first base support that repeats a point
     for k, word in enumerate(table.words):
         if len(word.points) != 4:
             raise ConstructionError(f"base word {k} {word} does not have four points")
@@ -205,27 +214,27 @@ def develop(table: BaseCodewordTable) -> PartitionedCode:
                 f"base word {k} {word} has {in1} points on the first side, expected 2"
             )
         declared = word.orbit if word.orbit is not None else g
-        orbit_supports = []
-        seen = set()
-        for t in range(g):
-            translated = tuple(_translate(p, t, g) for p in word.points)
-            try:
-                supp = tuple(sorted(coord[p] for p in translated))
-            except KeyError as exc:
-                raise ConstructionError(
-                    f"base word {k} {word} leaves the declared layout at {exc}"
-                ) from None
-            if supp in seen:
-                break
-            seen.add(supp)
-            orbit_supports.append(supp)
-        if len(orbit_supports) != declared:
+        paths = [_path(p, coord, rings, g) for p in word.points]
+        # a translate off the layout comes before any repeat of the word
+        t = min(map(len, paths))
+        if t < g:
+            p = next(p for p, path in zip(word.points, paths) if len(path) == t)
+            raise ConstructionError(f"base word {k} {word} leaves the declared layout at"
+                                    f" {('g', (p[1] + t) % g, p[2])}")
+        supports = [tuple(sorted(at)) for at in zip(*paths)]
+        # a cyclic action first repeats the word itself
+        length = (supports + supports[:1]).index(supports[0], 1)
+        if length != declared:
             raise ConstructionError(
-                f"base word {k} {word} has orbit length {len(orbit_supports)},"
-                f" declared {declared}"
+                f"base word {k} {word} has orbit length {length}, declared {declared}"
             )
-        supports.extend(orbit_supports)
-    code = PartitionedCode.from_supports(params, supports)
+        if repeated is None and len(set(supports[0])) < 4:
+            repeated = list(supports[0])
+        words += [PartitionedWord(params, s, (1 << s[0]) | (1 << s[1]) | (1 << s[2]) | (1 << s[3]))
+                  for s in supports[:length]]
+    if repeated is not None:
+        raise DomainError(f"duplicate support index in {repeated}")
+    code = PartitionedCode(params, tuple(words))
     verify_mcwc(code).require("developed code fails verification")
     return code
 

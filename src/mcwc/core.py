@@ -197,16 +197,6 @@ class PartitionedWord:
             raise DomainError(f"duplicate support index in {idx}")
         return cls(params, tuple(idx), bits)
 
-    def block_weight(self, i: int) -> int:
-        return (self.bits & _block_masks(self.params.block_lengths)[i]).bit_count()
-
-    def has_exact_block_weights(self) -> bool:
-        masks = _block_masks(self.params.block_lengths)
-        return all(
-            (self.bits & masks[i]).bit_count() == w
-            for i, w in enumerate(self.params.block_weights)
-        )
-
     def __str__(self) -> str:
         return "<" + ", ".join(map(str, self.support)) + ">"
 
@@ -352,11 +342,12 @@ def verify_mcwc(code: PartitionedCode) -> VerificationReport:
     A valid report carries the code's :func:`min_distance`.
     """
     params = code.params
+    blocks = list(enumerate(zip(_block_masks(params.block_lengths), params.block_weights)))
     for k, word in enumerate(code.words):
-        if word.params != params:
+        if word.params is not params and word.params != params:
             return VerificationReport(False, f"word {k} has mismatched parameters")
-        for i, w in enumerate(params.block_weights):
-            got = word.block_weight(i)
+        for i, (mask, w) in blocks:
+            got = (word.bits & mask).bit_count()
             if got != w:
                 return VerificationReport(
                     False, f"word {k} {word} has weight {got} in block {i}, expected {w}"

@@ -1,13 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcwc import corpus
+from mcwc import constructions, corpus
 from mcwc.core import (
     CodeParameters,
     ConstructionError,
     DomainError,
     FormatError,
+    McwcError,
     PartitionedCode,
     ShapeError,
     SizeError,
@@ -151,6 +153,153 @@ class TestDevelop:
         table = BaseCodewordTable(3, classes, fixed, (word,))
         with pytest.raises(ConstructionError, match=f"^the layout lists {repeated} twice$"):
             develop(table)
+
+
+# each table has layout ((0,), (1,)) and the fixed point inf on side 1
+REPEATED_POINT_TABLES = [
+    (3, "w inf inf 0_1 1_1\n",
+     DomainError, "duplicate support index in [3, 3, 4, 5]"),
+    # the orbit check of a later word comes before the repeated point
+    (3, "w inf inf 0_1 1_1\nw 0_0 inf 0_1 1_1 orbit=1\n",
+     ConstructionError, "base word 1 <0_0, inf, 0_1, 1_1> has orbit length 3, declared 1"),
+    # the repeated point shortens the orbit, so the orbit check fires first
+    (2, "w inf inf 0_1 1_1\n",
+     ConstructionError, "base word 0 <inf, inf, 0_1, 1_1> has orbit length 1, declared 2"),
+]
+
+
+@pytest.mark.parametrize("g,words,error,message", REPEATED_POINT_TABLES)
+def test_repeated_point_error_order(g, words, error, message):
+    table = parse_base_table(f"develop {g} 2\nlayout 1 classes=0 fixed=inf\nlayout 2 classes=1\n"
+                             + words)
+    with pytest.raises(error) as exc:
+        develop(table)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_fixed_point_written_like_a_group_point_moves_like_one():
+    # 0_5 is a fixed point (no class 5): its translate 1_5 is off the layout
+    table = parse_base_table("develop 3 2\nlayout 1 classes=0 fixed=0_5\nlayout 2 classes=1\n"
+                             "w 0_0 0_5 0_1 1_1\n")
+    with pytest.raises(ConstructionError, match=r"^base word 0 <0_0, 0_5, 0_1, 1_1> leaves the"
+                                                r" declared layout at \('g', 1, 5\)$"):
+        develop(table)
+
+
+@pytest.mark.parametrize("token", ["b7", "a", "1_", "_1", "1_2_3", "a1_2", "a-1"])
+def test_malformed_point_token_cites_its_line(token):
+    head = "develop 3 2\nlayout 1 classes=0 fixed=inf\nlayout 2 classes=1\n"
+    for text, line in [(head.replace("fixed=inf", f"fixed=inf,{token}"), 2),
+                       (head + f"w inf 0_0 {token} 1_1\n", 4)]:
+        with pytest.raises(FormatError) as exc:
+            parse_base_table(text)
+        assert str(exc.value) == f"line {line}: cannot parse point token {token!r}"
+        assert exc.value.line == line
+
+
+def reference_develop(table):
+    """Cyclic development as first written: translate every point, look each
+    translate up in the layout, sort, stop at the first support seen before,
+    and build the code through ``PartitionedCode.from_supports``."""
+    g = table.group_order
+    if g < 1:
+        raise DomainError("group order must be positive")
+    coord = constructions._layout(table)
+    n1, n2 = table.side_lengths
+    params = CodeParameters((n1, n2), (2, 2), 6)
+    supports = []
+    for k, word in enumerate(table.words):
+        if len(word.points) != 4:
+            raise ConstructionError(f"base word {k} {word} does not have four points")
+        for p in word.points:
+            if p not in coord:
+                raise ConstructionError(
+                    f"base word {k} {word} uses {constructions._point_str(p)},"
+                    " outside the declared layout"
+                )
+        in1 = sum(1 for p in word.points if coord[p] < n1)
+        if in1 != 2:
+            raise ConstructionError(
+                f"base word {k} {word} has {in1} points on the first side, expected 2"
+            )
+        declared = word.orbit if word.orbit is not None else g
+        orbit, seen = [], set()
+        for t in range(g):
+            translated = [("g", (p[1] + t) % g, p[2]) if p[0] == "g" else p for p in word.points]
+            try:
+                supp = tuple(sorted(coord[p] for p in translated))
+            except KeyError as exc:
+                raise ConstructionError(
+                    f"base word {k} {word} leaves the declared layout at {exc}"
+                ) from None
+            if supp in seen:
+                break
+            seen.add(supp)
+            orbit.append(supp)
+        if len(orbit) != declared:
+            raise ConstructionError(
+                f"base word {k} {word} has orbit length {len(orbit)}, declared {declared}"
+            )
+        supports.extend(orbit)
+    code = PartitionedCode.from_supports(params, supports)
+    verify_mcwc(code).require("developed code fails verification")
+    return code
+
+
+def outcome(build, table):
+    """The words (support, bits) in order, or the error class and message."""
+    try:
+        code = build(table)
+    except McwcError as exc:
+        return type(exc), str(exc)
+    return code.params, [(w.params, w.support, w.bits) for w in code.words]
+
+
+@pytest.mark.parametrize("n1,n2", list(corpus.develop_pairs()))
+def test_shipped_tables_match_the_reference_developer(n1, n2):
+    table = corpus.develop_table(n1, n2)
+    got = outcome(develop, table)
+    assert got == outcome(reference_develop, table)
+    assert isinstance(got[1], list)
+
+
+@st.composite
+def small_tables(draw):
+    """Tables with g <= 7, 1-3 classes per side and 0-2 fixed points (some
+    written like group points e_c), whose words draw from the layout, from
+    points outside it and from repeated points, with declared orbits that may
+    be short, full or wrong."""
+    g = draw(st.integers(1, 7))
+    labels = draw(st.lists(st.integers(0, 6), min_size=2, max_size=6, unique=True))
+    cut = draw(st.integers(1, min(3, len(labels) - 1)))
+    classes = (tuple(labels[:cut]), tuple(labels[cut:cut + 3]))
+    token = st.one_of(st.just("inf"), st.builds("a{}".format, st.integers(0, 2)),
+                      st.builds("{}_{}".format, st.integers(0, 8), st.integers(0, 7)))
+    fixed = draw(st.lists(token, max_size=2, unique=True))
+    split = draw(st.integers(0, len(fixed)))
+    fixed = (tuple(fixed[:split]), tuple(fixed[split:]))
+    sides = [[("g", e, c) for c in classes[side] for e in range(g)]
+             + [constructions._parse_point(t) for t in fixed[side]] for side in range(2)]
+    outside = st.builds(lambda e, c: ("g", e, c), st.integers(0, g + 1), st.integers(0, 7))
+    words = []
+    for _ in range(draw(st.integers(1, 3))):
+        points = [draw(st.sampled_from(side)) for side in sides for _ in range(2)]
+        fault = draw(st.integers(0, 11))
+        if fault < 2:
+            points[draw(st.integers(0, 3))] = draw(outside)
+        elif fault < 4:
+            points[1] = points[0]
+        elif fault == 4:
+            points = draw(st.sampled_from([points[:3], points + points[-1:]]))
+        orbit = draw(st.one_of(st.none(), st.none(), st.integers(1, g)))
+        words.append(BaseWord(tuple(draw(st.permutations(points))), orbit))
+    return BaseCodewordTable(g, classes, fixed, tuple(words))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_tables())
+def test_develop_matches_the_reference_developer(table):
+    assert outcome(develop, table) == outcome(reference_develop, table)
 
 
 class TestBibd:

@@ -298,6 +298,11 @@ def test_metric_properties(pw):
     assert hamming_distance(u, x) <= hamming_distance(u, v) + hamming_distance(v, x)
 
 
+def block_weights(word, params):
+    """The number of support points in each block's span of ``params``."""
+    return tuple(sum(a <= x < b for x in word.support) for a, b in params.block_spans())
+
+
 @settings(max_examples=150, deadline=None)
 @given(params_and_words())
 def test_verify_agrees_with_min_distance(pw):
@@ -305,7 +310,7 @@ def test_verify_agrees_with_min_distance(pw):
     unique = {w.support: w for w in words}
     code = PartitionedCode(params, tuple(unique.values()))
     report = verify_mcwc(code)
-    weights_ok = all(w.has_exact_block_weights() for w in code.words)
+    weights_ok = all(block_weights(w, params) == params.block_weights for w in code.words)
     d = min_distance(code)
     distance_ok = d is None or d >= params.distance
     assert report.valid == (weights_ok and distance_ok)
@@ -362,3 +367,72 @@ def candidate_codes(draw):
 @given(candidate_codes())
 def test_verify_matches_the_pairwise_scan(code):
     assert verify_mcwc(code) == all_pairs_report(code)
+
+
+def reference_report(code):
+    """verify_mcwc's verdict from the definition: the first word in row order
+    with other parameters or a wrong block weight (blocks in order), then the
+    first word identical to an earlier one, then the first pair in row-major
+    order closer than d; else valid, with the least distance."""
+    params, words = code.params, code.words
+    for k, w in enumerate(words):
+        if w.params != params:
+            return VerificationReport(False, f"word {k} has mismatched parameters")
+        for i, (got, want) in enumerate(zip(block_weights(w, params), params.block_weights)):
+            if got != want:
+                return VerificationReport(
+                    False, f"word {k} {w} has weight {got} in block {i}, expected {want}"
+                )
+    for k in range(len(words)):
+        for j in range(k):
+            if words[j].support == words[k].support:
+                return VerificationReport(False, f"words {j} and {k} are identical")
+    d = params.distance
+    pairs = [(len(set(words[i].support) ^ set(words[j].support)), i, j)
+             for i, j in combinations(range(len(words)), 2)]
+    for dist, i, j in pairs:
+        if dist < d:
+            return VerificationReport(
+                False, f"words {i} {words[i]} and {j} {words[j]} are at distance {dist} < {d}"
+            )
+    return VerificationReport(True, min_distance=min(pairs)[0] if pairs else None)
+
+
+@st.composite
+def invalid_candidates(draw):
+    """A candidate code with 0-3 words planted at random rows: a word with one
+    point more or fewer (a wrong block weight), a copy of a word, or a copy
+    whose parameters have another distance, another shape, or are an equal
+    but separate object."""
+    code = draw(candidate_codes())
+    params = code.params
+    lengths, weights, d = params.block_lengths, params.block_weights, params.distance
+    words = list(code.words)
+    for _ in range(draw(st.integers(0, 3))):
+        base = draw(st.sampled_from(words))
+        kind = draw(st.sampled_from(["weight", "copy", "distance", "shape", "equal"]))
+        if kind == "weight":
+            support = list(base.support)
+            free = [x for x in range(params.total_length) if x not in support]
+            if support and (not free or draw(st.booleans())):
+                support.remove(draw(st.sampled_from(support)))
+            else:
+                support.append(draw(st.sampled_from(free)))
+            planted = PartitionedWord.from_support(params, support)
+        elif kind == "copy":
+            planted = base
+        else:
+            other = {
+                "distance": CodeParameters(lengths, weights, d + 1),
+                "shape": CodeParameters(lengths[:-1] + (lengths[-1] + 1,), weights, d),
+                "equal": CodeParameters(lengths, weights, d),
+            }[kind]
+            planted = PartitionedWord(other, base.support, base.bits)
+        words.insert(draw(st.integers(0, len(words))), planted)
+    return PartitionedCode(params, tuple(words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(invalid_candidates())
+def test_verify_matches_the_definition_on_invalid_candidates(code):
+    assert verify_mcwc(code) == reference_report(code)
