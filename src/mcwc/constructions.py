@@ -198,7 +198,7 @@ def develop(table: BaseCodewordTable) -> PartitionedCode:
     rings = {c: [*range(coord[("g", 0, c)], coord[("g", 0, c)] + g)] * 2
              for side in table.classes for c in side}
     words: list[PartitionedWord] = []
-    repeated = None  # the first base support that repeats a point
+    repeated = None  # the first base support that repeats a point: after all other checks
     for k, word in enumerate(table.words):
         if len(word.points) != 4:
             raise ConstructionError(f"base word {k} {word} does not have four points")
@@ -222,7 +222,7 @@ def develop(table: BaseCodewordTable) -> PartitionedCode:
             raise ConstructionError(f"base word {k} {word} leaves the declared layout at"
                                     f" {('g', (p[1] + t) % g, p[2])}")
         supports = [tuple(sorted(at)) for at in zip(*paths)]
-        # a cyclic action first repeats the word itself
+        # a cyclic action first repeats the word itself (the appended copy: g)
         length = (supports + supports[:1]).index(supports[0], 1)
         if length != declared:
             raise ConstructionError(
