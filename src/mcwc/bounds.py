@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from typing import Optional, Union
 
 import mpmath
@@ -100,16 +100,32 @@ def _steps(block: tuple[int, int]):
     return tuple(steps.values())
 
 
+# (w, n) -> (C(n, w), its steps as (child block, rule, n, divisor, change of
+# the reach)): what a state reads of each of its blocks, computed once.
+@lru_cache(maxsize=None)
+def _block_record(block: tuple[int, int]):
+    w, n = block
+    return comb(n, w), tuple((c, r, n, div, dr) for c, r, div, dr in _steps(block))
+
+
 def _space_size(blocks: _BlockKey) -> int:
-    return prod(comb(n, w) for w, n in blocks)
+    size = 1
+    for block in blocks:
+        size *= _block_record(block)[0]
+    return size
 
 
 def _eq3_on_blocks(blocks, u: int) -> tuple[Optional[int], int, int]:
     """floor(u / D) at distance 2u, where D = sum w^2/n - lambda, or None when
     D <= 0; returned with L*D and L = prod n, which keep it in integers."""
-    big = prod(n for _, n in blocks)
-    lam = sum(w for w, _ in blocks) - u
-    denom = sum(w * w * (big // n) for w, n in blocks) - lam * big
+    big = 1
+    lam = -u
+    for w, n in blocks:
+        big *= n
+        lam += w
+    denom = -lam * big
+    for w, n in blocks:
+        denom += w * w * (big // n)
     return (u * big // denom if denom > 0 else None), denom, big
 
 
@@ -119,18 +135,27 @@ class _RecState:
     budget: int
     memo: dict
     visited: int = 0
+    memo_hits: int = 0  # lookups answered from the memo
     past_budget: int = 0  # states met after the budget was spent
     truncated: bool = False
 
 
-def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule]:
+def _lookup(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule]:
     """(value, winning rule) for canonical blocks of total weight ``reach``, at
-    distance ``st.d`` > 2; sets ``st.truncated`` where the budget cuts it off."""
+    distance ``st.d`` > 2: a base case, a memo entry or a new state."""
     if not blocks or st.d > 2 * reach:
         return 1, ("single",)
     hit = st.memo.get(blocks)
     if hit is not None:
+        st.memo_hits += 1
         return hit
+    return _rec_bound(blocks, reach, st)
+
+
+def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule]:
+    """:func:`_lookup` on a state that is neither a base case nor in the memo;
+    sets ``st.truncated`` where the budget cuts it off.  Each child is resolved
+    here, and only a child missing from the memo recurses."""
     best = _space_size(blocks)
     rule: _Rule = ("product",)
     if st.visited >= st.budget:
@@ -138,18 +163,37 @@ def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule
         st.truncated = True
         return best, rule
     st.visited += 1
-    if st.d % 2 == 0:
-        v3 = _eq3_on_blocks(blocks, st.d // 2)[0]
+    d, memo = st.d, st.memo
+    if d % 2 == 0:
+        v3 = _eq3_on_blocks(blocks, d // 2)[0]
         if v3 is not None and v3 < best:
             best, rule = v3, ("eq3",)
+    prev, cut = None, 0
     for i, block in enumerate(blocks):
+        if block == prev:
+            # blocks are sorted, so this block has the children of the one
+            # before it and no child can beat the best strictly; only the
+            # children answered past the budget would be met again
+            st.past_budget += cut
+            continue
+        prev, cut = block, 0
         rest = blocks[:i] + blocks[i + 1 :]
-        for child_block, step, divisor, dreach in _steps(block):
+        for child_block, step, n, divisor, dreach in _block_record(block)[1]:
             child = rest if child_block is None else tuple(sorted((*rest, child_block)))
-            v = block[1] * _rec_bound(child, reach + dreach, st)[0] // divisor
+            child_reach = reach + dreach
+            if not child or d > 2 * child_reach:
+                v = n // divisor
+            else:
+                hit = memo.get(child)
+                if hit is not None:
+                    st.memo_hits += 1
+                else:
+                    cut += st.visited >= st.budget
+                    hit = _rec_bound(child, child_reach, st)
+                v = n * hit[0] // divisor
             if v < best:
                 best, rule = v, step
-    st.memo[blocks] = (best, rule)
+    memo[blocks] = (best, rule)
     return best, rule
 
 
@@ -164,8 +208,12 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
     on an empty memo: the call removes what it added to the shared memo and
     answers again on a private table.  ``states`` counts the expansions of
     the call that gave the answer, at most ``state_budget`` and 0 on a
-    memoized root; ``past_budget`` counts the states it met once the budget
-    was spent, each answered by the product fallback.
+    memoized root; ``memo_hits`` counts the lookups that call answered from
+    its table, the root when memoized plus each child that is not a base
+    case and was already in the table (a block equal to the one before it
+    adds no lookup, since its children repeat); ``past_budget`` counts the
+    states it met once the budget was spent, each answered by the product
+    fallback.
     """
     params = params.canonical()
     d = params.distance
@@ -180,19 +228,20 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
     else:
         known = len(st.memo)
         try:
-            value, rule = _rec_bound(blocks, params.total_weight, st)
+            value, rule = _lookup(blocks, params.total_weight, st)
         finally:  # an interrupted call must not leave cut-off entries either
             while st.truncated and len(st.memo) > known:  # newest pops first
                 st.memo.popitem()
         if st.truncated:
             st = _RecState(d, state_budget, {})
-            value, rule = _rec_bound(blocks, params.total_weight, st)
+            value, rule = _lookup(blocks, params.total_weight, st)
     return BoundResult(
         "johnson-recursive",
         value,
         {
             "rule": rule,
             "states": st.visited,
+            "memo_hits": st.memo_hits,
             "past_budget": st.past_budget,
             "truncated": st.truncated,
             "trace": _rec_trace(blocks, rule, st),
@@ -211,7 +260,7 @@ def _rec_trace(blocks, rule: _Rule, st: _RecState, limit: int = 64) -> tuple[_Ru
         blocks = blocks[:i] + blocks[i + 1 :]
         if child_block is not None:
             blocks = tuple(sorted((*blocks, child_block)))
-        rule = _rec_bound(blocks, sum(w for w, _ in blocks), lookup)[1]
+        rule = _lookup(blocks, sum(w for w, _ in blocks), lookup)[1]
         trace.append(rule)
     return tuple(trace)
 

@@ -197,7 +197,8 @@ def cmd_bound(args) -> int:
                 continue
         if name == "lp":
             lp_result = result
-        note = "lower bound" if name == "gv" else ""
+        # a gv row with a value is a lower bound; any row without one says why
+        note = "lower bound" if name == "gv" and result.value is not None else ""
         rows.append([name, "-" if result.value is None else result.value,
                      note or result.certificate.get("reason", "")])
     _emit(rows, ["method", "value", "note"], args.format)

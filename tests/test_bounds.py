@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcwc import bounds
-from mcwc.core import CodeParameters, DomainError, ShapeError
+from mcwc.core import CodeParameters, DomainError, ShapeError, canonical_weight
 from mcwc.bounds import (
     asymptotic_point,
     best_of,
@@ -162,10 +163,11 @@ def test_budgeted_calls_never_change_a_later_answer(params, budgets):
     assert johnson_recursive(params).value == exact
 
 
-def _answer(params, budget):
-    r = johnson_recursive(params, state_budget=budget)
+def _answer(params, budget=None):
+    r = johnson_recursive(params, **({} if budget is None else {"state_budget": budget}))
     c = r.certificate
-    return r.value, c["rule"], c["trace"], c["states"], c["past_budget"], c["truncated"]
+    return (r.value, c["rule"], c["trace"], c["states"], c["memo_hits"], c["past_budget"],
+            c["truncated"])
 
 
 def _memo_snapshot():
@@ -202,7 +204,7 @@ def test_an_answer_is_exact_or_as_on_an_empty_memo(case):
         johnson_recursive(shape, **({} if b is None else {"state_budget": b}))
     before = _memo_snapshot()
     got = _answer(params, budget)
-    value, _, _, states, past_budget, truncated = got
+    value, _, _, states, _, past_budget, truncated = got
     assert states <= budget and truncated == (past_budget > 0)
     if not truncated:
         assert value == _johnson_reference(params)
@@ -257,7 +259,209 @@ class TestBudgetedAnswers:
         johnson_recursive(uni(4, 9, 3, 6))
         r = johnson_recursive(uni(4, 9, 3, 6), state_budget=0)
         assert r.certificate["states"] == 0 and r.certificate["truncated"] is False
+        assert r.certificate["memo_hits"] == 1  # the root
         assert r.value == 1016064
+
+
+# -- the recursion before the equal-block skip, kept as a reference -----------
+#
+# One state per call to _ref_rec_bound, every child looked up by a recursive
+# call, every block of a state expanded even when it equals the one before it.
+
+
+def _ref_steps(block):
+    w, n = block
+    steps = {}
+    for rule, child_w, divisor in (("eq1", w - 1, w), ("eq2", w, n - w)):
+        child_w = canonical_weight(child_w, n - 1)
+        child = (child_w, n - 1) if child_w else None
+        steps.setdefault(child, (child, (rule, w, n), divisor, child_w - w))
+    return tuple(steps.values())
+
+
+def _ref_eq3(blocks, u):
+    big = prod(n for _, n in blocks)
+    lam = sum(w for w, _ in blocks) - u
+    denom = sum(w * w * (big // n) for w, n in blocks) - lam * big
+    return u * big // denom if denom > 0 else None
+
+
+@dataclass
+class _RefState:
+    d: int
+    budget: int
+    memo: dict
+    visited: int = 0
+    past_budget: int = 0
+    truncated: bool = False
+
+
+def _ref_rec_bound(blocks, reach, st):
+    if not blocks or st.d > 2 * reach:
+        return 1, ("single",)
+    hit = st.memo.get(blocks)
+    if hit is not None:
+        return hit
+    best = prod(comb(n, w) for w, n in blocks)
+    rule = ("product",)
+    if st.visited >= st.budget:
+        st.past_budget += 1
+        st.truncated = True
+        return best, rule
+    st.visited += 1
+    if st.d % 2 == 0:
+        v3 = _ref_eq3(blocks, st.d // 2)
+        if v3 is not None and v3 < best:
+            best, rule = v3, ("eq3",)
+    for i, block in enumerate(blocks):
+        rest = blocks[:i] + blocks[i + 1 :]
+        for child_block, step, divisor, dreach in _ref_steps(block):
+            child = rest if child_block is None else tuple(sorted((*rest, child_block)))
+            v = block[1] * _ref_rec_bound(child, reach + dreach, st)[0] // divisor
+            if v < best:
+                best, rule = v, step
+    st.memo[blocks] = (best, rule)
+    return best, rule
+
+
+def _ref_rec_trace(blocks, rule, st, limit=64):
+    lookup = _RefState(st.d, 0, st.memo)
+    trace = [rule]
+    while rule[0] in ("eq1", "eq2") and len(trace) < limit:
+        i = blocks.index(rule[1:])
+        child_block = next(c for c, r, _, _ in _ref_steps(blocks[i]) if r == rule)
+        blocks = blocks[:i] + blocks[i + 1 :]
+        if child_block is not None:
+            blocks = tuple(sorted((*blocks, child_block)))
+        rule = _ref_rec_bound(blocks, sum(w for w, _ in blocks), lookup)[1]
+        trace.append(rule)
+    return tuple(trace)
+
+
+def reference_johnson(params, cache, state_budget=None):
+    """(value, rule, trace, states, past_budget, truncated) of the recursion
+    without the equal-block skip, on ``cache`` (d -> memo) as the shared memo;
+    ``state_budget`` None is the package's default."""
+    if state_budget is None:
+        state_budget = 10**6
+    params = params.canonical()
+    d = params.distance
+    blocks = tuple(b for b in zip(params.block_weights, params.block_lengths) if b[0])
+    st = _RefState(d, state_budget, cache.setdefault(d, {}))
+    if any(w > n for w, n in blocks):
+        value, rule = 0, ("no-word",)
+    elif blocks and d <= 2:
+        value, rule = prod(comb(n, w) for w, n in blocks), ("space",)
+    else:
+        known = len(st.memo)
+        value, rule = _ref_rec_bound(blocks, params.total_weight, st)
+        while st.truncated and len(st.memo) > known:
+            st.memo.popitem()
+        if st.truncated:
+            st = _RefState(d, state_budget, {})
+            value, rule = _ref_rec_bound(blocks, params.total_weight, st)
+    trace = _ref_rec_trace(blocks, rule, st)
+    return value, rule, trace, st.visited, st.past_budget, st.truncated
+
+
+def _certificate(params, budget=None):
+    """The fields of :func:`reference_johnson` from the package's answer:
+    all but ``memo_hits``, which the reference does not count."""
+    value, rule, trace, states, _, past_budget, truncated = _answer(params, budget)
+    return value, rule, trace, states, past_budget, truncated
+
+
+def _memo_entries(cache):
+    """Each distance's memo entries in insertion order."""
+    return {d: list(memo.items()) for d, memo in cache.items() if memo}
+
+
+def _bound_workload_calls():
+    """The Johnson calls of the ``bound`` benchmark workload in its order
+    (``bound_items`` in perfbench/items.py): the uniform grid, (3,8,3,6), the
+    two non-uniform sets, then each budgeted probe as a state_budget=3 call
+    followed by a default one; every probe a seed can draw is included."""
+    grid = [(m, n, w, d) for m in range(2, 7) for n in range(3, 10)
+            for w in range(1, n // 2 + 1) for d in (4, 6, 8)
+            if d <= 2 * m * w and comb(m + w, w) <= 10]
+    calls = [(uni(*shape), None) for shape in grid + [(3, 8, 3, 6)]]
+    calls += [(CodeParameters((5, 7, 9, 11), (2, 2, 3, 3), d), None) for d in (8, 10)]
+    probes = [((9, 9, 9, 9), (3, 3, 3, 3), 6), ((5, 7, 9), (1, 3, 3), 12),
+              ((4, 6, 8), (2, 3, 2), 12), ((6, 7, 8), (1, 3, 4), 12),
+              ((6, 7, 8), (3, 3, 1), 12), ((5, 6, 7), (1, 3, 3), 12)]
+    for lengths, weights, d in probes:
+        probe = CodeParameters(lengths, weights, d)
+        calls += [(probe, 3), (probe, None)]
+    return calls
+
+
+def test_bound_workload_certificates_match_the_reference():
+    bounds._REC_CACHE.clear()
+    cache: dict = {}
+    calls = _bound_workload_calls()
+    assert len(calls) == 135 + 12
+    for params, budget in calls:
+        expected = reference_johnson(params, cache, budget)
+        assert _certificate(params, budget) == expected, (params, budget)
+    assert _memo_entries(bounds._REC_CACHE) == _memo_entries(cache)
+
+
+@st.composite
+def johnson_shapes(draw):
+    """1-4 blocks with n <= 9 and any weight, at any distance up to past the
+    reach; about half are uniform, where equal blocks repeat."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        lengths, weights = [n] * k, [draw(st.integers(0, n))] * k
+    else:
+        lengths = [draw(st.integers(1, 9)) for _ in range(k)]
+        weights = [draw(st.integers(0, n)) for n in lengths]
+    reach = sum(min(w, n - w) for w, n in zip(weights, lengths))
+    return CodeParameters(tuple(lengths), tuple(weights), draw(st.integers(1, 2 * reach + 2)))
+
+
+_budgets = st.one_of(st.none(), st.integers(0, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(johnson_shapes(), _budgets), max_size=3),
+       johnson_shapes(), _budgets)
+@example([], uni(4, 9, 3, 6), 50)
+@example([(uni(3, 9, 3, 6), None)], uni(4, 9, 3, 6), 50)
+@example([(uni(4, 6, 2, 6), 7)], uni(4, 6, 2, 6), None)
+def test_certificates_match_the_reference(earlier, params, budget):
+    """On an emptied memo (no earlier calls) or one warmed by earlier calls,
+    which both sides make, the certificate and the memo match the reference."""
+    bounds._REC_CACHE.clear()
+    cache: dict = {}
+    for shape, b in [*earlier, (params, budget)]:
+        assert _certificate(shape, b) == reference_johnson(shape, cache, b)
+        assert _memo_entries(bounds._REC_CACHE) == _memo_entries(cache)
+
+
+@settings(max_examples=100, deadline=None)
+@given(johnson_shapes())
+@example(uni(4, 9, 3, 6))
+def test_memo_hits_are_the_lookups_after_the_first(params):
+    """On an empty memo a complete call expands each state once, at its first
+    lookup, so every other lookup of a child that is not a base case is a
+    hit.  Lookups are counted from the states in the memo, one per step of
+    each block that differs from the block before it."""
+    bounds._REC_CACHE.clear()
+    c = johnson_recursive(params).certificate
+    memo = bounds._REC_CACHE.get(params.distance, {})
+    assert c["truncated"] is False and c["states"] == len(memo)
+    lookups = 0
+    for blocks in memo:
+        for i, block in enumerate(blocks):
+            if i and block == blocks[i - 1]:
+                continue
+            rest = blocks[:i] + blocks[i + 1 :]
+            for child_block, _, _, _ in _ref_steps(block):
+                child = rest if child_block is None else tuple(sorted((*rest, child_block)))
+                lookups += bool(child) and params.distance <= 2 * sum(w for w, _ in child)
+    assert c["memo_hits"] == (lookups - len(memo) + 1 if memo else 0)
 
 
 @st.composite

@@ -268,6 +268,23 @@ class TestBound:
             "best\t0\tvia johnson-recursive",
         ]
 
+    def test_odd_distance_rows_give_the_reason(self, capsys):
+        rc, out = run(["--format", "tsv", "bound", "--m", "2", "--n", "4", "--w", "5",
+                       "--d", "3"], capsys)
+        assert rc == 0
+        # gv has no value here, so its row gives the reason like every other row
+        assert out.splitlines() == [
+            "method\tvalue\tnote",
+            "johnson\t0\t",
+            "johnson-eq3\t-\todd distance",
+            "plotkin\t-\todd distance",
+            "plotkin-discrete\t-\todd distance",
+            "spherical\t-\todd distance",
+            "gv\t-\todd distance",
+            "lp\t-\todd distance",
+            "best\t0\tvia johnson-recursive",
+        ]
+
 
 class TestAsymptotic:
     def test_values(self, capsys):
