@@ -2,8 +2,8 @@
 
 Every integer-valued bound is computed exactly, in integer or rational
 (:class:`fractions.Fraction`) arithmetic; floating point appears only in the
-asymptotic functions, which are evaluated with mpmath at a stated working
-precision.
+asymptotic functions, which mpmath evaluates with guard digits beyond the
+stated precision ``dps`` and rounds once to ``dps`` significant digits.
 
 Distance conventions: :class:`~mcwc.core.CodeParameters` stores the literal
 minimum distance.  The closed-form bounds below are stated for even distance
@@ -430,6 +430,24 @@ def _mpf(x: Fraction, ctx) -> mpmath.mpf:
     return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
 
 
+_GUARD_DPS = 10  # working digits beyond the requested precision
+
+
+def _working(dps: int):
+    """A context carrying ``dps`` plus the guard digits."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps + _GUARD_DPS
+    return ctx
+
+
+def _rounded(value: mpmath.mpf, dps: int) -> mpmath.mpf:
+    """``value`` rounded once to ``dps`` significant digits, as an mpf of a
+    ``dps``-digit context, whose ``str`` prints exactly those digits."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    return ctx.mpf(mpmath.libmp.to_str(value._mpf_, dps))
+
+
 def _entropy_term(p, ctx):
     """-p*log2(p) with the 0*log(0) = 0 convention."""
     if p == 0:
@@ -437,14 +455,25 @@ def _entropy_term(p, ctx):
     return -p * ctx.log(p, 2)
 
 
+def _binary_entropy(x: Fraction, ctx) -> mpmath.mpf:
+    p = _mpf(x, ctx)
+    return _entropy_term(p, ctx) + _entropy_term(1 - p, ctx)
+
+
+def _q_entropy(q: int, x: Fraction, ctx) -> mpmath.mpf:
+    p = _mpf(x, ctx)
+    logq = ctx.log(q)
+    value = (_entropy_term(p, ctx) + _entropy_term(1 - p, ctx)) * ctx.log(2) / logq
+    if x > 0:
+        value += p * ctx.log(q - 1) / logq
+    return value
+
+
 def binary_entropy(x: RationalLike, dps: int = 30) -> mpmath.mpf:
     xf = _to_fraction(x)
     if not 0 <= xf <= 1:
         raise DomainError("binary entropy needs an argument in [0, 1]")
-    ctx = mpmath.mp.clone()
-    ctx.dps = dps
-    p = _mpf(xf, ctx)
-    return _entropy_term(p, ctx) + _entropy_term(1 - p, ctx)
+    return _rounded(_binary_entropy(xf, _working(dps)), dps)
 
 
 def q_entropy(q: int, x: RationalLike, dps: int = 30) -> mpmath.mpf:
@@ -454,14 +483,7 @@ def q_entropy(q: int, x: RationalLike, dps: int = 30) -> mpmath.mpf:
         raise DomainError("q must be at least 2")
     if not 0 <= xf <= Fraction(q - 1, q):
         raise DomainError(f"q-ary entropy needs an argument in [0, {q-1}/{q}]")
-    ctx = mpmath.mp.clone()
-    ctx.dps = dps
-    p = _mpf(xf, ctx)
-    logq = ctx.log(q)
-    value = (_entropy_term(p, ctx) + _entropy_term(1 - p, ctx)) * ctx.log(2) / logq
-    if xf > 0:
-        value += p * ctx.log(q - 1) / logq
-    return value
+    return _rounded(_q_entropy(q, xf, _working(dps)), dps)
 
 
 def _check_common_domain(delta: Fraction, omega: Fraction) -> None:
@@ -485,9 +507,8 @@ def mu_c(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf:
     x = d / (2 * o)
     if x > Fraction(q - 1, q):
         raise DomainError("delta/(2*omega) must not exceed (q-1)/q")
-    ctx = mpmath.mp.clone()
-    ctx.dps = dps
-    return _mpf(o, ctx) * ctx.log(q, 2) * (1 - q_entropy(q, x, dps))
+    ctx = _working(dps)
+    return _rounded(_mpf(o, ctx) * ctx.log(q, 2) * (1 - _q_entropy(q, x, ctx)), dps)
 
 
 def mu_gv(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf:
@@ -499,12 +520,12 @@ def mu_gv(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf
     x2 = d / (2 * (1 - o))
     if x1 > 1 or x2 > 1:
         raise DomainError("entropy arguments must lie in [0, 1]")
-    ctx = mpmath.mp.clone()
-    ctx.dps = dps
-    return (
-        binary_entropy(o, dps)
-        - _mpf(o, ctx) * binary_entropy(x1, dps)
-        - _mpf(1 - o, ctx) * binary_entropy(x2, dps)
+    ctx = _working(dps)
+    return _rounded(
+        _binary_entropy(o, ctx)
+        - _mpf(o, ctx) * _binary_entropy(x1, ctx)
+        - _mpf(1 - o, ctx) * _binary_entropy(x2, ctx),
+        dps,
     )
 
 
@@ -521,8 +542,7 @@ def comparison_f(x: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.
         raise DomainError("omega must lie in (0, 1)")
     if not 0 <= xf < 1 - o:
         raise DomainError("x must lie in [0, 1 - omega)")
-    ctx = mpmath.mp.clone()
-    ctx.dps = dps
+    ctx = _working(dps)
     om = _mpf(o, ctx)
     xx = _mpf(xf, ctx)
     value = -(2 - 2 * om - xx) * ctx.log(1 - om, 2)
@@ -531,7 +551,7 @@ def comparison_f(x: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.
     rest = 1 - om - xx
     if rest > 0:
         value += rest * ctx.log(rest, 2)
-    return value
+    return _rounded(value, dps)
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,8 @@ def _params_from_args(args) -> CodeParameters:
 
 
 def _detect_kind(text: str) -> str:
-    for _lineno, line in _content_lines(text):
-        return line.split()[0]
+    for _lineno, tokens in _content_lines(text):
+        return tokens[0]
     raise FormatError("empty file")
 
 

@@ -103,7 +103,8 @@ def concatenate(inner: PartitionedCode, outer: QaryCode) -> PartitionedCode:
 # ---------------------------------------------------------------------------
 # Base-codeword tables and cyclic development
 #
-# Points are labeled e_c (group element e in a class c), 'inf' or 'a<k>'.
+# Points are labeled e_c (group element e in a class c), 'inf' or 'a<k>';
+# the fixed points of a layout are the 'inf' and 'a<k>' ones.
 # Development adds t to the group element of every non-fixed point, for t in
 # the cyclic group; words marked with a shorter orbit repeat earlier and the
 # declared length is cross-checked against actual closure.
@@ -145,6 +146,7 @@ def _point_str(p: Point) -> str:
 
 
 _POINT = re.compile(r"inf|a(\d+)|(\d+)_(\d+)")
+_NOT_FIXED = "fixed point {!r} must be 'inf' or 'a<k>'"
 
 
 def _parse_point(token: str, lineno=None) -> Point:
@@ -158,11 +160,17 @@ def _parse_point(token: str, lineno=None) -> Point:
 def _layout(table: BaseCodewordTable) -> dict[Point, int]:
     """Global coordinate of every labeled point: class-major group points
     first, then the fixed points, side 1 before side 2.  A class or fixed
-    point listed twice raises ``ConstructionError``."""
+    point listed twice, or a fixed point written like a group point, raises
+    ``ConstructionError``."""
     coord: dict[Point, int] = {}
     for side in range(2):
         points = [("g", e, c) for c in table.classes[side] for e in range(table.group_order)]
-        for p in points + [_parse_point(token) for token in table.fixed[side]]:
+        for token in table.fixed[side]:
+            p = _parse_point(token)
+            if p[0] == "g":
+                raise ConstructionError(_NOT_FIXED.format(token))
+            points.append(p)
+        for p in points:
             if p in coord:
                 what = f"class {p[2]}" if p[0] == "g" else f"point {_point_str(p)}"
                 raise ConstructionError(f"the layout lists {what} twice")
@@ -171,14 +179,10 @@ def _layout(table: BaseCodewordTable) -> dict[Point, int]:
 
 
 def _path(p: Point, coord: dict[Point, int], rings: dict[int, list[int]], g: int) -> list[int]:
-    """The coordinates of p's translates t = 0, 1, ..., up to the first off the layout."""
+    """The coordinates of the translates t = 0, 1, ..., g - 1 of a point of the layout."""
     if p[0] != "g":
         return [coord[p]] * g
-    if p[2] in rings:
-        return rings[p[2]][p[1] % g:p[1] % g + g]
-    # a fixed point e_c of no listed class c moves like a group point
-    path = [coord.get(("g", (p[1] + t) % g, p[2])) for t in range(g)]
-    return path[:path.index(None)] if None in path else path
+    return rings[p[2]][p[1]:p[1] + g]
 
 
 def develop(table: BaseCodewordTable) -> PartitionedCode:
@@ -215,12 +219,6 @@ def develop(table: BaseCodewordTable) -> PartitionedCode:
             )
         declared = word.orbit if word.orbit is not None else g
         paths = [_path(p, coord, rings, g) for p in word.points]
-        # a translate off the layout comes before any repeat of the word
-        t = min(map(len, paths))
-        if t < g:
-            p = next(p for p, path in zip(word.points, paths) if len(path) == t)
-            raise ConstructionError(f"base word {k} {word} leaves the declared layout at"
-                                    f" {('g', (p[1] + t) % g, p[2])}")
         supports = [tuple(sorted(at)) for at in zip(*paths)]
         # a cyclic action first repeats the word itself (the appended copy: g)
         length = (supports + supports[:1]).index(supports[0], 1)
@@ -273,7 +271,8 @@ def parse_base_table(text: str) -> BaseCodewordTable:
                     value = item[len("fixed="):]
                     fix = tuple(t for t in value.split(",") if t)
                     for token in fix:
-                        _parse_point(token, lineno)
+                        if _parse_point(token, lineno)[0] == "g":
+                            raise FormatError(_NOT_FIXED.format(token), lineno)
                 else:
                     raise FormatError(f"unknown layout item {item!r}", lineno)
             classes[side] = cls

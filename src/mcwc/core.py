@@ -9,6 +9,7 @@ used by the distance kernels.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, repeat
@@ -186,19 +187,26 @@ class PartitionedWord:
 
     @classmethod
     def from_support(cls, params: CodeParameters, indices: Iterable[int]) -> "PartitionedWord":
-        idx = sorted(int(i) for i in indices)
-        n = params.total_length
-        bits = 0
-        for i in idx:
-            if not 0 <= i < n:
-                raise DomainError(f"support index {i} out of range [0, {n})")
-            bits |= 1 << i
-        if bits.bit_count() != len(idx):
-            raise DomainError(f"duplicate support index in {idx}")
-        return cls(params, tuple(idx), bits)
+        idx = sorted(map(int, indices))
+        return cls(params, tuple(idx), _support_bits(idx, params.total_length))
 
     def __str__(self) -> str:
         return "<" + ", ".join(map(str, self.support)) + ">"
+
+
+def _support_bits(idx: list[int], n: int) -> int:
+    """The packed bits of ascending indices on ``n`` coordinates.  Raises
+    ``DomainError`` for an index out of range (the first one, in order), and
+    then for a repeated index."""
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        bad = idx[0] if idx[0] < 0 else idx[bisect_left(idx, n)]
+        raise DomainError(f"support index {bad} out of range [0, {n})")
+    bits = 0
+    for i in idx:
+        bits |= 1 << i
+    if bits.bit_count() != len(idx):
+        raise DomainError(f"duplicate support index in {idx}")
+    return bits
 
 
 def hamming_distance(u: PartitionedWord, v: PartitionedWord) -> int:
@@ -381,17 +389,17 @@ def verify_mcwc(code: PartitionedCode) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of every line that has a token once its comment,
+    from '#' on, is cut off."""
+    return ((lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (tokens := raw.split("#", 1)[0].split()))
 
 
 def _ints(tokens: Iterable[str], lineno: Optional[int], message: str) -> list[int]:
     """``int`` of every token; a token it rejects raises ``FormatError(message, lineno)``."""
     try:
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError:
         raise FormatError(message, lineno) from None
 
@@ -403,7 +411,7 @@ def _records(text: str, what: str, header: str):
     Returns the header's line number, its fields after the keyword, and the
     other lines as (line number, tokens) pairs; no content line raises
     ``FormatError("empty <what> file")``."""
-    lines = [(lineno, line.split()) for lineno, line in _content_lines(text)]
+    lines = list(_content_lines(text))
     if not lines:
         raise FormatError(f"empty {what} file")
     (lineno, tokens), body = lines[0], lines[1:]
@@ -440,13 +448,14 @@ def parse_code(text: str) -> PartitionedCode:
         culprits = [ln for (ln, _), n in zip(body, lengths) if n <= 0]
         culprits += [ln for (ln, _), w in zip(body, weights) if w < 0]
         raise FormatError(str(exc), (culprits + [head])[0]) from None
+    n = params.total_length
     words = []
     for lineno, tokens in body[m:]:
         indices = _ints(tokens, lineno, "support indices must be integers")
         if indices != sorted(indices):
             raise FormatError("support indices must be ascending", lineno)
         try:
-            words.append(PartitionedWord.from_support(params, indices))
+            words.append(PartitionedWord(params, tuple(indices), _support_bits(indices, n)))
         except DomainError as exc:
             raise FormatError(str(exc), lineno) from None
     return PartitionedCode(params, tuple(words))

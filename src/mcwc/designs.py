@@ -74,7 +74,7 @@ class SkewSquare:
     ) -> "SkewSquare":
         kind = SquareKind(kind)
         frozen = {
-            (int(i), int(j)): frozenset(int(p) for p in pair)
+            (int(i), int(j)): frozenset(map(int, pair))
             for (i, j), pair in cells.items()
         }
         return cls(
@@ -614,7 +614,10 @@ def parse_square(text: str) -> SkewSquare:
         if tag == "cell":
             if len(tokens) != 5:
                 raise FormatError("expected 'cell <i> <j> <a> <b>'", lineno)
-            i, j, a, b = _ints(tokens[1:], lineno, "expected integers")
+            try:
+                i, j, a, b = map(int, tokens[1:])
+            except ValueError:
+                raise FormatError("expected integers", lineno) from None
             if (i, j) in cells:
                 raise FormatError(f"cell ({i},{j}) filled twice", lineno)
             cells[(i, j)] = frozenset((a, b))

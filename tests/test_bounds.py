@@ -704,3 +704,41 @@ class TestAsymptotics:
         assert point.mu_c is not None
         assert abs(point.mu_gv - point.mu_c - point.f) < 1e-12
         assert asymptotic_point(Fraction(1, 4), Fraction(2, 5)).mu_c is None
+
+    def test_printed_digits_match_a_60_digit_evaluation(self):
+        import mpmath
+
+        def reference(delta, omega):
+            with mpmath.workdps(60):
+                w = mpmath.mpf(omega.numerator) / omega.denominator
+                x = mpmath.mpf(delta.numerator) / delta.denominator / 2
+
+                def h2(p):
+                    return -sum(t * mpmath.log(t, 2) for t in (p, 1 - p) if t)
+
+                gv = h2(w) - w * h2(x / w) - (1 - w) * h2(x / (1 - w))
+                f = -(2 - 2 * w - x) * mpmath.log(1 - w, 2) + (1 - w - x) * mpmath.log(1 - w - x, 2)
+                if x:
+                    f += x * mpmath.log(x / w, 2)
+                c = None
+                if omega.numerator == 1:
+                    q, y = omega.denominator, x / w
+                    hq = -sum(t * mpmath.log(t, q) for t in (y, 1 - y) if t) + y * mpmath.log(q - 1, q)
+                    c = w * mpmath.log(q, 2) * (1 - hq)
+                return {"mu_c": c, "mu_gv": gv, "f": f}
+
+        checked = 0
+        for omega in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)):
+            for delta in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+                ref = reference(delta, omega)
+                for dps in (5, 15, 30):
+                    point = asymptotic_point(delta, omega, dps)
+                    for name, want in ref.items():
+                        got = getattr(point, name)
+                        # a true zero (mu_c at the end of its domain, f on the
+                        # locus) has no correct digits to compare
+                        if got is None or abs(want) < mpmath.mpf(10) ** -40:
+                            continue
+                        assert str(got) == mpmath.libmp.to_str(want._mpf_, dps), (name, delta, omega, dps)
+                        checked += 1
+        assert checked > 100

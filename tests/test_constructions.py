@@ -177,13 +177,25 @@ def test_repeated_point_error_order(g, words, error, message):
     assert type(exc.value) is error and str(exc.value) == message
 
 
-def test_fixed_point_written_like_a_group_point_moves_like_one():
-    # 0_5 is a fixed point (no class 5): its translate 1_5 is off the layout
-    table = parse_base_table("develop 3 2\nlayout 1 classes=0 fixed=0_5\nlayout 2 classes=1\n"
-                             "w 0_0 0_5 0_1 1_1\n")
-    with pytest.raises(ConstructionError, match=r"^base word 0 <0_0, 0_5, 0_1, 1_1> leaves the"
-                                                r" declared layout at \('g', 1, 5\)$"):
-        develop(table)
+def test_fixed_point_written_like_a_group_point_is_rejected():
+    # a fixed point is 'inf' or 'a<k>'; e_c names a group point, whether or
+    # not class c is listed, so it cannot be fixed
+    for side, fixed in [(1, "0_5"), (1, "5_0"), (2, "inf,0_5,1_5"), (1, "a1,2_0")]:
+        token = next(t for t in fixed.split(",") if "_" in t)
+        layout = {1: "classes=0", 2: "classes=1"}
+        layout[side] += f" fixed={fixed}"
+        text = f"develop 3 2\nlayout 1 {layout[1]}\nlayout 2 {layout[2]}\nw 0_0 1_0 0_1 1_1\n"
+        with pytest.raises(FormatError) as exc:
+            parse_base_table(text)
+        assert str(exc.value) == f"line {side + 1}: fixed point {token!r} must be 'inf' or 'a<k>'"
+        assert exc.value.line == side + 1
+        hand_built = [(), ()]
+        hand_built[side - 1] = tuple(fixed.split(","))
+        table = BaseCodewordTable(3, ((0,), (1,)), tuple(hand_built),
+                                  (BaseWord((("g", 0, 0), ("g", 1, 0), ("g", 0, 1), ("g", 1, 1))),))
+        with pytest.raises(ConstructionError) as exc:
+            develop(table)
+        assert str(exc.value) == f"fixed point {token!r} must be 'inf' or 'a<k>'"
 
 
 @pytest.mark.parametrize("token", ["b7", "a", "1_", "_1", "1_2_3", "a1_2", "a-1"])
@@ -265,16 +277,14 @@ def test_shipped_tables_match_the_reference_developer(n1, n2):
 
 @st.composite
 def small_tables(draw):
-    """Tables with g <= 7, 1-3 classes per side and 0-2 fixed points (some
-    written like group points e_c), whose words draw from the layout, from
-    points outside it and from repeated points, with declared orbits that may
-    be short, full or wrong."""
+    """Tables with g <= 7, 1-3 classes per side and 0-2 fixed points, whose
+    words draw from the layout, from points outside it and from repeated
+    points, with declared orbits that may be short, full or wrong."""
     g = draw(st.integers(1, 7))
     labels = draw(st.lists(st.integers(0, 6), min_size=2, max_size=6, unique=True))
     cut = draw(st.integers(1, min(3, len(labels) - 1)))
     classes = (tuple(labels[:cut]), tuple(labels[cut:cut + 3]))
-    token = st.one_of(st.just("inf"), st.builds("a{}".format, st.integers(0, 2)),
-                      st.builds("{}_{}".format, st.integers(0, 8), st.integers(0, 7)))
+    token = st.one_of(st.just("inf"), st.builds("a{}".format, st.integers(0, 2)))
     fixed = draw(st.lists(token, max_size=2, unique=True))
     split = draw(st.integers(0, len(fixed)))
     fixed = (tuple(fixed[:split]), tuple(fixed[split:]))
