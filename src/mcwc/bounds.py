@@ -4,6 +4,8 @@ Every integer-valued bound is computed exactly, in integer or rational
 (:class:`fractions.Fraction`) arithmetic; floating point appears only in the
 asymptotic functions, which mpmath evaluates with guard digits beyond the
 stated precision ``dps`` and rounds once to ``dps`` significant digits.
+mpmath is imported by those functions only, so importing the package does
+not load it.
 
 Distance conventions: :class:`~mcwc.core.CodeParameters` stores the literal
 minimum distance.  The closed-form bounds below are stated for even distance
@@ -22,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Optional, Union
-
-import mpmath
 
 from .core import CodeParameters, DomainError, ShapeError, canonical_weight
 
@@ -435,6 +435,8 @@ _GUARD_DPS = 10  # working digits beyond the requested precision
 
 def _working(dps: int):
     """A context carrying ``dps`` plus the guard digits."""
+    import mpmath  # loaded by the asymptotic functions only
+
     ctx = mpmath.mp.clone()
     ctx.dps = dps + _GUARD_DPS
     return ctx
@@ -443,6 +445,8 @@ def _working(dps: int):
 def _rounded(value: mpmath.mpf, dps: int) -> mpmath.mpf:
     """``value`` rounded once to ``dps`` significant digits, as an mpf of a
     ``dps``-digit context, whose ``str`` prints exactly those digits."""
+    import mpmath
+
     ctx = mpmath.mp.clone()
     ctx.dps = dps
     return ctx.mpf(mpmath.libmp.to_str(value._mpf_, dps))
@@ -495,6 +499,14 @@ def _check_common_domain(delta: Fraction, omega: Fraction) -> None:
         raise DomainError("delta must not exceed max(1/2, 2*omega)")
 
 
+def _vanishes(delta: Fraction, omega: Fraction) -> bool:
+    """True on the line delta = 2*omega*(1 - omega), where mu_c, mu_gv and
+    comparison_f are all exactly 0: there H_q(delta/(2*omega)) = H_q((q-1)/q)
+    = 1, H2(omega) - omega*H2(1 - omega) - (1 - omega)*H2(omega) = 0, and f
+    vanishes at x = omega - omega^2."""
+    return delta == 2 * omega * (1 - omega)
+
+
 def mu_c(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf:
     """Concatenation rate omega*log2(1/omega)*(1 - H_q(delta/(2*omega))), q = 1/omega."""
     d = _to_fraction(delta)
@@ -508,6 +520,8 @@ def mu_c(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf:
     if x > Fraction(q - 1, q):
         raise DomainError("delta/(2*omega) must not exceed (q-1)/q")
     ctx = _working(dps)
+    if _vanishes(d, o):
+        return _rounded(ctx.zero, dps)
     return _rounded(_mpf(o, ctx) * ctx.log(q, 2) * (1 - _q_entropy(q, x, ctx)), dps)
 
 
@@ -521,6 +535,8 @@ def mu_gv(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf
     if x1 > 1 or x2 > 1:
         raise DomainError("entropy arguments must lie in [0, 1]")
     ctx = _working(dps)
+    if _vanishes(d, o):
+        return _rounded(ctx.zero, dps)
     return _rounded(
         _binary_entropy(o, ctx)
         - _mpf(o, ctx) * _binary_entropy(x1, ctx)
@@ -534,7 +550,7 @@ def comparison_f(x: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.
 
     f(x, w) = -(2-2w-x)*log2(1-w) + x*log2(x/w) + (1-w-x)*log2(1-w-x),
     with x*log2(x/w) taken as 0 at x = 0.  The function is non-negative on the
-    admissible region and vanishes on the line x = w - w^2.
+    admissible region and is exactly 0 on the line x = w - w^2.
     """
     xf = _to_fraction(x)
     o = _to_fraction(omega)
@@ -543,6 +559,8 @@ def comparison_f(x: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.
     if not 0 <= xf < 1 - o:
         raise DomainError("x must lie in [0, 1 - omega)")
     ctx = _working(dps)
+    if _vanishes(2 * xf, o):
+        return _rounded(ctx.zero, dps)
     om = _mpf(o, ctx)
     xx = _mpf(xf, ctx)
     value = -(2 - 2 * om - xx) * ctx.log(1 - om, 2)

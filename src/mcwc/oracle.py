@@ -5,7 +5,8 @@ graph (edges join words at distance >= d); the largest code is a maximum
 clique.  Every parameter set follows one path:
 
 * :func:`enumerate_words` lists the words once, each support with its packed
-  bits, combining every block's combinations by product and OR;
+  bits, combining every block's combinations by product and OR; a block
+  above half weight gets its bits from its smaller side, the complements;
 * trivial answers first: with no word, a distance no two words reach (one
   word is optimal) or d <= 2 (every word fits), the answer is a prefix of
   the words whose length is also its upper bound;
@@ -47,6 +48,7 @@ from .core import (
     PartitionedWord,
     SizeError,
     _canonical_supports,
+    canonical_weight,
     verify_mcwc,
 )
 
@@ -209,11 +211,22 @@ def _greedy_seed(adj: list[int], vertices: int) -> list[int]:
 
 def enumerate_words(params: CodeParameters) -> list[tuple[tuple[int, ...], int]]:
     """(support, packed bits) of every word with exact block weights, in
-    lexicographic block-major order of the supports."""
+    lexicographic block-major order of the supports.
+
+    A block's bits are built from its smaller side (:func:`canonical_weight`):
+    above half weight, the complements of the w-subsets in lexicographic order
+    are the (n - w)-subsets in reverse lexicographic order, so each word's
+    bits are the block mask XOR those of its complement."""
     bit = [1 << i for i in range(params.total_length)].__getitem__
     words = [((), 0)]
     for (start, end), w in zip(params.block_spans(), params.block_weights):
-        block = [(c, sum(map(bit, c))) for c in itertools.combinations(range(start, end), w)]
+        points = range(start, end)
+        side = canonical_weight(w, end - start)
+        bits = [sum(map(bit, c)) for c in itertools.combinations(points, side)]
+        if side != w:
+            mask = (1 << end) - (1 << start)
+            bits = [mask ^ b for b in reversed(bits)]
+        block = list(zip(itertools.combinations(points, w), bits))
         words = [(s + c, b | cb) for s, b in words for c, cb in block]
     return words
 

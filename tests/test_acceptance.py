@@ -214,7 +214,7 @@ def test_criterion_7_asymptotic_comparison():
     # zero on the locus x = omega - omega^2
     for oi in range(1, 33):
         omega = Fraction(oi, 64)
-        assert abs(comparison_f(omega - omega * omega, omega)) <= 1e-9, omega
+        assert comparison_f(omega - omega * omega, omega) == 0, omega
     # f equals the rate difference where the concatenation rate is defined
     for q in (2, 3, 4):
         omega = Fraction(1, q)

@@ -653,15 +653,15 @@ class TestAsymptotics:
         assert abs(mu_gv(0, omega) - binary_entropy(omega)) < 1e-12
 
     def test_equality_on_the_locus(self):
-        # mu_gv == mu_c exactly along delta = 2*omega*(1 - omega)
+        # mu_gv == mu_c == 0 exactly along delta = 2*omega*(1 - omega)
         for omega in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)):
             delta = 2 * omega * (1 - omega)
-            assert abs(mu_gv(delta, omega) - mu_c(delta, omega)) < 1e-12
+            assert mu_gv(delta, omega) == mu_c(delta, omega) == 0
 
     def test_f_zero_at_locus(self):
         for omega in (Fraction(1, 3), Fraction(1, 4), Fraction(2, 5)):
             x = omega - omega * omega
-            assert abs(comparison_f(x, omega)) < 1e-12
+            assert comparison_f(x, omega) == 0
 
     def test_f_limit_at_zero(self):
         import mpmath
@@ -735,9 +735,12 @@ class TestAsymptotics:
                     point = asymptotic_point(delta, omega, dps)
                     for name, want in ref.items():
                         got = getattr(point, name)
-                        # a true zero (mu_c at the end of its domain, f on the
-                        # locus) has no correct digits to compare
-                        if got is None or abs(want) < mpmath.mpf(10) ** -40:
+                        if got is None:
+                            continue
+                        # a true zero (every rate on the locus) has no correct
+                        # digits to compare and is printed as an exact 0
+                        if abs(want) < mpmath.mpf(10) ** -40:
+                            assert str(got) == "0.0", (name, delta, omega, dps)
                             continue
                         assert str(got) == mpmath.libmp.to_str(want._mpf_, dps), (name, delta, omega, dps)
                         checked += 1

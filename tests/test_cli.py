@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -297,6 +298,20 @@ class TestAsymptotic:
         assert rc == 0
         line = [l for l in out.splitlines() if l.startswith("mu_c")][0]
         assert line.split()[1] == "-"
+
+    @pytest.mark.parametrize("dps", [5, 15, 30])
+    @pytest.mark.parametrize("omega", ["1/2", "1/3", "1/4", "1/5", "2/5"])
+    def test_rates_are_exactly_zero_on_the_line_where_they_vanish(self, omega, dps, capsys):
+        # on delta = 2*omega*(1 - omega) all three rates are 0; mu_c exists
+        # only where 1/omega is an integer
+        w = Fraction(omega)
+        delta = str(2 * w * (1 - w))
+        rc, out = run(["--format", "tsv", "asymptotic", "--delta", delta, "--omega", omega,
+                       "--dps", str(dps)], capsys)
+        assert rc == 0
+        values = dict(line.split("\t") for line in out.splitlines()[1:])
+        zero = "0.0" if w.numerator == 1 else "-"
+        assert values == {"mu_c": zero, "mu_gv": "0.0", "f": "0.0"}
 
 
 class TestConstructAndDevelop:

@@ -3,6 +3,8 @@ hypothesis: scipy, numpy and other installed packages stay out of ``src/`` and
 ``tests/``.  Imports inside functions count too."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,24 @@ def test_imports_stay_within_declared_dependencies(folder):
         if package not in ALLOWED[folder]
     }
     assert not outside
+
+
+LAZY_MPMATH = """
+import sys
+import mcwc, mcwc.cli
+assert "mpmath" not in sys.modules, "import mcwc loads mpmath"
+assert mcwc.cli.main(["bound", "--m", "2", "--n", "5", "--w", "2", "--d", "6"]) == 0
+assert "mpmath" not in sys.modules, "mcwc bound loads mpmath"
+assert mcwc.cli.main(["asymptotic", "--delta", "1/4", "--omega", "1/2"]) == 0
+assert "mpmath" in sys.modules
+"""
+
+
+def test_mpmath_is_loaded_by_the_asymptotic_functions_only():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", LAZY_MPMATH], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # the asymptotic command still prints its digits
+    assert "0.0943609377704335680451521039804" in done.stdout

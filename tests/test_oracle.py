@@ -2,7 +2,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mcwc import oracle
 from mcwc.core import (
@@ -16,6 +16,33 @@ from mcwc.bounds import best_of, gv_lower_bound, johnson_recursive, upper_bounds
 from mcwc.oracle import SearchConfig, enumerate_words, max_mcwc
 
 
+def reference_words(params):
+    """Every word by definition: the product of each block's w-subsets in
+    lexicographic order, with bits built from the joined support."""
+    blocks = [itertools.combinations(range(start, end), w)
+              for (start, end), w in zip(params.block_spans(), params.block_weights)]
+    words = []
+    for parts in itertools.product(*blocks):
+        support = tuple(itertools.chain.from_iterable(parts))
+        words.append((support, sum(1 << i for i in support)))
+    return words
+
+
+@st.composite
+def enumeration_shapes(draw, max_words=2000):
+    """1-3 blocks of length <= 9 and any weight 0..n + 1, so that blocks at
+    and above half weight, full blocks, empty blocks and blocks with no word
+    all occur, with at most ``max_words`` words."""
+    lengths, weights, count = [], [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 9))
+        w = draw(st.sampled_from([w for w in range(n + 2) if count * comb(n, w) <= max_words]))
+        lengths.append(n)
+        weights.append(w)
+        count *= comb(n, w)
+    return CodeParameters(tuple(lengths), tuple(weights), 0)
+
+
 class TestEnumeration:
     def test_counts(self):
         assert len(enumerate_words(CodeParameters((5, 7), (2, 2), 6))) == 10 * 21
@@ -24,6 +51,16 @@ class TestEnumeration:
     def test_block_offsets(self):
         words = enumerate_words(CodeParameters((2, 2), (1, 1), 2))
         assert words == [((0, 2), 0b101), ((0, 3), 0b1001), ((1, 2), 0b110), ((1, 3), 0b1010)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(enumeration_shapes())
+    @example(CodeParameters((9,), (8,), 0))
+    @example(CodeParameters((3, 5), (3, 4), 0))
+    @example(CodeParameters((4, 6, 2), (1, 5, 3), 0))  # below, above and over n
+    def test_equals_the_definition(self, shape):
+        # list for list, order included: blocks above half weight take their
+        # bits from the complements, which must not change the list
+        assert enumerate_words(shape) == reference_words(shape)
 
 
 def reference_graph(supports, d):
