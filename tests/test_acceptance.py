@@ -202,7 +202,7 @@ def test_criterion_6_scheme_algebra():
 
 def test_criterion_7_asymptotic_comparison():
     started = time.monotonic()
-    # f >= -1e-12 on the 1/64 grid of the admissible region
+    # f >= 0 on the 1/64 grid of the admissible region
     for oi in range(1, 33):
         omega = Fraction(oi, 64)
         limit = min(Fraction(1, 4), omega)
@@ -210,7 +210,7 @@ def test_criterion_7_asymptotic_comparison():
             x = Fraction(xi, 64)
             if x > limit:
                 break
-            assert comparison_f(x, omega) >= -1e-12, (x, omega)
+            assert comparison_f(x, omega) >= 0, (x, omega)
     # zero on the locus x = omega - omega^2
     for oi in range(1, 33):
         omega = Fraction(oi, 64)
