@@ -201,12 +201,14 @@ def cmd_bound(args) -> int:
         note = "lower bound" if name == "gv" and result.value is not None else ""
         rows.append([name, "-" if result.value is None else result.value,
                      note or result.certificate.get("reason", "")])
-    _emit(rows, ["method", "value", "note"], args.format)
     if args.dump_lp:
-        # the instance the lp row solved, if it solved one; else built here
+        # the instance the lp row built, if it built one; else built here,
+        # before any row is printed, so that a shape with no LP prints nothing
         lp = lp_result.certificate.get("lp") if lp_result else None
         if lp is None:
             lp, _labels = delsarte_lp(params)
+    _emit(rows, ["method", "value", "note"], args.format)
+    if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(format_lp(lp))
     return 0

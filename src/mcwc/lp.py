@@ -4,8 +4,13 @@ The solver is a single-phase primal simplex with Bland's anti-cycling rule,
 pivoted fraction-free in integers over one common denominator (Edmonds 1967,
 Bareiss 1968), so it terminates and its optimum is exact.  It starts from
 the slack basis, so every constraint must hold at x = 0; the Delsarte rows
-(right-hand side -prod(multiplicities) <= -1) all do.  The Delsarte LP is
-built from orbit counts in integers.  No floating point is involved anywhere.
+(right-hand side -prod(multiplicities) <= -1) all do.
+
+A program has one stored form: each constraint is kept as the integer row
+the solver pivots on, its ``<=`` form times the positive lcm of its
+denominators, with that scale.  The constraints in ``Fraction`` are a view
+derived from those rows.  The Delsarte LP is built from orbit counts straight
+into integer rows.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Literal, Optional, Sequence
 
 from .bounds import LP_CLASS_CAP, BoundResult
@@ -25,17 +30,23 @@ Relation = Literal["<=", ">="]
 
 @dataclass
 class RationalLinearProgram:
-    """maximize objective . x subject to the listed constraints and x >= 0.
+    """maximize objective . x subject to the added constraints and x >= 0.
 
     Every constraint must hold at x = 0: a ``<=`` row needs rhs >= 0 and a
     ``>=`` row rhs <= 0.
+
+    Constraint i is stored once, in integers: ``rows[i]`` holds the
+    coefficients and then the right-hand side of its ``<=`` form (a ``>=``
+    row negated), times ``scales[i] > 0``, the lcm of that form's
+    denominators; ``relations[i]`` is the relation it was given with.
+    ``constraints`` is the ``Fraction`` view of the same rows.
     """
 
     num_vars: int
     objective: tuple[Fraction, ...]
-    constraints: list[tuple[tuple[Fraction, ...], Relation, Fraction]] = field(
-        default_factory=list
-    )
+    rows: list[tuple[int, ...]] = field(default_factory=list, init=False)
+    scales: list[int] = field(default_factory=list, init=False)
+    relations: list[Relation] = field(default_factory=list, init=False)
 
     def add(self, coeffs: Sequence, relation: Relation, rhs) -> None:
         if len(coeffs) != self.num_vars:
@@ -45,7 +56,26 @@ class RationalLinearProgram:
         rhs = Fraction(rhs)
         if (rhs < 0) if relation == "<=" else (rhs > 0):
             raise DomainError(f"x = 0 violates the constraint {relation} {rhs}")
-        self.constraints.append((tuple(Fraction(c) for c in coeffs), relation, rhs))
+        values = [*map(Fraction, coeffs), rhs]
+        if relation == ">=":
+            values = [-v for v in values]
+        self._append(*_integer_row(values), relation)
+
+    def _append(self, row: Sequence[int], scale: int, relation: Relation) -> None:
+        self.rows.append(tuple(row))
+        self.scales.append(scale)
+        self.relations.append(relation)
+
+    @property
+    def constraints(self) -> list[tuple[tuple[Fraction, ...], Relation, Fraction]]:
+        """Each constraint as ``(coeffs, relation, rhs)`` in ``Fraction``,
+        derived from its integer row."""
+        out = []
+        for row, scale, rel in zip(self.rows, self.scales, self.relations):
+            den = scale if rel == "<=" else -scale
+            *coeffs, rhs = (Fraction(a, den) for a in row)
+            out.append((tuple(coeffs), rel, rhs))
+        return out
 
 
 @dataclass(frozen=True)
@@ -60,10 +90,10 @@ class LpSolution:
     det_bits: int = 1
 
 
-def _integer_row(values: Sequence[Fraction]) -> list[int]:
-    """The row times the positive lcm of its denominators."""
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times the positive lcm of its denominators, and that lcm."""
     scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _pivot(
@@ -95,26 +125,25 @@ def solve_lp(lp: RationalLinearProgram) -> LpSolution:
 
     A single-phase simplex with Bland's rule from the slack basis: every
     constraint holds at x = 0 (``RationalLinearProgram.add`` checks it), so
-    row i is the ``<=`` form of constraint i with slack variable n + i basic.
+    row i is the stored ``<=`` row of constraint i with slack variable n + i
+    basic.  The program is not changed: the tableau starts from copies.
 
     The pivoting is fraction-free in integers (Edmonds 1967, Bareiss 1968):
     the true tableau is the integer one over a common denominator D, the
-    basis determinant.  Each row starts scaled by the lcm of its denominators
-    with its slack coefficient kept at 1 (a rescaled slack), and the
-    objective by the lcm of its own.  Neither scaling changes the sign of a
+    basis determinant.  Each row starts as stored, scaled by the lcm of its
+    denominators with its slack coefficient kept at 1 (a rescaled slack), and
+    the objective by the lcm of its own.  Neither scaling changes the sign of a
     reduced cost or the order of the ratios in a column, so the entering
     variable, the leaving row and every tie-break are those of the same
     simplex run on fractions.  The tableau keeps only the nonbasic columns and
-    the right-hand side; its last row holds D times the reduced costs.
+    the right-hand side; its last row holds D times the scaled reduced costs
+    and, last, -D times the scaled objective value.
     """
     n = lp.num_vars
-    m = len(lp.constraints)
-    rows: list[list[int]] = []
-    for coeffs, rel, rhs in lp.constraints:
-        if rel == ">=":
-            coeffs, rhs = [-c for c in coeffs], -rhs
-        rows.append(_integer_row([*coeffs, rhs]))
-    rows.append(_integer_row(lp.objective) + [0])
+    m = len(lp.rows)
+    rows = [list(row) for row in lp.rows]
+    objective, obj_scale = _integer_row(lp.objective)
+    rows.append(objective + [0])
     basis = list(range(n, n + m))
     nonbasic = list(range(n))  # the variable of each tableau column
     det = 1
@@ -145,7 +174,7 @@ def solve_lp(lp: RationalLinearProgram) -> LpSolution:
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(rows[i][-1], det)
-    value = sum(c * v for c, v in zip(lp.objective, x))
+    value = Fraction(-rows[m][-1], obj_scale * det)
     return LpSolution("optimal", value, tuple(x), pivots, det.bit_length())
 
 
@@ -177,7 +206,9 @@ def delsarte_lp(params: CodeParameters):
     class t in the label.  Row ks sums prod_i Q[t_i][k_i] over the orbit, that
     is M/V times the coefficient S of prod_t x_t^c_t in
     prod_i (sum_t E_t(k_i) x_t), with M = prod_i mult[k_i] and
-    V = prod_t valency[t]^c_t, all integers.
+    V = prod_t valency[t]^c_t, all integers.  The row is stored in its
+    ``<=`` form, -M*S/V <= M, each entry reduced by a gcd and the row scaled
+    by the lcm of the reduced denominators, with no ``Fraction`` made.
     """
     params = params.canonical()
     if not params.is_uniform:
@@ -215,21 +246,23 @@ def delsarte_lp(params: CodeParameters):
     ]
     orbit_den = [prod(v**c for v, c in zip(val, cnt)) for cnt in counts]
     lp = RationalLinearProgram(len(labels), tuple(objective))
+    # the nonzero terms (key, E_t(k)) of sum_t E_t(k) x_t, per k
+    factors = [[(p, E[t][k]) for t, p in enumerate(place) if E[t][k]] for k in range(w + 1)]
     for ks in itertools.combinations_with_replacement(range(w + 1), m):
         # coefficients of prod_i (sum_t E_t(k_i) x_t)
         poly = {0: 1}
         for k in ks:
-            terms = [(p, E[t][k]) for t, p in enumerate(place) if E[t][k]]
             nxt: dict[int, int] = {}
             for key, s in poly.items():
-                for p, e in terms:
+                for p, e in factors[k]:
                     nxt[key + p] = nxt.get(key + p, 0) + s * e
             poly = nxt
         big_m = prod(mult[k] for k in ks)
-        coeffs = [
-            Fraction(big_m * poly.get(key, 0), den) for key, den in zip(keys, orbit_den)
-        ]
-        lp.add(coeffs, ">=", -big_m)
+        nums = [-big_m * poly.get(key, 0) for key in keys]
+        scale = lcm(*(den // gcd(a, den) for a, den in zip(nums, orbit_den)))
+        row = [a * scale // den for a, den in zip(nums, orbit_den)]
+        row.append(big_m * scale)
+        lp._append(row, scale, ">=")
     return lp, labels
 
 
@@ -242,9 +275,9 @@ def lp_bound(params: CodeParameters) -> BoundResult:
     lp, labels = delsarte_lp(params)
     trivial = prod(map(comb, params.block_lengths, params.block_weights))
     if not trivial:
-        return BoundResult(method, 0, {"reason": "no word"})
+        return BoundResult(method, 0, {"reason": "no word", "lp": lp})
     if not labels:
-        return BoundResult(method, 1, {"optimum": Fraction(0), "classes": ()})
+        return BoundResult(method, 1, {"optimum": Fraction(0), "classes": (), "lp": lp})
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise AssertionError(f"distance-distribution LP came back {sol.status}")

@@ -157,11 +157,30 @@ class TestBound:
         build = lp.delsarte_lp
         for mod in (lp, cli):
             monkeypatch.setattr(mod, "delsarte_lp", counted)
+        # a shape that the LP solves, one with no class left (d > 2mw) and one
+        # with no word (w > n): the last two dump the empty program
+        dumped = {"--m 2 --n 5 --w 2 --d 6": self.DUMPED["--m 2 --n 5 --w 2 --d 6"],
+                  "--m 2 --n 5 --w 2 --d 10": "max \n",
+                  "--m 2 --n 5 --w 9 --d 4": "max \n"}
         out_file = tmp_path / "instance.lp"
-        rc, _ = run(["bound", "--m", "2", "--n", "5", "--w", "2", "--d", "6",
-                     "--dump-lp", str(out_file)], capsys)
-        assert rc == 0 and len(calls) == 1
-        assert out_file.read_bytes() == self.DUMPED["--m 2 --n 5 --w 2 --d 6"].encode()
+        for args, text in dumped.items():
+            calls.clear()
+            rc, _ = run(["bound", *args.split(), "--dump-lp", str(out_file)], capsys)
+            assert rc == 0 and len(calls) == 1, args
+            assert out_file.read_bytes() == text.encode(), args
+
+    @pytest.mark.parametrize("args,message", [
+        ("--m 2 --n 5 --w 2 --d 5", "the LP bound requires an even distance"),
+        ("--lengths 3,5 --weights 1,2 --d 4", "the LP bound requires uniform parameters"),
+        ("--m 13 --n 2 --w 1 --d 4", "LP would need 8192 classes, above the cap of 4096"),
+    ])
+    def test_dump_lp_without_an_lp_prints_no_row(self, args, message, tmp_path, capsys):
+        out_file = tmp_path / "instance.lp"
+        assert main(["bound", *args.split(), "--dump-lp", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out_file.exists()
 
     def test_missing_params(self, capsys):
         rc, _ = run(["bound", "--d", "6"], capsys)

@@ -108,6 +108,24 @@ class TestSimplex:
         lp.add([1], ">=", 0)
         assert solve_lp(lp).value == 0
 
+    def test_rejected_row_leaves_the_program_unchanged(self):
+        lp = RationalLinearProgram(2, (Fraction(1), Fraction(1)))
+        lp.add([Fraction(1, 2), 1], "<=", 3)
+        before = (list(lp.rows), list(lp.scales), list(lp.relations), lp.constraints)
+        rejected = [([1], "<=", 1), ([1, 1], "=", 0), ([1, 1], "<=", Fraction(-1, 3)),
+                    ([1, 1], ">=", 1), ([1, "one"], "<=", 1)]
+        for row in rejected:
+            with pytest.raises((DomainError, ValueError)):
+                lp.add(*row)
+            assert (lp.rows, lp.scales, lp.relations, lp.constraints) == before, row
+
+    def test_constraints_are_not_a_constructor_argument(self):
+        # constraints enter through add only; the Fraction list is a view
+        with pytest.raises(TypeError):
+            RationalLinearProgram(1, (Fraction(1),), [])
+        with pytest.raises(TypeError):
+            RationalLinearProgram(1, (Fraction(1),), constraints=[])
+
     def test_two_variable_vertex(self):
         lp = RationalLinearProgram(2, (Fraction(3), Fraction(5)))
         lp.add([1, 0], "<=", 4)
@@ -342,25 +360,77 @@ class TestIntegerLp:
         cert = lp_bound(CodeParameters.uniform(*shape)).certificate
         assert (cert["pivots"], cert["det_bits"]) == (pivots, det_bits)
 
+    @pytest.mark.parametrize("shape,pivots,det_bits",
+                             [((3, 8, 3, 6), 23, 216), ((4, 8, 3, 8), 49, 459)])
+    def test_solving_leaves_the_program_unchanged(self, shape, pivots, det_bits):
+        lp, _labels = delsarte_lp(CodeParameters.uniform(*shape))
+        sol = solve_twice(lp)
+        assert (sol.pivots, sol.det_bits) == (pivots, det_bits)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 2, 6), (3, 4, 2, 8), (6, 3, 1, 4),
+                                       (2, 9, 3, 6), (3, 8, 3, 6)])
+    def test_what_a_traced_run_reads(self, shape):
+        # the tracer sums num_vars and len(constraints) of each delsarte_lp
+        m, n, w, _d = shape
+        lp, labels = delsarte_lp(CodeParameters.uniform(*shape))
+        assert lp.num_vars == len(labels)
+        assert len(lp.constraints) == comb(m + w, w)
+
 
 def _fractions():
     return st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
 @st.composite
-def origin_feasible_lps(draw):
+def origin_feasible_rows(draw):
+    """(num_vars, objective, [(coeffs, relation, rhs), ...]) that hold at x = 0."""
     n = draw(st.integers(1, 4))
-    lp = RationalLinearProgram(n, tuple(draw(st.lists(_fractions(), min_size=n, max_size=n))))
+    objective = tuple(draw(st.lists(_fractions(), min_size=n, max_size=n)))
+    rows = []
     for _ in range(draw(st.integers(0, 5))):
         coeffs = draw(st.lists(_fractions(), min_size=n, max_size=n))
         relation = draw(st.sampled_from(["<=", ">="]))
         # rhs 0 rows are degenerate at the slack basis
         size = draw(st.one_of(st.just(Fraction(0)), st.fractions(0, 8, max_denominator=6)))
-        lp.add(coeffs, relation, size if relation == "<=" else -size)
+        rows.append((coeffs, relation, size if relation == "<=" else -size))
+    return n, objective, rows
+
+
+def program(n, objective, rows):
+    lp = RationalLinearProgram(n, objective)
+    for row in rows:
+        lp.add(*row)
     return lp
+
+
+def origin_feasible_lps():
+    return origin_feasible_rows().map(lambda drawn: program(*drawn))
+
+
+def solve_twice(lp):
+    """solve_lp twice: equal solutions and the program left as it was."""
+    text = format_lp(lp)
+    sol = solve_lp(lp)
+    assert solve_lp(lp) == sol
+    assert format_lp(lp) == text
+    return sol
 
 
 @settings(max_examples=200, deadline=None)
 @given(origin_feasible_lps())
 def test_integer_simplex_follows_the_fraction_simplex(lp):
     assert integer_simplex(lp) == fraction_simplex(lp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(origin_feasible_lps())
+def test_solving_leaves_the_program_unchanged(lp):
+    solve_twice(lp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(origin_feasible_rows())
+def test_constraints_view_returns_the_rows_as_added(drawn):
+    _n, _objective, rows = drawn
+    given_rows = [(tuple(coeffs), rel, rhs) for coeffs, rel, rhs in rows]
+    assert program(*drawn).constraints == given_rows
