@@ -2,10 +2,9 @@
 
 Every integer-valued bound is computed exactly, in integer or rational
 (:class:`fractions.Fraction`) arithmetic; floating point appears only in the
-asymptotic functions, which mpmath evaluates with guard digits beyond the
-stated precision ``dps`` and rounds once to ``dps`` significant digits.
-mpmath is imported by those functions only, so importing the package does
-not load it.
+asymptotic functions, which the standard library's :mod:`decimal` evaluates
+with guard digits beyond the stated precision ``dps`` and rounds once, half
+up, to ``dps`` significant digits.
 
 Distance conventions: :class:`~mcwc.core.CodeParameters` stores the literal
 minimum distance.  The closed-form bounds below are stated for even distance
@@ -20,6 +19,7 @@ and a shape that is uniform after complementing blocks gets the uniform bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -422,72 +422,62 @@ def best_upper_bound(params: CodeParameters) -> BoundResult:
 
 def _to_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, (Fraction, int, str, float)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass  # 'abc', '1/0', nan, inf
     raise DomainError(f"expected a rational value, got {x!r}")
 
 
-def _mpf(x: Fraction, ctx) -> mpmath.mpf:
-    return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / x.denominator
 
 
 _GUARD_DPS = 10  # working digits beyond the requested precision
 
 
 def _working(dps: int):
-    """A context carrying ``dps`` plus the guard digits."""
-    import mpmath  # loaded by the asymptotic functions only
-
-    ctx = mpmath.mp.clone()
-    ctx.dps = dps + _GUARD_DPS
-    return ctx
+    """A context carrying ``dps`` plus the guard digits, to enter with ``with``."""
+    if dps < 1:
+        raise DomainError(f"dps must be a positive number of digits, got {dps}")
+    return localcontext(Context(prec=dps + _GUARD_DPS))
 
 
-def _rounded(value: mpmath.mpf, dps: int) -> mpmath.mpf:
-    """``value`` rounded once to ``dps`` significant digits, as an mpf of a
-    ``dps``-digit context, whose ``str`` prints exactly those digits."""
-    import mpmath
-
-    ctx = mpmath.mp.clone()
-    ctx.dps = dps
-    return ctx.mpf(mpmath.libmp.to_str(value._mpf_, dps))
+def _rounded(value: Decimal, dps: int) -> Decimal:
+    """``value`` rounded once, half up, to ``dps`` significant digits."""
+    return Context(prec=dps, rounding=ROUND_HALF_UP).plus(value)
 
 
-def _entropy_term(p, ctx):
+def _log2(x) -> Decimal:
+    return Decimal(x).ln() / Decimal(2).ln()
+
+
+def _entropy_term(p: Decimal) -> Decimal:
     """-p*log2(p) with the 0*log(0) = 0 convention."""
     if p == 0:
-        return ctx.mpf(0)
-    return -p * ctx.log(p, 2)
+        return Decimal(0)
+    return -p * _log2(p)
 
 
-def _binary_entropy(x: Fraction, ctx) -> mpmath.mpf:
-    p = _mpf(x, ctx)
-    return _entropy_term(p, ctx) + _entropy_term(1 - p, ctx)
+def _binary_entropy(x: Fraction) -> Decimal:
+    p = _decimal(x)
+    return _entropy_term(p) + _entropy_term(1 - p)
 
 
-def _q_entropy(q: int, x: Fraction, ctx) -> mpmath.mpf:
-    p = _mpf(x, ctx)
-    logq = ctx.log(q)
-    value = (_entropy_term(p, ctx) + _entropy_term(1 - p, ctx)) * ctx.log(2) / logq
+def _q_entropy(q: int, x: Fraction) -> Decimal:
+    logq = Decimal(q).ln()
+    value = _binary_entropy(x) * Decimal(2).ln() / logq
     if x > 0:
-        value += p * ctx.log(q - 1) / logq
+        value += _decimal(x) * Decimal(q - 1).ln() / logq
     return value
 
 
-def binary_entropy(x: RationalLike, dps: int = 30) -> mpmath.mpf:
+def binary_entropy(x: RationalLike, dps: int = 30) -> Decimal:
     xf = _to_fraction(x)
     if not 0 <= xf <= 1:
         raise DomainError("binary entropy needs an argument in [0, 1]")
-    return _rounded(_binary_entropy(xf, _working(dps)), dps)
-
-
-def q_entropy(q: int, x: RationalLike, dps: int = 30) -> mpmath.mpf:
-    """q-ary entropy x*log_q(q-1) - x*log_q(x) - (1-x)*log_q(1-x) on [0, (q-1)/q]."""
-    xf = _to_fraction(x)
-    if q < 2:
-        raise DomainError("q must be at least 2")
-    if not 0 <= xf <= Fraction(q - 1, q):
-        raise DomainError(f"q-ary entropy needs an argument in [0, {q-1}/{q}]")
-    return _rounded(_q_entropy(q, xf, _working(dps)), dps)
+    with _working(dps):
+        return _rounded(_binary_entropy(xf), dps)
 
 
 def _check_common_domain(delta: Fraction, omega: Fraction) -> None:
@@ -507,7 +497,7 @@ def _vanishes(delta: Fraction, omega: Fraction) -> bool:
     return delta == 2 * omega * (1 - omega)
 
 
-def mu_c(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf:
+def mu_c(delta: RationalLike, omega: RationalLike, dps: int = 30) -> Decimal:
     """Concatenation rate omega*log2(1/omega)*(1 - H_q(delta/(2*omega))), q = 1/omega."""
     d = _to_fraction(delta)
     o = _to_fraction(omega)
@@ -519,13 +509,13 @@ def mu_c(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf:
     x = d / (2 * o)
     if x > Fraction(q - 1, q):
         raise DomainError("delta/(2*omega) must not exceed (q-1)/q")
-    ctx = _working(dps)
-    if _vanishes(d, o):
-        return _rounded(ctx.zero, dps)
-    return _rounded(_mpf(o, ctx) * ctx.log(q, 2) * (1 - _q_entropy(q, x, ctx)), dps)
+    with _working(dps):
+        if _vanishes(d, o):
+            return Decimal(0)
+        return _rounded(_decimal(o) * _log2(q) * (1 - _q_entropy(q, x)), dps)
 
 
-def mu_gv(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf:
+def mu_gv(delta: RationalLike, omega: RationalLike, dps: int = 30) -> Decimal:
     """Gilbert-Varshamov rate H2(omega) - omega*H2(delta/2omega) - (1-omega)*H2(delta/2(1-omega))."""
     d = _to_fraction(delta)
     o = _to_fraction(omega)
@@ -534,18 +524,18 @@ def mu_gv(delta: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf
     x2 = d / (2 * (1 - o))
     if x1 > 1 or x2 > 1:
         raise DomainError("entropy arguments must lie in [0, 1]")
-    ctx = _working(dps)
-    if _vanishes(d, o):
-        return _rounded(ctx.zero, dps)
-    return _rounded(
-        _binary_entropy(o, ctx)
-        - _mpf(o, ctx) * _binary_entropy(x1, ctx)
-        - _mpf(1 - o, ctx) * _binary_entropy(x2, ctx),
-        dps,
-    )
+    with _working(dps):
+        if _vanishes(d, o):
+            return Decimal(0)
+        return _rounded(
+            _binary_entropy(o)
+            - _decimal(o) * _binary_entropy(x1)
+            - _decimal(1 - o) * _binary_entropy(x2),
+            dps,
+        )
 
 
-def comparison_f(x: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.mpf:
+def comparison_f(x: RationalLike, omega: RationalLike, dps: int = 30) -> Decimal:
     """Closed form of mu_gv - mu_c at (delta, omega) with x = delta/2.
 
     f(x, w) = -(2-2w-x)*log2(1-w) + x*log2(x/w) + (1-w-x)*log2(1-w-x),
@@ -558,18 +548,18 @@ def comparison_f(x: RationalLike, omega: RationalLike, dps: int = 30) -> mpmath.
         raise DomainError("omega must lie in (0, 1)")
     if not 0 <= xf < 1 - o:
         raise DomainError("x must lie in [0, 1 - omega)")
-    ctx = _working(dps)
-    if _vanishes(2 * xf, o):
-        return _rounded(ctx.zero, dps)
-    om = _mpf(o, ctx)
-    xx = _mpf(xf, ctx)
-    value = -(2 - 2 * om - xx) * ctx.log(1 - om, 2)
-    if xf > 0:
-        value += xx * ctx.log(xx / om, 2)
-    rest = 1 - om - xx
-    if rest > 0:
-        value += rest * ctx.log(rest, 2)
-    return _rounded(value, dps)
+    with _working(dps):
+        if _vanishes(2 * xf, o):
+            return Decimal(0)
+        om = _decimal(o)
+        xx = _decimal(xf)
+        value = -(2 - 2 * om - xx) * _log2(1 - om)
+        if xf > 0:
+            value += xx * _log2(xx / om)
+        rest = 1 - om - xx
+        if rest > 0:
+            value += rest * _log2(rest)
+        return _rounded(value, dps)
 
 
 @dataclass(frozen=True)
@@ -578,15 +568,14 @@ class AsymptoticPoint:
 
     delta: Fraction
     omega: Fraction
-    mu_c: Optional[mpmath.mpf]  # None when 1/omega is not an integer
-    mu_gv: mpmath.mpf
-    f: mpmath.mpf
+    mu_c: Optional[Decimal]  # None when 1/omega is not an integer
+    mu_gv: Decimal
+    f: Decimal
     dps: int
 
 
 def asymptotic_point(delta: RationalLike, omega: RationalLike, dps: int = 30) -> AsymptoticPoint:
-    if dps < 1:
-        raise DomainError(f"dps must be a positive number of digits, got {dps}")
+    _working(dps)  # a dps below 1 is reported before the domain
     d = _to_fraction(delta)
     o = _to_fraction(omega)
     _check_common_domain(d, o)

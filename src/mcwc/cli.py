@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -86,6 +87,17 @@ def _emit(rows: list[list], header: list[str], fmt: str) -> None:
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+
+
+def _rate_text(value: Decimal, dps: int) -> str:
+    """A rate of at most ``dps`` digits, printed as mpmath printed it: zero as
+    ``0.0``, no trailing zero but the one of ``.0``, and fixed point while the
+    leading digit's position lies strictly between min(-(dps//3), -5) and
+    dps, else ``d.ddde-7`` or ``d.ddde+2``."""
+    fixed = min(-(dps // 3), -5) < value.adjusted() < dps
+    text = format(value.normalize(Context(prec=dps)), "f" if fixed else "e")
+    mantissa, e, exponent = text.partition("e")
+    return mantissa + ("" if "." in mantissa else ".0") + e + exponent
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -219,9 +231,9 @@ def cmd_asymptotic(args) -> int:
         _fraction(args.delta, "--delta"), _fraction(args.omega, "--omega"), args.dps
     )
     rows = [
-        ["mu_c", "-" if point.mu_c is None else point.mu_c],
-        ["mu_gv", point.mu_gv],
-        ["f", point.f],
+        ["mu_c", "-" if point.mu_c is None else _rate_text(point.mu_c, point.dps)],
+        ["mu_gv", _rate_text(point.mu_gv, point.dps)],
+        ["f", _rate_text(point.f, point.dps)],
     ]
     _emit(rows, ["function", f"value (dps={point.dps})"], args.format)
     return 0

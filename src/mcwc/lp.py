@@ -180,7 +180,7 @@ def solve_lp(lp: RationalLinearProgram) -> LpSolution:
 
 def format_lp(lp: RationalLinearProgram) -> str:
     """Plain-text rendering: 'max c1 c2 ...' then one constraint per line."""
-    out = ["max " + " ".join(str(c) for c in lp.objective)]
+    out = [" ".join(["max", *map(str, lp.objective)])]
     for coeffs, rel, rhs in lp.constraints:
         out.append(" ".join(str(c) for c in coeffs) + f" {rel} {rhs}")
     return "\n".join(out) + "\n"

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb, prod
 
@@ -637,16 +638,17 @@ class TestBestUpper:
 
 class TestAsymptotics:
     def test_mu_c_limit_at_zero(self):
-        assert abs(mu_c(0, Fraction(1, 2)) - 0.5) < 1e-12
+        # (1/2)*log2(2)*(1 - H2(0)) is exactly 1/2
+        assert mu_c(0, Fraction(1, 2)) == Decimal("0.5")
 
     def test_mu_c_vanishes(self):
         assert abs(mu_c(Fraction(1, 2), Fraction(1, 2))) < 1e-12
 
     def test_mu_c_quarter(self):
-        assert abs(mu_c(Fraction(1, 4), Fraction(1, 2)) - 0.0943609) < 1e-6
+        assert mu_c(Fraction(1, 4), Fraction(1, 2)) == Decimal("0.0943609377704335680451521039804")
 
     def test_mu_gv_quarter(self):
-        assert abs(mu_gv(Fraction(1, 4), Fraction(1, 2)) - 0.1887218) < 1e-6
+        assert mu_gv(Fraction(1, 4), Fraction(1, 2)) == Decimal("0.188721875540867136090304207961")
 
     def test_mu_gv_limit_at_zero(self):
         omega = Fraction(1, 3)
@@ -664,11 +666,11 @@ class TestAsymptotics:
             assert comparison_f(x, omega) == 0
 
     def test_f_limit_at_zero(self):
-        import mpmath
-
         value = comparison_f(0, Fraction(1, 4))
-        ref = -mpmath.mpf(3) / 4 * mpmath.log(mpmath.mpf(3) / 4, 2)
-        assert abs(value - ref) < 1e-12
+        with localcontext(Context(prec=60)):
+            ref = -Decimal(3) / 4 * (Decimal(3) / 4).ln() / Decimal(2).ln()
+        # 30 significant digits of a value near 0.3
+        assert abs(value - ref) < Decimal("1e-30")
         assert value > 0
 
     def test_f_matches_rate_difference(self):
@@ -699,6 +701,28 @@ class TestAsymptotics:
         with pytest.raises(DomainError, match=r"^omega must lie in \(0, 1/2\]$"):
             asymptotic_point(Fraction(1, 4), 0)  # checked before 1/omega is formed
 
+    @pytest.mark.parametrize("dps", [0, -3])
+    @pytest.mark.parametrize("rate,args", [
+        (binary_entropy, ("1/4",)),
+        (mu_c, ("1/4", "1/2")),
+        (mu_c, ("1/2", "1/2")),  # on the line where the rates vanish
+        (mu_gv, ("1/4", "1/2")),
+        (mu_gv, ("1/2", "1/2")),
+        (comparison_f, ("1/8", "1/2")),
+        (comparison_f, ("1/4", "1/2")),
+    ])
+    def test_dps_below_one_is_a_domain_error(self, rate, args, dps):
+        with pytest.raises(DomainError, match=rf"^dps must be a positive number of digits, got {dps}$"):
+            rate(*args, dps=dps)
+
+    @pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf")])
+    def test_malformed_rationals_are_domain_errors(self, bad):
+        calls = [(binary_entropy, (bad,)), (mu_c, (bad, "1/2")), (mu_gv, ("1/4", bad)),
+                 (comparison_f, (bad, "1/2")), (asymptotic_point, ("1/4", bad))]
+        for rate, args in calls:
+            with pytest.raises(DomainError, match=r"^expected a rational value, got "):
+                rate(*args)
+
     def test_asymptotic_point(self):
         point = asymptotic_point(Fraction(1, 4), Fraction(1, 2))
         assert point.mu_c is not None
@@ -706,25 +730,26 @@ class TestAsymptotics:
         assert asymptotic_point(Fraction(1, 4), Fraction(2, 5)).mu_c is None
 
     def test_printed_digits_match_a_60_digit_evaluation(self):
-        import mpmath
-
         def reference(delta, omega):
-            with mpmath.workdps(60):
-                w = mpmath.mpf(omega.numerator) / omega.denominator
-                x = mpmath.mpf(delta.numerator) / delta.denominator / 2
+            with localcontext(Context(prec=60)):
+                w = Decimal(omega.numerator) / omega.denominator
+                x = Decimal(delta.numerator) / delta.denominator / 2
+
+                def log(t, base):
+                    return t.ln() / Decimal(base).ln()
 
                 def h2(p):
-                    return -sum(t * mpmath.log(t, 2) for t in (p, 1 - p) if t)
+                    return -sum(t * log(t, 2) for t in (p, 1 - p) if t)
 
                 gv = h2(w) - w * h2(x / w) - (1 - w) * h2(x / (1 - w))
-                f = -(2 - 2 * w - x) * mpmath.log(1 - w, 2) + (1 - w - x) * mpmath.log(1 - w - x, 2)
+                f = -(2 - 2 * w - x) * log(1 - w, 2) + (1 - w - x) * log(1 - w - x, 2)
                 if x:
-                    f += x * mpmath.log(x / w, 2)
+                    f += x * log(x / w, 2)
                 c = None
                 if omega.numerator == 1:
                     q, y = omega.denominator, x / w
-                    hq = -sum(t * mpmath.log(t, q) for t in (y, 1 - y) if t) + y * mpmath.log(q - 1, q)
-                    c = w * mpmath.log(q, 2) * (1 - hq)
+                    hq = -sum(t * log(t, q) for t in (y, 1 - y) if t) + y * log(Decimal(q - 1), q)
+                    c = w * log(Decimal(q), 2) * (1 - hq)
                 return {"mu_c": c, "mu_gv": gv, "f": f}
 
         checked = 0
@@ -738,10 +763,14 @@ class TestAsymptotics:
                         if got is None:
                             continue
                         # a true zero (every rate on the locus) has no correct
-                        # digits to compare and is printed as an exact 0
-                        if abs(want) < mpmath.mpf(10) ** -40:
-                            assert str(got) == "0.0", (name, delta, omega, dps)
+                        # digits to compare and is returned as an exact 0
+                        if abs(want) < Decimal("1e-40"):
+                            assert got == 0, (name, delta, omega, dps)
                             continue
-                        assert str(got) == mpmath.libmp.to_str(want._mpf_, dps), (name, delta, omega, dps)
+                        # the reference rounded once, half up, to dps digits;
+                        # equal values of at most dps digits print the same
+                        rounded = Context(prec=dps, rounding=ROUND_HALF_UP).plus(want)
+                        assert got == rounded and len(got.as_tuple().digits) <= dps, (
+                            name, delta, omega, dps)
                         checked += 1
         assert checked > 100

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,9 @@ from mcwc import corpus
 from mcwc.cli import main
 from mcwc.core import VerificationReport, load_code, save_code
 from mcwc.designs import mcwc_to_square, save_square
+
+
+GOLDEN = Path(__file__).with_name("asymptotic_golden.txt")
 
 
 def run(argv, capsys):
@@ -160,8 +164,8 @@ class TestBound:
         # a shape that the LP solves, one with no class left (d > 2mw) and one
         # with no word (w > n): the last two dump the empty program
         dumped = {"--m 2 --n 5 --w 2 --d 6": self.DUMPED["--m 2 --n 5 --w 2 --d 6"],
-                  "--m 2 --n 5 --w 2 --d 10": "max \n",
-                  "--m 2 --n 5 --w 9 --d 4": "max \n"}
+                  "--m 2 --n 5 --w 2 --d 10": "max\n",
+                  "--m 2 --n 5 --w 9 --d 4": "max\n"}
         out_file = tmp_path / "instance.lp"
         for args, text in dumped.items():
             calls.clear()
@@ -307,6 +311,17 @@ class TestBound:
 
 
 class TestAsymptotic:
+    def test_printed_bytes_match_the_recorded_output(self, capsys):
+        # recorded from the mpmath evaluation that the decimal one replaced, on
+        # the grid of the 60-digit test, the 15 zero-line cases, an exponent-form
+        # value (omega 5/11) and dps 1 and 60 at one point
+        cases = GOLDEN.read_text(encoding="utf-8").split("$ ")[1:]
+        assert len(cases) == 78
+        for case in cases:
+            args, expected = case.split("\n", 1)
+            rc, out = run(["--format", "tsv", "asymptotic", *args.split()], capsys)
+            assert rc == 0 and out == expected, args
+
     def test_values(self, capsys):
         rc, out = run(["asymptotic", "--delta", "1/4", "--omega", "1/2"], capsys)
         assert rc == 0
