@@ -19,7 +19,7 @@ and a shape that is uniform after complementing blocks gets the uniform bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
+from decimal import ROUND_HALF_UP, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -84,28 +84,21 @@ _REC_CACHE: dict[int, dict] = {}
 _BlockKey = tuple[tuple[int, int], ...]  # sorted canonical (w, n), 0 < w <= n/2
 _Rule = tuple  # ("eq1", w, n) | ("eq2", w, n) | ("eq3",) | ("product",) | ...
 
-# (w, n) -> the eq1 and eq2 steps from that block, as (canonical child block,
-# or None when its weight is forced; rule; divisor; change of the reach), built
-# once per block so that memo entries share them.  One step per child: at
-# n = 2w the eq2 child (w, 2w - 1) is the eq1 child (w - 1, 2w - 1), with the
-# same divisor w, so the eq2 step, which could never win, is not kept.
+# (w, n) -> (C(n, w), the eq1 and eq2 steps from that block as (canonical
+# child block, or None when its weight is forced; rule; n; divisor; change of
+# the reach)): what a state reads of each of its blocks, built once per block
+# so that memo entries share the rules.  One step per child: at n = 2w the eq2
+# child (w, 2w - 1) is the eq1 child (w - 1, 2w - 1), with the same divisor w,
+# so the eq2 step, which could never win, is not kept.
 @lru_cache(maxsize=None)
-def _steps(block: tuple[int, int]):
+def _block_record(block: tuple[int, int]):
     w, n = block
     steps = {}
     for rule, child_w, divisor in (("eq1", w - 1, w), ("eq2", w, n - w)):
         child_w = canonical_weight(child_w, n - 1)
         child = (child_w, n - 1) if child_w else None
-        steps.setdefault(child, (child, (rule, w, n), divisor, child_w - w))
-    return tuple(steps.values())
-
-
-# (w, n) -> (C(n, w), its steps as (child block, rule, n, divisor, change of
-# the reach)): what a state reads of each of its blocks, computed once.
-@lru_cache(maxsize=None)
-def _block_record(block: tuple[int, int]):
-    w, n = block
-    return comb(n, w), tuple((c, r, n, div, dr) for c, r, div, dr in _steps(block))
+        steps.setdefault(child, (child, (rule, w, n), n, divisor, child_w - w))
+    return comb(n, w), tuple(steps.values())
 
 
 def _space_size(blocks: _BlockKey) -> int:
@@ -251,33 +244,40 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
 
 def _rec_trace(blocks, rule: _Rule, st: _RecState, limit: int = 64) -> tuple[_Rule, ...]:
     """Path of winning rules from the root state down to a terminal rule,
-    read from the table that the answer came from."""
-    lookup = _RecState(st.d, 0, st.memo)
+    read from the table that the answer came from: a base case is
+    ``("single",)`` and a state the budget cut off, absent from the table,
+    is ``("product",)``."""
     trace = [rule]
     while rule[0] in ("eq1", "eq2") and len(trace) < limit:
         i = blocks.index(rule[1:])
-        child_block = next(c for c, r, _, _ in _steps(blocks[i]) if r == rule)
+        child_block = next(c for c, r, *_ in _block_record(blocks[i])[1] if r == rule)
         blocks = blocks[:i] + blocks[i + 1 :]
         if child_block is not None:
             blocks = tuple(sorted((*blocks, child_block)))
-        rule = _lookup(blocks, sum(w for w, _ in blocks), lookup)[1]
+        base = not blocks or st.d > 2 * sum(w for w, _ in blocks)
+        rule = ("single",) if base else st.memo.get(blocks, (None, ("product",)))[1]
         trace.append(rule)
     return tuple(trace)
 
 
-def plotkin_bound(params: CodeParameters) -> BoundResult:
-    """Averaging bound floor(u/b) with b = u - m*w*(n-w)/n, for uniform shapes."""
-    method = "plotkin"
+def _plotkin(params: CodeParameters, method: str):
+    """Plotkin's averaging bound floor(u/b), b = u - m*w*(n-w)/n at distance
+    2u, as a result named ``method``, with the uniform (m, n, w) it used."""
     m, n, w = _require_uniform(params, method)
     if params.distance % 2 != 0:
-        return BoundResult(method, None, {"reason": "odd distance"})
+        return BoundResult(method, None, {"reason": "odd distance"}), m, n, w
     u = params.distance // 2
     b = Fraction(u) - Fraction(m * w * (n - w), n)
     cert = {"u": u, "b": b}
     if b <= 0:
         cert["reason"] = "b <= 0"
-        return BoundResult(method, None, cert)
-    return BoundResult(method, int(Fraction(u) / b), cert)
+        return BoundResult(method, None, cert), m, n, w
+    return BoundResult(method, int(Fraction(u) / b), cert), m, n, w
+
+
+def plotkin_bound(params: CodeParameters) -> BoundResult:
+    """Averaging bound floor(u/b) with b = u - m*w*(n-w)/n, for uniform shapes."""
+    return _plotkin(params, "plotkin")[0]
 
 
 def _frac_part(x: Fraction) -> Fraction:
@@ -294,21 +294,20 @@ def plotkin_discrete(params: CodeParameters) -> BoundResult:
     when no M down to 1 is consistent.
     """
     method = "plotkin-discrete"
+    m, n, w = _require_uniform(params, method)
     base = plotkin_bound(params)
     if not base.applicable:
         return BoundResult(method, None, base.certificate)
-    m, n, w = _require_uniform(params, method)
     if w > n:
         return BoundResult(method, 0, {"reason": "no word"})
-    u = params.distance // 2
+    u, b0 = base.certificate["u"], base.certificate["b"]
     start = base.value
     for candidate in range(start, 0, -1):
-        corr = (
+        b = b0 + (
             Fraction(n * m, candidate * candidate)
             * _frac_part(Fraction(candidate * w, n))
             * _frac_part(Fraction(candidate * (n - w), n))
         )
-        b = Fraction(u) - Fraction(m * w * (n - w), n) + corr
         if b > 0 and candidate <= int(Fraction(u) / b):
             return BoundResult(
                 method, candidate, {"u": u, "b": b, "continuous": start}
@@ -317,28 +316,23 @@ def plotkin_discrete(params: CodeParameters) -> BoundResult:
 
 
 def spherical_bound(params: CodeParameters) -> BoundResult:
-    """Bound via the embedding of the code on an (nm-m)-dimensional sphere."""
-    method = "spherical"
-    m, n, w = _require_uniform(params, method)
-    if params.distance % 2 != 0:
-        return BoundResult(method, None, {"reason": "odd distance"})
-    if w > n:
-        return BoundResult(method, 0, {"reason": "no word"})
-    u = params.distance // 2
-    b = Fraction(u) - Fraction(m * w * (n - w), n)
-    cert = {"u": u, "b": b}
-    if b <= 0:
-        cert["reason"] = "b <= 0"
-        return BoundResult(method, None, cert)
+    """Bound via the embedding of the code on an (nm-m)-dimensional sphere:
+    a refinement of Plotkin's floor(u/b)."""
+    base, m, n, w = _plotkin(params, "spherical")
+    if not base.applicable:
+        return base
+    if w > n:  # then b > u, so the b <= 0 case above never hides this one
+        return BoundResult(base.method, 0, {"reason": "no word"})
+    u, b = base.certificate["u"], base.certificate["b"]
     if 2 * b > u:
         # maximum cosine below -1 (u*n > 2*m*w*(n-w)): no two codewords coexist
-        cert["case"] = "cosine < -1"
-        return BoundResult(method, 1, cert)
-    if b >= Fraction(u, n * m - m + 1):
-        cert["case"] = "floor(u/b)"
-        return BoundResult(method, int(Fraction(u) / b), cert)
-    cert["case"] = "simplex"
-    return BoundResult(method, m * (n - 1) + 1, cert)
+        value, case = 1, "cosine < -1"
+    elif b >= Fraction(u, n * m - m + 1):
+        value, case = base.value, "floor(u/b)"
+    else:
+        value, case = m * (n - 1) + 1, "simplex"
+    base.certificate["case"] = case
+    return BoundResult(base.method, value, base.certificate)
 
 
 def gv_lower_bound(params: CodeParameters) -> BoundResult:
@@ -438,8 +432,8 @@ _GUARD_DPS = 10  # working digits beyond the requested precision
 
 def _working(dps: int):
     """A context carrying ``dps`` plus the guard digits, to enter with ``with``."""
-    if dps < 1:
-        raise DomainError(f"dps must be a positive number of digits, got {dps}")
+    if not isinstance(dps, int) or isinstance(dps, bool) or dps < 1:
+        raise DomainError(f"dps must be a positive number of digits, got {dps!r}")
     return localcontext(Context(prec=dps + _GUARD_DPS))
 
 
@@ -448,8 +442,14 @@ def _rounded(value: Decimal, dps: int) -> Decimal:
     return Context(prec=dps, rounding=ROUND_HALF_UP).plus(value)
 
 
+@lru_cache(maxsize=None)
+def _ln2(prec: int) -> Decimal:
+    """ln 2 in the working context of precision ``prec``, once per precision."""
+    return Decimal(2).ln(Context(prec=prec))
+
+
 def _log2(x) -> Decimal:
-    return Decimal(x).ln() / Decimal(2).ln()
+    return Decimal(x).ln() / _ln2(getcontext().prec)
 
 
 def _entropy_term(p: Decimal) -> Decimal:
@@ -466,7 +466,7 @@ def _binary_entropy(x: Fraction) -> Decimal:
 
 def _q_entropy(q: int, x: Fraction) -> Decimal:
     logq = Decimal(q).ln()
-    value = _binary_entropy(x) * Decimal(2).ln() / logq
+    value = _binary_entropy(x) * _ln2(getcontext().prec) / logq
     if x > 0:
         value += _decimal(x) * Decimal(q - 1).ln() / logq
     return value

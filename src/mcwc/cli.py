@@ -64,6 +64,7 @@ from .core import (
     verify_mcwc,
 )
 from .designs import (
+    SkewSquare,
     fill_hole,
     load_square,
     mcwc_to_square,
@@ -256,58 +257,47 @@ def cmd_construct(args) -> int:
             raise McwcError("construct fill-hole needs --frame and --filler")
     elif not args.input:
         raise McwcError(f"construct {args.op} needs an input file")
+    suffix = ""
     if args.op == "square-to-code":
-        code = square_to_mcwc(load_square(args.input))
-        print(f"code of size {len(code)}, verified")
-        if args.out:
-            save_code(code, args.out)
+        result = square_to_mcwc(load_square(args.input))
     elif args.op == "code-to-square":
-        sq = mcwc_to_square(load_code(args.input))
-        print(f"{sq.kind.value} square, side {sq.s}, {sq.v} points, verified")
-        if args.out:
-            save_square(sq, args.out)
+        result = mcwc_to_square(load_code(args.input))
     elif args.op == "fill-hole":
         result = fill_hole(load_square(args.frame), load_square(args.filler))
-        print(f"{result.kind.value} square, side {result.s}, {result.v} points, verified")
-        if args.out:
-            save_square(result, args.out)
     elif args.op == "bibd":
-        code = bibd_to_mcwc(parse_bibd(_read_text(args.input)))
-        p = code.params
-        print(
-            f"code of size {len(code)}, verified as"
-            f" M({p.m},{p.block_lengths[0]},{p.distance},{p.block_weights[0]})"
-        )
-        if args.out:
-            save_code(code, args.out)
+        result = bibd_to_mcwc(parse_bibd(_read_text(args.input)))
+        p = result.params
+        suffix = f" as M({p.m},{p.block_lengths[0]},{p.distance},{p.block_weights[0]})"
     elif args.op == "decomp":
         if not args.weights:
             raise McwcError("--weights is required for decomp")
         weights = _int_list(args.weights, "--weights")
         dec = parse_decomposition(_read_text(args.input))
-        code = decomposition_to_mcwc(dec, weights)
-        print(f"code of size {len(code)}, verified, distance {code.params.distance}")
-        if args.out:
-            save_code(code, args.out)
+        result = decomposition_to_mcwc(dec, weights)
+        suffix = f", distance {result.params.distance}"
     elif args.op == "concat":
         if not args.outer_repetition:
             raise McwcError("--outer-repetition is required for concat")
         outer = _int_list(args.outer_repetition, "--outer-repetition")
         if len(outer) != 2:
             raise McwcError("--outer-repetition takes two integers q,length")
-        code = concatenate(load_code(args.input), repetition_code(*outer))
-        print(f"code of size {len(code)}, verified, distance >= {code.params.distance}")
-        if args.out:
-            save_code(code, args.out)
+        result = concatenate(load_code(args.input), repetition_code(*outer))
+        suffix = f", distance >= {result.params.distance}"
     else:
         raise McwcError(f"unknown construct op {args.op!r}")
+    if isinstance(result, SkewSquare):
+        print(f"{result.kind.value} square, side {result.s}, {result.v} points, verified")
+        save = save_square
+    else:
+        print(f"code of size {len(result)}, verified{suffix}")
+        save = save_code
+    if args.out:
+        save(result, args.out)
     return 0
 
 
 def cmd_search(args) -> int:
     params = _params_from_args(args)
-    if args.budget <= 0 or args.vertex_cap <= 0:
-        raise McwcError("--budget and --vertex-cap must be positive")
     cfg = SearchConfig(
         vertex_cap=args.vertex_cap,
         node_budget=args.budget,

@@ -38,8 +38,11 @@ def _shapes(sub: str, pattern: str) -> list[tuple[int, ...]]:
 
 SMALL_PAIRS = _shapes("codes", r"small_(\d+)_(\d+)\.mcwc")
 
+# (n1, n2) of each base-codeword table
+_DEVELOP_PAIRS = _shapes("develop", r"t(\d+)_n(\d+)\.dev")
+
 # point side n1 -> g = (n1 - 1)/4, the group order of its base-codeword tables
-DEVELOP_FAMILIES = {n1: (n1 - 1) // 4 for n1, _ in _shapes("develop", r"t(\d+)_n(\d+)\.dev")}
+DEVELOP_FAMILIES = {n1: (n1 - 1) // 4 for n1, _ in _DEVELOP_PAIRS}
 
 SFS_SHAPES = _shapes("squares", r"sfs(\d+)_a(\d+)\.sq")
 
@@ -57,16 +60,13 @@ def small_code(n1: int, n2: int) -> PartitionedCode:
 
 
 def develop_pairs() -> Iterator[tuple[int, int]]:
-    for n1, g in DEVELOP_FAMILIES.items():
-        for n2 in range(n1, 8 * g + 2, 2):
-            yield (n1, n2)
+    return iter(_DEVELOP_PAIRS)
 
 
 def develop_table(n1: int, n2: int) -> BaseCodewordTable:
     if n1 not in DEVELOP_FAMILIES:
         raise KeyError(f"no shipped base-codeword family for n1 = {n1}")
-    g = DEVELOP_FAMILIES[n1]
-    if not (n1 <= n2 <= 8 * g + 1 and n2 % 2 == 1):
+    if (n1, n2) not in _DEVELOP_PAIRS:
         raise KeyError(f"no shipped table for (n1, n2) = ({n1}, {n2})")
     return parse_base_table(_read(f"develop/t{n1}_n{n2}.dev"))
 

@@ -44,6 +44,7 @@ from typing import Callable, Optional
 from .bounds import BoundResult, best_of, upper_bounds
 from .core import (
     CodeParameters,
+    DomainError,
     PartitionedCode,
     PartitionedWord,
     SizeError,
@@ -61,7 +62,7 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.vertex_cap <= 0 or self.node_budget <= 0:
-            raise ValueError("budgets must be positive")
+            raise DomainError("the node budget and the vertex cap must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
@@ -102,7 +103,7 @@ class TestJohnsonRecursive:
         keys = [blocks for memo in bounds._REC_CACHE.values() for blocks in memo]
         assert keys and all(0 < 2 * w <= n for blocks in keys for w, n in blocks)
         # at n = 2w both steps lead to (w - 1, 2w - 1), so only eq1 is kept
-        assert [rule for _, rule, _, _ in bounds._steps((2, 4))] == [("eq1", 2, 4)]
+        assert [rule for _, rule, _, _, _ in bounds._block_record((2, 4))[1]] == [("eq1", 2, 4)]
 
     def test_base_case_never_truncated(self):
         r = johnson_recursive(CodeParameters((3, 3), (2, 2), 10), state_budget=0)
@@ -701,7 +702,7 @@ class TestAsymptotics:
         with pytest.raises(DomainError, match=r"^omega must lie in \(0, 1/2\]$"):
             asymptotic_point(Fraction(1, 4), 0)  # checked before 1/omega is formed
 
-    @pytest.mark.parametrize("dps", [0, -3])
+    @pytest.mark.parametrize("dps", [0, -3, 2.5, "5", True])
     @pytest.mark.parametrize("rate,args", [
         (binary_entropy, ("1/4",)),
         (mu_c, ("1/4", "1/2")),
@@ -712,7 +713,9 @@ class TestAsymptotics:
         (comparison_f, ("1/4", "1/2")),
     ])
     def test_dps_below_one_is_a_domain_error(self, rate, args, dps):
-        with pytest.raises(DomainError, match=rf"^dps must be a positive number of digits, got {dps}$"):
+        # a dps that is not an int, a bool among them, is rejected like one below 1
+        message = f"dps must be a positive number of digits, got {dps!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             rate(*args, dps=dps)
 
     @pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf")])

@@ -218,7 +218,7 @@ class TestBound:
             "johnson\t7\t\n"
             "johnson-eq3\t8\t\n"
             "plotkin\t-\tplotkin requires uniform parameters\n"
-            "plotkin-discrete\t-\tplotkin requires uniform parameters\n"
+            "plotkin-discrete\t-\tplotkin-discrete requires uniform parameters\n"
             "spherical\t-\tspherical requires uniform parameters\n"
             "gv\t-\tgv requires uniform parameters\n"
             "lp\t-\tthe LP bound requires uniform parameters\n"
@@ -392,6 +392,14 @@ class TestSearch:
     def test_search_reports_optimum(self, capsys):
         rc, out = run(["search", "--lengths", "5,7", "--weights", "2,2", "--d", "6"], capsys)
         assert rc == 0 and out.startswith("optimum 6")
+
+    def test_no_symmetry_searches_without_the_reduction(self, capsys):
+        # the (True, True) and (False, True) entries of PINNED in test_oracle.py
+        argv = ["search", "--lengths", "5,7", "--weights", "2,2", "--d", "6", "--budget", "20000"]
+        rc, out = run(argv, capsys)
+        assert rc == 0 and out == "optimum 6 (upper bound 7, 266 nodes, exhausted)\n"
+        rc, out = run([*argv, "--no-symmetry"], capsys)
+        assert rc == 0 and out == "lower-bound-only 6 (upper bound 7, 20001 nodes, node-budget)\n"
 
     def test_search_reports_why_it_stopped(self, capsys):
         rc, out = run(["search", "--m", "3", "--n", "4", "--w", "2", "--d", "6"], capsys)

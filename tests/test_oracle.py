@@ -8,6 +8,7 @@ from mcwc import oracle
 from mcwc.core import (
     CodeParameters,
     ConstructionError,
+    DomainError,
     SizeError,
     VerificationReport,
     verify_mcwc,
@@ -228,9 +229,10 @@ class TestSearchBehavior:
         assert result.size <= johnson_recursive(params).value
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        message = "^the node budget and the vertex cap must be positive$"
+        with pytest.raises(DomainError, match=message):
             SearchConfig(node_budget=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=message):
             SearchConfig(vertex_cap=0)
 
     def test_coloring_toggle_agrees(self, monkeypatch):
