@@ -47,10 +47,6 @@ class BoundResult:
     def applicable(self) -> bool:
         return self.value is not None
 
-    def __str__(self) -> str:
-        v = "inapplicable" if self.value is None else str(self.value)
-        return f"{self.method}: {v}"
-
 
 def _require_uniform(params: CodeParameters, method: str) -> tuple[int, int, int]:
     params = params.canonical()
@@ -291,7 +287,8 @@ def plotkin_discrete(params: CodeParameters) -> BoundResult:
     The refined inequality is implicit in M; the largest consistent M is found
     by descending from the continuous value, so the result never exceeds
     :func:`plotkin_bound`.  Returns 0 on a shape with no word (w > n), and 1
-    when no M down to 1 is consistent.
+    when no M down to 2 is consistent: M = 1 always is, since
+    frac(w/n)*frac((n-w)/n) = w*(n-w)/n^2 makes the refined b equal u.
     """
     method = "plotkin-discrete"
     m, n, w = _require_uniform(params, method)
@@ -302,17 +299,18 @@ def plotkin_discrete(params: CodeParameters) -> BoundResult:
         return BoundResult(method, 0, {"reason": "no word"})
     u, b0 = base.certificate["u"], base.certificate["b"]
     start = base.value
-    for candidate in range(start, 0, -1):
+    for candidate in range(start, 1, -1):
+        # b >= b0 > 0: the correction is a product of non-negative factors
         b = b0 + (
             Fraction(n * m, candidate * candidate)
             * _frac_part(Fraction(candidate * w, n))
             * _frac_part(Fraction(candidate * (n - w), n))
         )
-        if b > 0 and candidate <= int(Fraction(u) / b):
+        if candidate <= int(Fraction(u) / b):
             return BoundResult(
                 method, candidate, {"u": u, "b": b, "continuous": start}
             )
-    return BoundResult(method, 1, {"u": u, "continuous": start, "reason": "descent exhausted"})
+    return BoundResult(method, 1, {"u": u, "b": Fraction(u), "continuous": start})
 
 
 def spherical_bound(params: CodeParameters) -> BoundResult:

@@ -275,7 +275,7 @@ def cmd_construct(args) -> int:
         dec = parse_decomposition(_read_text(args.input))
         result = decomposition_to_mcwc(dec, weights)
         suffix = f", distance {result.params.distance}"
-    elif args.op == "concat":
+    else:  # concat, the last of the parser's choices
         if not args.outer_repetition:
             raise McwcError("--outer-repetition is required for concat")
         outer = _int_list(args.outer_repetition, "--outer-repetition")
@@ -283,8 +283,6 @@ def cmd_construct(args) -> int:
             raise McwcError("--outer-repetition takes two integers q,length")
         result = concatenate(load_code(args.input), repetition_code(*outer))
         suffix = f", distance >= {result.params.distance}"
-    else:
-        raise McwcError(f"unknown construct op {args.op!r}")
     if isinstance(result, SkewSquare):
         print(f"{result.kind.value} square, side {result.s}, {result.v} points, verified")
         save = save_square

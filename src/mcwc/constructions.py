@@ -353,9 +353,14 @@ class ResolvableBibd:
 
 
 def verify_bibd(design: ResolvableBibd) -> VerificationReport:
-    """Check block sizes, pair balance, and that every class covers each
-    point exactly alpha times."""
+    """Check the parameter domain v >= 2, k >= 2, lambda >= 1, alpha >= 1,
+    block sizes, pair balance, and that every class covers each point
+    exactly alpha times."""
     v, k, lam, alpha = design.v, design.k, design.lam, design.alpha
+    if v < 2 or k < 2 or lam < 1 or alpha < 1:
+        return VerificationReport(
+            False, "a design needs v >= 2, k >= 2, lambda >= 1 and alpha >= 1"
+        )
     for b, block in enumerate(design.blocks):
         if len(block) != k or len(set(block)) != k:
             return VerificationReport(False, f"block {b} is not a {k}-subset")
@@ -387,28 +392,17 @@ def verify_bibd(design: ResolvableBibd) -> VerificationReport:
 
 def bibd_to_mcwc(design: ResolvableBibd) -> PartitionedCode:
     """One codeword per point, indicating block membership over the class/block
-    grid; classes index the blocks row by row in file order."""
+    grid; classes index the blocks row by row in file order.
+
+    A verified design has a pair (v >= 2) in lambda >= 1 blocks, so m >= 1
+    classes, each of alpha*v/k blocks since it covers every point alpha
+    times.  Each point lies in r = alpha*m blocks and shares lambda of them
+    with any other point, so the code has distance 2*(r - lambda)."""
     verify_bibd(design).require("invalid design")
-    v, k, lam, alpha = design.v, design.k, design.lam, design.alpha
-    if k < 2 or alpha < 1:
-        raise DomainError("the class count needs k >= 2 and alpha >= 1")
-    if (lam * (v - 1)) % (alpha * (k - 1)) != 0:
-        raise DomainError("the class count lambda*(v-1)/(alpha*(k-1)) is not integral")
-    m = (lam * (v - 1)) // (alpha * (k - 1))
-    if m < 1:
-        raise DomainError("parameters force fewer than one class")
-    if (alpha * v) % k != 0:
-        raise DomainError("the class size alpha*v/k is not integral")
-    n = (alpha * v) // k
-    if len(design.classes) != m:
-        raise DomainError(f"expected {m} classes, found {len(design.classes)}")
-    for ci, cl in enumerate(design.classes):
-        if len(cl) != n:
-            raise DomainError(f"class {ci} has {len(cl)} blocks, expected {n}")
-    d = 2 * ((lam * (v - 1)) // (k - 1) - lam)
-    params = CodeParameters.uniform(m, n, alpha, d)
+    m, n = len(design.classes), len(design.classes[0])
+    params = CodeParameters.uniform(m, n, design.alpha, 2 * (design.alpha * m - design.lam))
     supports = []
-    for x in range(v):
+    for x in range(design.v):
         supp = [
             ci * n + bi
             for ci, cl in enumerate(design.classes)

@@ -66,9 +66,6 @@ class VerificationReport:
     def __bool__(self) -> bool:
         return self.valid
 
-    def __str__(self) -> str:
-        return "valid" if self.valid else f"invalid: {self.violation}"
-
     def require(self, what: str) -> None:
         """Raise ``ConstructionError("<what>: <violation>")`` unless valid."""
         if not self.valid:
@@ -158,14 +155,6 @@ class CodeParameters:
             start += n
         return tuple(spans)
 
-    def block_of(self, index: int) -> int:
-        if not 0 <= index < self.total_length:
-            raise DomainError(f"coordinate {index} out of range")
-        for i, (a, b) in enumerate(self.block_spans()):
-            if a <= index < b:
-                return i
-        raise AssertionError("unreachable")
-
 
 @lru_cache(maxsize=None)
 def _block_masks(block_lengths: tuple[int, ...]) -> tuple[int, ...]:
@@ -235,9 +224,6 @@ class PartitionedCode:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __iter__(self) -> Iterator[PartitionedWord]:
-        return iter(self.words)
 
     def support_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(w.support for w in self.words)

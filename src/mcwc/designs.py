@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     CodeParameters,
-    ConstructionError,
     DomainError,
     FormatError,
     IngredientError,
@@ -387,15 +386,12 @@ def _overlay(
     square: SkewSquare,
     row_map: Union[Mapping[int, int], Sequence[int]],
     point_map: Union[Mapping[int, int], Sequence[int]],
-    what: str,
 ) -> None:
-    """Copy the cells of ``square`` into ``cells`` through the index maps; a
-    cell that is already filled raises ``ConstructionError``."""
+    """Copy the cells of ``square`` into ``cells`` through the index maps.
+    Every target cell is still empty: each caller's verified inputs keep the
+    cells it copies apart from those already there."""
     for (i, j), pair in square.cells.items():
-        cell = (row_map[i], row_map[j])
-        if cell in cells:
-            raise ConstructionError(f"cell collision at {cell} while {what}")
-        cells[cell] = frozenset(point_map[p] for p in pair)
+        cells[(row_map[i], row_map[j])] = frozenset(point_map[p] for p in pair)
 
 
 def wfc_construct(
@@ -450,7 +446,7 @@ def wfc_construct(
         for x, (rows, points) in zip(sorted(block, key=lambda x: (s_of[x], v_of[x], x)), parts):
             row_map.update(zip(rows, range(row_start[x], row_start[x + 1])))
             point_map.update(zip(points, range(point_start[x], point_start[x + 1])))
-        _overlay(cells, ingredient, row_map, point_map, "assembling")
+        _overlay(cells, ingredient, row_map, point_map)
 
     result = SkewSquare.build(
         SquareKind.SFS,
@@ -524,7 +520,7 @@ def bfc_fill(
             sorted(range(filler.v), key=hole_points.__contains__),
             frame.point_parts[k] + new_points,
         ))
-        _overlay(cells, filler, row_map, point_map, "filling")
+        _overlay(cells, filler, row_map, point_map)
 
     kind = fillers[-1].kind
     holey = kind is SquareKind.HSAS
@@ -581,7 +577,7 @@ def fill_hole(frame: SkewSquare, filler: SkewSquare) -> SkewSquare:
             f" needs {len(frame.hole_rows)}x{len(frame.hole_rows)} on {len(frame.hole_points)}"
         )
     cells = dict(frame.cells)
-    _overlay(cells, filler, sorted(frame.hole_rows), sorted(frame.hole_points), "filling the hole")
+    _overlay(cells, filler, sorted(frame.hole_rows), sorted(frame.hole_points))
     result = SkewSquare.build(filler.kind, frame.s, frame.v, cells)
     verify_square(result).require("filled square fails verification")
     return result

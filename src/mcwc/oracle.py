@@ -61,8 +61,9 @@ class SearchConfig:
     symmetry_reduction: bool = True
 
     def __post_init__(self):
-        if self.vertex_cap <= 0 or self.node_budget <= 0:
-            raise DomainError("the node budget and the vertex cap must be positive")
+        for cap in (self.vertex_cap, self.node_budget):
+            if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
+                raise DomainError("the node budget and the vertex cap must be positive")
 
 
 @dataclass(frozen=True)

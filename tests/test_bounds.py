@@ -702,6 +702,18 @@ class TestAsymptotics:
         with pytest.raises(DomainError, match=r"^omega must lie in \(0, 1/2\]$"):
             asymptotic_point(Fraction(1, 4), 0)  # checked before 1/omega is formed
 
+    # x1 = delta/(2*omega) = 2 at (1/2, 1/8), inside the common domain
+    @pytest.mark.parametrize("rate,args,message", [
+        (binary_entropy, ("2",), "binary entropy needs an argument in [0, 1]"),
+        (mu_gv, ("-1/4", "1/2"), "delta must be non-negative"),
+        (mu_gv, ("1/2", "1/8"), "entropy arguments must lie in [0, 1]"),
+        (comparison_f, ("0", "1"), "omega must lie in (0, 1)"),
+    ], ids=["entropy", "delta", "entropy-arguments", "omega"])
+    def test_domain_error_messages(self, rate, args, message):
+        with pytest.raises(DomainError) as exc:
+            rate(*args)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("dps", [0, -3, 2.5, "5", True])
     @pytest.mark.parametrize("rate,args", [
         (binary_entropy, ("1/4",)),

@@ -659,6 +659,24 @@ class TestExitContract:
         assert rows[0] == [str(other), "hello", "ERROR", "unknown file kind 'hello'"]
         assert rows[1][2] == "ok"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["bound", "--d", "4", "--lengths", "3,3"], "--lengths and --weights must be given together"),
+        (["construct", "decomp", "design.decomp"], "--weights is required for decomp"),
+    ], ids=["lengths-alone", "decomp-weights"])
+    def test_missing_option_is_one_error_line(self, argv, message, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_bibd_outside_the_domain_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "design.bibd"
+        path.write_text("bibd 0 3 -2 1\n")
+        rc, out = run(["--format", "tsv", "verify", str(path)], capsys)
+        assert rc == 1
+        assert out.splitlines()[1].split("\t") == [
+            str(path), "bibd", "INVALID", "a design needs v >= 2, k >= 2, lambda >= 1 and alpha >= 1"
+        ]
+
     @pytest.mark.parametrize(
         "text",
         ["bibd 2 1 0 1\nclass\nblock 0\nblock 1\n", "bibd 3 2 0 0\nclass\n"],

@@ -21,6 +21,8 @@ from mcwc.constructions import (
     BaseCodewordTable,
     BaseWord,
     ColoredDecomposition,
+    EdgeMember,
+    PartitionMember,
     QaryCode,
     ResolvableBibd,
     affine_plane_bibd,
@@ -177,6 +179,24 @@ def test_repeated_point_error_order(g, words, error, message):
     assert type(exc.value) is error and str(exc.value) == message
 
 
+def test_group_order_must_be_positive():
+    with pytest.raises(DomainError, match="^group order must be positive$"):
+        develop(BaseCodewordTable(0, ((0,), (1,)), ((), ()), ()))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("develop 3 3\n", "line 1: only two-sided tables are supported (m = 2)"),
+    ("develop 3 2\nlayout 1\n", "line 2: expected 'layout <side> classes=... [fixed=...]'"),
+    ("develop 3 2\nlayout 3 classes=0\n", "line 2: side must be 1 or 2"),
+    ("develop 3 2\nlayout 1 colors=0\n", "line 2: unknown layout item 'colors=0'"),
+    ("develop 3 2\nlayout 1 classes=0\n", "both 'layout 1' and 'layout 2' lines are required"),
+], ids=["two-sided", "layout-items", "side", "layout-item", "both-layouts"])
+def test_base_table_format_errors(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_base_table(text)
+    assert str(exc.value) == message
+
+
 def test_fixed_point_written_like_a_group_point_is_rejected():
     # a fixed point is 'inf' or 'a<k>'; e_c names a group point, whether or
     # not class c is listed, so it cannot be fixed
@@ -312,6 +332,9 @@ def test_develop_matches_the_reference_developer(table):
     assert outcome(develop, table) == outcome(reference_develop, table)
 
 
+DOMAIN = "a design needs v >= 2, k >= 2, lambda >= 1 and alpha >= 1"
+
+
 class TestBibd:
     def test_affine_plane_order_3(self):
         design = affine_plane_bibd(3)
@@ -353,17 +376,38 @@ class TestBibd:
         with pytest.raises(FormatError, match="^line 2: expected 'class'$"):
             parse_bibd(text)
 
-    # designs that verify_bibd accepts but whose class count
-    # lambda*(v-1)/(alpha*(k-1)) has a zero denominator
+    # one case per rejecting return of verify_bibd, in its check order, on
+    # the one-factorization of K4 (classes {01, 23}, {02, 13}, {03, 12})
+    PINNED = {
+        "size": ([[(0, 1, 2), (3, 0)]], "block 0 is not a 2-subset"),
+        "repeat": ([[(0, 0), (2, 3)]], "block 0 is not a 2-subset"),
+        "unknown": ([[(0, 4), (2, 3)]], "block 0 contains an unknown point"),
+        "balance": ([[(0, 1), (2, 3)]], "pair (0, 2) occurs in 0 blocks, expected 1"),
+        "class": ([[(0, 1), (0, 2)], [(2, 3), (1, 3)], [(0, 3), (1, 2)]],
+                  "class 0 covers point 0 2 times, expected 1"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_pinned_violation_messages(self, case):
+        classes, message = self.PINNED[case]
+        report = verify_bibd(ResolvableBibd.build(4, 2, 1, 1, classes))
+        assert not report and report.violation == message
+
+    # headers outside the domain v >= 2, k >= 2, lambda >= 1, alpha >= 1 that
+    # verify_bibd accepts: two whose class count lambda*(v-1)/(alpha*(k-1))
+    # has a zero denominator, and three that reached bibd_to_mcwc's checks of
+    # the class count's integrality, its sign and the number of classes
     @pytest.mark.parametrize(
         "text",
-        ["bibd 2 1 0 1\nclass\nblock 0\nblock 1\n", "bibd 3 2 0 0\nclass\n"],
-        ids=["k-one", "alpha-zero"],
+        ["bibd 2 1 0 1\nclass\nblock 0\nblock 1\n", "bibd 3 2 0 0\nclass\n",
+         "bibd 0 3 1 1\n", "bibd 1 2 1 1\n", "bibd 0 3 -2 1\n"],
+        ids=["k-one", "alpha-zero", "v-zero", "v-one", "lambda-negative"],
     )
     def test_zero_class_count_denominator(self, text):
         design = parse_bibd(text)
-        assert verify_bibd(design).valid
-        with pytest.raises(DomainError, match="^the class count needs k >= 2 and alpha >= 1$"):
+        report = verify_bibd(design)
+        assert not report.valid and report.violation == DOMAIN
+        with pytest.raises(ConstructionError, match=f"^invalid design: {DOMAIN}$"):
             bibd_to_mcwc(design)
 
 
@@ -396,6 +440,37 @@ class TestDecompositions:
         dup = ColoredDecomposition(dec.n, dec.m, dec.members + (dec.members[0],))
         assert not verify_decomposition(dup).valid
 
+    # one case per rejecting return of verify_decomposition, in its check order
+    PINNED = {
+        "parts": (3, 2, [PartitionMember(((0,),))], "member 0 has 1 parts, expected 2"),
+        "vertex": (3, 1, [PartitionMember(((0, 0),))], "member 0 repeats a vertex"),
+        "range": (3, 1, [EdgeMember(0, 3, (1, 1))], "member 0 has an invalid edge (0,3)"),
+        "loop": (3, 1, [EdgeMember(1, 1, (1, 1))], "member 0 has an invalid edge (1,1)"),
+        "color": (3, 1, [EdgeMember(0, 1, (1, 2))], "member 0 uses an unknown color (1, 2)"),
+        "twice": (3, 1, [EdgeMember(0, 1, (1, 1))] * 2, "edge (0, 1, (1, 1)) occurs in members 0 and 1"),
+        "cover": (3, 1, [EdgeMember(0, 1, (1, 1))], "1 edges covered, the complete digraph has 6"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_pinned_violation_messages(self, case):
+        n, m, members, message = self.PINNED[case]
+        report = verify_decomposition(ColoredDecomposition(n, m, tuple(members)))
+        assert not report and report.violation == message
+
+    # (decomposition, weights, error class, message); the last one verifies,
+    # but its edge members give no codeword
+    @pytest.mark.parametrize("dec,weights,error,message", [
+        (digon_decomposition(4), [2, 2], ShapeError, "expected 1 weights, got 2"),
+        (ordered_pair_decomposition(3), [1, 0], DomainError, "weights must be positive"),
+        (ordered_pair_decomposition(3), [1, 2], DomainError, "weights must be non-increasing"),
+        (ColoredDecomposition(2, 1, (EdgeMember(0, 1, (1, 1)), EdgeMember(1, 0, (1, 1)))), [1],
+         ConstructionError, "0 shaped members, a full decomposition determines 2"),
+    ], ids=["count", "positive", "order", "no-shaped-member"])
+    def test_argument_errors(self, dec, weights, error, message):
+        with pytest.raises(error) as exc:
+            decomposition_to_mcwc(dec, weights)
+        assert type(exc.value) is error and str(exc.value) == message
+
     def test_wrong_part_sizes(self):
         dec = ordered_pair_decomposition(3)
         with pytest.raises(ConstructionError):
@@ -423,3 +498,12 @@ class TestQary:
     def test_distance_violation(self):
         bad = QaryCode.build(3, 2, [(0, 0), (0, 1)], 2)
         assert not verify_qary(bad).valid
+
+    @pytest.mark.parametrize("words,message", [
+        ([(0, 1, 1), (0, 1)], "word 1 has length 2"),
+        ([(0, 1, 2)], "word 0 has a symbol outside [0, 2)"),
+        ([(0, 0, 0), (0, 0, 1)], "words 0 and 1 are at distance 1 < 2"),
+    ], ids=["length", "symbol", "distance"])
+    def test_pinned_violation_messages(self, words, message):
+        report = verify_qary(QaryCode.build(2, 3, words, 2))
+        assert not report and report.violation == message

@@ -173,11 +173,21 @@ class TestVerifyKernel:
 class TestParameters:
     def test_block_spans(self):
         assert P233.block_spans() == ((0, 3), (3, 6))
-        assert P233.block_of(4) == 1
 
     def test_uniform(self):
         p = CodeParameters.uniform(3, 4, 2, 6)
         assert p.is_uniform and p.m == 3 and p.total_length == 12
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: CodeParameters((3.5,), (1,), 2), "block lengths must be integers, got 3.5"),
+        (lambda: CodeParameters((3,), (1.5,), 2), "block weights must be integers, got 1.5"),
+        (lambda: CodeParameters((), (), 2), "at least one block is required"),
+        (lambda: CodeParameters.uniform(0, 3, 1, 2), "m must be positive"),
+    ], ids=["length", "weight", "no-block", "uniform-m"])
+    def test_invalid_messages(self, make, message):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert str(exc.value) == message
 
     def test_invalid(self):
         with pytest.raises(DomainError):
@@ -229,6 +239,12 @@ class TestCodeFiles:
         text = "# header\nmcwc 2 6\n\npart 1 3 2  # first\npart 2 3 2\n0 1 3 4\n"
         assert len(parse_code(text)) == 1
 
+    def test_empty_support_word_cannot_be_written(self):
+        code = PartitionedCode.from_supports(CodeParameters((3,), (0,), 0), [[]])
+        with pytest.raises(FormatError) as exc:
+            format_code(code)
+        assert str(exc.value) == "the code file format cannot express an empty-support word"
+
     def test_roundtrip_canonical(self):
         canonical = format_code(parse_code(self.TEXT))
         assert format_code(parse_code(canonical)) == canonical
@@ -246,6 +262,7 @@ class TestCodeFiles:
             ("mcwc 2 6\npart 1 3 -1\npart 2 0 2\n", "line 3: block lengths must be positive"),
             ("mcwc 2 6\npart 1 3 2\n# gap\npart 2 3 -1\n", "line 4: block weights must be"),
             ("mcwc 1 -2\npart 1 3 2\n", "line 1: distance must be non-negative"),
+            ("mcwc 2 6\npart 1 3 2\n", "missing 'part 2' line"),
         ],
     )
     def test_parse_errors(self, text, fragment):
@@ -255,6 +272,10 @@ class TestCodeFiles:
 
 
 class TestRequire:
+    def test_truth_value_is_the_verdict(self):
+        assert VerificationReport(True)
+        assert not VerificationReport(False, "words 0 and 1 are identical")
+
     def test_valid_report_passes(self):
         assert VerificationReport(True).require("unused") is None
 

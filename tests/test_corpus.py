@@ -42,6 +42,19 @@ FORMATS = {
 }
 
 
+@pytest.mark.parametrize("load,args,message", [
+    (corpus.small_code, (4, 4), "no shipped explicit code for (n1, n2) = (4, 4)"),
+    (corpus.develop_table, (11, 11), "no shipped base-codeword family for n1 = 11"),
+    (corpus.develop_table, (13, 14), "no shipped table for (n1, n2) = (13, 14)"),
+    (corpus.sfs_square, (99, 0), "no shipped SFS with 99 holes and a = 0"),
+    (corpus.hsas_square, (1, 1, 1), "no shipped HSAS(s=1, v=1; t=1, 3)"),
+], ids=["small", "family", "develop", "sfs", "hsas"])
+def test_unshipped_shape_is_a_key_error(load, args, message):
+    with pytest.raises(KeyError) as exc:
+        load(*args)
+    assert exc.value.args == (message,)
+
+
 def test_inventory_complete():
     kinds = {"codes": 0, "develop": 0, "squares": 0}
     for kind, _ in ALL_FILES:

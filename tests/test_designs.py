@@ -8,6 +8,7 @@ from mcwc.core import (
     DomainError,
     FormatError,
     IngredientError,
+    PartitionedCode,
     ShapeError,
 )
 from mcwc.designs import (
@@ -264,6 +265,72 @@ class TestGdd:
     def test_file_roundtrip(self):
         text = format_gdd(self.TD32)
         assert format_gdd(parse_gdd(text)) == text
+
+    # one case per rejecting return of verify_gdd, in its check order
+    PINNED = {
+        "partition": ([(0, 1), (2, 3), (4,)], TD32.blocks, "groups do not partition the point set"),
+        "repeat": (TD32.groups, [(0, 2, 2)], "block 0 repeats a point"),
+        "unknown": (TD32.groups, [(0, 2, 6)], "block 0 contains an unknown point"),
+        "group": (TD32.groups, [(0, 1)], "block 0 joins points 0, 1 of one group"),
+        "twice": (TD32.groups, [(0, 2, 4), (0, 2, 5)], "pair (0, 2) is covered twice"),
+        "uncovered": (TD32.groups, TD32.blocks[:3], "cross-group pair (1, 3) is uncovered"),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_pinned_violation_messages(self, case):
+        groups, blocks, message = self.PINNED[case]
+        report = verify_gdd(GddDesign.build(6, groups, blocks))
+        assert not report and report.violation == message
+
+
+def _one_hole_frame(s, v):  # a valid SFS: one hole, no cell, no point outside the hole
+    return SkewSquare.build("sfs", s, v, {}, row_parts=[range(s)], point_parts=[range(v)])
+
+
+_ONE_BLOCK = GddDesign.build(5, [(i,) for i in range(5)], [tuple(range(5))])
+_KEY_4_2 = sfs_type_key([(4, 2)] * 5)
+
+# one case per argument check of the square and frame operations:
+# (call, error class, message)
+ARGUMENT_ERRORS = {
+    "sfs-type": (lambda: _sas55().sfs_type(), ShapeError, "sfs_type is defined for SFS squares only"),
+    "to-square-shape": (lambda: mcwc_to_square(PartitionedCode(CodeParameters((5, 5), (2, 2), 4), ())),
+                        ShapeError, "expected parameters (2; n1, n2; 2, 2; 6)"),
+    "to-square-even": (lambda: mcwc_to_square(PartitionedCode(CodeParameters((4, 5), (2, 2), 6), ())),
+                       DomainError, "the point-side length must be odd"),
+    "wfc-weight": (lambda: wfc_construct(_ONE_BLOCK, dict.fromkeys(range(5), 4),
+                                         dict.fromkeys(range(5), -1), {}),
+                   DomainError, "weights must be non-negative"),
+    "wfc-not-sfs": (lambda: wfc_construct(_ONE_BLOCK, dict.fromkeys(range(5), 4),
+                                          dict.fromkeys(range(5), 2), {_KEY_4_2: _sas55()}),
+                    IngredientError, f"ingredient for type {_KEY_4_2} is not an SFS"),
+    "wfc-type": (lambda: wfc_construct(_ONE_BLOCK, dict.fromkeys(range(5), 4),
+                                       dict.fromkeys(range(5), 2), {_KEY_4_2: _f5()}),
+                 IngredientError, f"ingredient type mismatch for {_KEY_4_2}"),
+    "bfc-frame": (lambda: bfc_fill(_sas55(), 1, 1, [_sas55()]), ShapeError, "the frame must be an SFS"),
+    "bfc-negative": (lambda: bfc_fill(_one_hole_frame(4, 4), -1, 1, [_sas55()]),
+                     DomainError, "e and w must be non-negative"),
+    "bfc-size": (lambda: bfc_fill(_one_hole_frame(4, 4), 2, 1, [_sas55()]),
+                 ShapeError, "filler 0 is 5x5 on 5 points, expected 6x6 on 5"),
+    "bfc-hole": (lambda: bfc_fill(_one_hole_frame(9, 9), 2, 2, [_h11()]),
+                 ShapeError, "filler 0 hole is not (2, 2)-shaped"),
+    "bfc-plain-filler": (lambda: bfc_fill(corpus.sfs_square(5, 5), 1, 1,
+                                          [mcwc_to_square(corpus.small_code(3, 5))] * 5),
+                         ShapeError, "filler 0 must be holey"),
+    "bfc-last-filler": (lambda: bfc_fill(_one_hole_frame(19, 9), 1, 1, [corpus.sfs_square(5, 5)]),
+                        ShapeError, "filler 0 must be holey (or plain/starred for the last hole)"),
+    "holey-view-row": (lambda: sas_as_hsas(_sas55(), 5), DomainError, "row 5 outside the array"),
+    "fill-frame": (lambda: fill_hole(_sas55(), _sas55()), ShapeError, "fill_hole expects an hsas frame"),
+    "fill-filler": (lambda: fill_hole(_h11(), _f5()), ShapeError, "the hole filler must be sas or sas*"),
+}
+
+
+@pytest.mark.parametrize("case", list(ARGUMENT_ERRORS))
+def test_argument_error_messages(case):
+    call, error, message = ARGUMENT_ERRORS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestFrameConstructions:

@@ -230,10 +230,10 @@ class TestSearchBehavior:
 
     def test_config_validation(self):
         message = "^the node budget and the vertex cap must be positive$"
-        with pytest.raises(DomainError, match=message):
-            SearchConfig(node_budget=0)
-        with pytest.raises(DomainError, match=message):
-            SearchConfig(vertex_cap=0)
+        for field in ("node_budget", "vertex_cap"):
+            for value in (0, 2.5, True, "5"):
+                with pytest.raises(DomainError, match=message):
+                    SearchConfig(**{field: value})
 
     def test_coloring_toggle_agrees(self, monkeypatch):
         for params in [

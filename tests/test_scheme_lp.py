@@ -39,6 +39,15 @@ class TestEberlein:
         with pytest.raises(DomainError):
             eberlein(2, 5, 0, -1)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: eberlein(3, 2, 0, 0), "w must not exceed n"),
+        (lambda: build_scheme_tables(0, 4), "w must be at least 1"),
+    ], ids=["eberlein", "tables"])
+    def test_weight_domain_messages(self, make, message):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert str(exc.value) == message
+
 
 class TestSchemeTables:
     def test_j25(self):
