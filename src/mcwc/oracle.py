@@ -63,7 +63,7 @@ class SearchConfig:
     def __post_init__(self):
         for cap in (self.vertex_cap, self.node_budget):
             if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
-                raise DomainError("the node budget and the vertex cap must be positive")
+                raise DomainError("the node budget and the vertex cap must be positive integers")
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,7 @@ class TestSearchBehavior:
         assert result.size <= johnson_recursive(params).value
 
     def test_config_validation(self):
-        message = "^the node budget and the vertex cap must be positive$"
+        message = "^the node budget and the vertex cap must be positive integers$"
         for field in ("node_budget", "vertex_cap"):
             for value in (0, 2.5, True, "5"):
                 with pytest.raises(DomainError, match=message):

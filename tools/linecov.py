@@ -1,22 +1,29 @@
 """Which function-body lines of src/mcwc does the Tier-1 suite never run?
 
-Runs the suite in this process under ``sys.settrace``, with a fixed
-hypothesis seed so that the answer does not depend on hypothesis' draw, and
-lists every line of a function body in ``src/mcwc`` that no test reached; a
+Runs the whole suite in this process under ``sys.settrace``, with a fixed
+hypothesis seed and no hypothesis example database, so that the answer does
+not depend on hypothesis' draw or on examples saved by earlier runs, and lists
+every line of a function body in ``src/mcwc`` that no test reached; a
 function's ``def`` line and the module and class bodies are not counted.
 Exits 1 when an unreached line is not in ALLOWED, or an ALLOWED line is
 reached, and with pytest's status when a test fails.  From the repository
 root (about five times the suite's own time):
 
-    PYTHONPATH=src python tools/linecov.py [pytest arguments]
+    PYTHONPATH=src python tools/linecov.py
+
+The standard library's ``trace.Trace(ignoredirs=...)`` cannot stand in for
+the collector below: it caches its ignore verdict by module base name, so
+once it has skipped ``hypothesis/core.py`` it skips ``mcwc/core.py`` too.
 """
 
 import inspect
 import sys
 import types
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mcwc"
 
@@ -25,7 +32,8 @@ ALLOWED = {
     ("lp.py", 'raise AssertionError(f"distance-distribution LP came back {sol.status}")'):
         "the Delsarte LP is feasible (the zero distribution) and bounded (by the"
         " space size), so the exact simplex always reports it optimal",
-    ("scheme.py", 'raise AssertionError(f"non-integral multiplicity for (w, n, i) = ({w}, {n}, {i})")'):
+    ("scheme.py",
+     'raise AssertionError(f"non-integral multiplicity for (w, n, i) = ({w}, {n}, {i})")'):
         "the multiplicity (n-2i+1)/(n-i+1)*C(n,i) = C(n,i) - C(n,i-1) is an integer",
 }
 
@@ -42,30 +50,22 @@ def body_lines(path: Path) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
-    in_src: dict[str, bool] = {}  # co_filename -> whether the file is in src/mcwc
+def main() -> int:
     hits: set[tuple[str, int]] = set()
+    in_src = cache(lambda name: Path(name).resolve().parent == SRC)
 
     def local(frame, event, arg):
         if event == "line":
             hits.add((frame.f_code.co_filename, frame.f_lineno))
         return local
 
-    def calls(frame, event, arg):
-        name = frame.f_code.co_filename
-        if name not in in_src:
-            in_src[name] = Path(name).resolve().parent == SRC
-        return local if in_src[name] else None
-
-    sys.settrace(calls)
+    settings.register_profile("linecov", database=None)
+    settings.load_profile("linecov")
+    sys.settrace(lambda frame, event, arg: local if in_src(frame.f_code.co_filename) else None)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *argv])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"])
     finally:
         sys.settrace(None)
-    mcwc = sys.modules.get("mcwc")
-    if mcwc is None or Path(mcwc.__file__).resolve().parent != SRC:
-        print(f"mcwc was not imported from {SRC}; run with PYTHONPATH=src")
-        return 2
     reached = {(Path(name).resolve(), line) for name, line in hits}
     total, unreached, bad, seen = 0, 0, 0, set()
     for path in sorted(SRC.glob("*.py")):
@@ -87,4 +87,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
