@@ -18,14 +18,16 @@ and a shape that is uniform after complementing blocks gets the uniform bounds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import takewhile
+from math import comb, prod
 from typing import Optional, Union
 
-from .core import CodeParameters, DomainError, ShapeError, canonical_weight
+from .core import CodeParameters, DomainError, ShapeError, SizeError, canonical_weight
 
 RationalLike = Union[int, str, Fraction]
 
@@ -71,37 +73,59 @@ def johnson_eq3(params: CodeParameters) -> BoundResult:
 
 # -- recursive Johnson bound -------------------------------------------------
 
-# d -> {blocks: (value, rule)}, filled by every call that ends within its state
+# d -> {key: (value, rule)}, filled by every call that ends within its state
 # budget, so each entry equals what a call without a budget computes.  A call
 # that the budget cuts off takes its entries out again and answers on a private
-# table, as it would on an empty memo.
+# table, as it would on an empty memo.  A state's key is the product of the
+# primes of its blocks (:func:`_key`): unique factorization makes it exact.
 _REC_CACHE: dict[int, dict] = {}
 
-_BlockKey = tuple[tuple[int, int], ...]  # sorted canonical (w, n), 0 < w <= n/2
 _Rule = tuple  # ("eq1", w, n) | ("eq2", w, n) | ("eq3",) | ("product",) | ...
 
-# (w, n) -> (C(n, w), the eq1 and eq2 steps from that block as (canonical
-# child block, or None when its weight is forced; rule; n; divisor; change of
-# the reach)): what a state reads of each of its blocks, built once per block
-# so that memo entries share the rules.  One step per child: at n = 2w the eq2
-# child (w, 2w - 1) is the eq1 child (w - 1, 2w - 1), with the same divisor w,
-# so the eq2 step, which could never win, is not kept.
+# canonical block (w, n), 0 < w <= n/2 -> its prime, the next one the first
+# time the recursion meets the block
+_PRIMES: dict[tuple[int, int], int] = {}
+
+
+def _prime(block: tuple[int, int]) -> int:
+    p = _PRIMES.get(block)
+    if p is None:
+        p = next(reversed(_PRIMES.values()), 1)
+        while True:
+            p += 1
+            if all(p % q for q in takewhile(lambda q: q * q <= p, _PRIMES.values())):
+                break
+        _PRIMES[block] = p
+    return p
+
+
+def _key(blocks) -> int:
+    """The memo key of the state on canonical blocks ``blocks``, in any order."""
+    key = 1
+    for block in blocks:
+        key *= _prime(block)
+    return key
+
+
+# (w, n) -> ((w, n), C(n, w), n, w^2, prime, the eq1 and eq2 steps from that
+# block as (canonical child block, or None when its weight is forced; the
+# child's prime, 1 for None; rule; divisor; change of the reach)): what a state
+# reads of each of its blocks, built once per block so that memo entries share
+# the rules.  A state holds its blocks' records, sorted as their (w, n).  One
+# step per child: at n = 2w the eq2 child (w, 2w - 1) is the eq1 child
+# (w - 1, 2w - 1), with the same divisor w, so the eq2 step, which could never
+# win, is not kept.
 @lru_cache(maxsize=None)
 def _block_record(block: tuple[int, int]):
     w, n = block
+    prime = _prime(block)
     steps = {}
     for rule, child_w, divisor in (("eq1", w - 1, w), ("eq2", w, n - w)):
         child_w = canonical_weight(child_w, n - 1)
         child = (child_w, n - 1) if child_w else None
-        steps.setdefault(child, (child, (rule, w, n), n, divisor, child_w - w))
-    return comb(n, w), tuple(steps.values())
-
-
-def _space_size(blocks: _BlockKey) -> int:
-    size = 1
-    for block in blocks:
-        size *= _block_record(block)[0]
-    return size
+        steps.setdefault(child, (child, _prime(child) if child else 1, (rule, w, n), divisor,
+                                 child_w - w))
+    return block, comb(n, w), n, w * w, prime, tuple(steps.values())
 
 
 def _eq3_on_blocks(blocks, u: int) -> tuple[Optional[int], int, int]:
@@ -129,23 +153,31 @@ class _RecState:
     truncated: bool = False
 
 
-def _lookup(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule]:
-    """(value, winning rule) for canonical blocks of total weight ``reach``, at
-    distance ``st.d`` > 2: a base case, a memo entry or a new state."""
+def _lookup(blocks, reach: int, st: _RecState) -> tuple[int, _Rule]:
+    """(value, winning rule) for sorted canonical blocks ``blocks`` of total
+    weight ``reach``, at distance ``st.d`` > 2: a base case, a memo entry or a
+    new state."""
     if not blocks or st.d > 2 * reach:
         return 1, ("single",)
-    hit = st.memo.get(blocks)
+    key = _key(blocks)
+    hit = st.memo.get(key)
     if hit is not None:
         st.memo_hits += 1
         return hit
-    return _rec_bound(blocks, reach, st)
+    big = prod(n for _, n in blocks)
+    return _rec_bound(tuple(map(_block_record, blocks)), key,
+                      prod(comb(n, w) for w, n in blocks), big,
+                      sum(w * w * (big // n) for w, n in blocks), reach, st)
 
 
-def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule]:
-    """:func:`_lookup` on a state that is neither a base case nor in the memo;
-    sets ``st.truncated`` where the budget cuts it off.  Each child is resolved
-    here, and only a child missing from the memo recurses."""
-    best = _space_size(blocks)
+def _rec_bound(blocks, key: int, size: int, big: int, tsum: int, reach: int,
+               st: _RecState) -> tuple[int, _Rule]:
+    """:func:`_lookup` on a state that is neither a base case nor in the memo,
+    given as its sorted block records, its key, its product size, L = prod n
+    and T = sum w^2*L/n; sets ``st.truncated`` where the budget cuts it off.
+    Each child is resolved here from these integers, and only a child missing
+    from the memo builds its records and recurses."""
+    best = size
     rule: _Rule = ("product",)
     if st.visited >= st.budget:
         st.past_budget += 1
@@ -154,35 +186,59 @@ def _rec_bound(blocks: _BlockKey, reach: int, st: _RecState) -> tuple[int, _Rule
     st.visited += 1
     d, memo = st.d, st.memo
     if d % 2 == 0:
-        v3 = _eq3_on_blocks(blocks, d // 2)[0]
-        if v3 is not None and v3 < best:
-            best, rule = v3, ("eq3",)
+        # eq3: u / (T/L - lambda) with lambda = reach - u
+        u = d // 2
+        denom = tsum - (reach - u) * big
+        if denom > 0 and u * big // denom < best:
+            best, rule = u * big // denom, ("eq3",)
+    # a child's weight is its parent's or one less, so only a child one
+    # lighter can be a base case: no block left, or too little weight
+    light_base = d > 2 * reach - 2
+    hits = 0
     prev, cut = None, 0
-    for i, block in enumerate(blocks):
-        if block == prev:
+    for i, record in enumerate(blocks):
+        if record is prev:
             # blocks are sorted, so this block has the children of the one
             # before it and no child can beat the best strictly; only the
             # children answered past the budget would be met again
             st.past_budget += cut
             continue
-        prev, cut = block, 0
-        rest = blocks[:i] + blocks[i + 1 :]
-        for child_block, step, n, divisor, dreach in _block_record(block)[1]:
-            child = rest if child_block is None else tuple(sorted((*rest, child_block)))
-            child_reach = reach + dreach
-            if not child or d > 2 * child_reach:
+        prev, cut = record, 0
+        _, c, n, w2, prime, steps = record
+        rest_key = key // prime
+        for child, child_prime, step, divisor, dreach in steps:
+            if dreach and light_base:
                 v = n // divisor
             else:
-                hit = memo.get(child)
+                child_key = rest_key * child_prime
+                hit = memo.get(child_key)
                 if hit is not None:
-                    st.memo_hits += 1
+                    hits += 1
                 else:
                     cut += st.visited >= st.budget
-                    hit = _rec_bound(child, child_reach, st)
+                    # remove the block: L' = L/n, T' = (T - w^2*L')/n
+                    rest_big = big // n
+                    child_size, child_big = size // c, rest_big
+                    child_tsum = (tsum - w2 * rest_big) // n
+                    if child is None:
+                        child_blocks = blocks[:i] + blocks[i + 1 :]
+                    else:
+                        # add the child, which sorts before the block it
+                        # replaces: L'' = L'*n_c, T'' = T'*n_c + w_c^2*L'
+                        child_record = _block_record(child)
+                        j = bisect_left(blocks, child_record, 0, i)
+                        child_blocks = (*blocks[:j], child_record, *blocks[j:i],
+                                        *blocks[i + 1 :])
+                        child_size *= child_record[1]
+                        child_big *= child_record[2]
+                        child_tsum = child_tsum * child_record[2] + child_record[3] * rest_big
+                    hit = _rec_bound(child_blocks, child_key, child_size, child_big,
+                                     child_tsum, reach + dreach, st)
                 v = n * hit[0] // divisor
             if v < best:
                 best, rule = v, step
-    memo[blocks] = (best, rule)
+    st.memo_hits += hits
+    memo[key] = (best, rule)
     return best, rule
 
 
@@ -202,7 +258,9 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
     case and was already in the table (a block equal to the one before it
     adds no lookup, since its children repeat); ``past_budget`` counts the
     states it met once the budget was spent, each answered by the product
-    fallback.
+    fallback.  Raises :class:`SizeError` when the recursion goes deeper than
+    Python's recursion limit; the memo keeps only the states it finished,
+    which are exact.
     """
     params = params.canonical()
     d = params.distance
@@ -213,17 +271,12 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
         value, rule = 0, ("no-word",)
     elif blocks and d <= 2:
         # distinct equal-weight words always differ in at least two coordinates
-        value, rule = _space_size(blocks), ("space",)
+        value, rule = prod(comb(n, w) for w, n in blocks), ("space",)
     else:
-        known = len(st.memo)
         try:
-            value, rule = _lookup(blocks, params.total_weight, st)
-        finally:  # an interrupted call must not leave cut-off entries either
-            while st.truncated and len(st.memo) > known:  # newest pops first
-                st.memo.popitem()
-        if st.truncated:
-            st = _RecState(d, state_budget, {})
-            value, rule = _lookup(blocks, params.total_weight, st)
+            value, rule, st = _answer(blocks, params.total_weight, st)
+        except RecursionError:
+            raise SizeError("the Johnson recursion goes deeper than Python's recursion limit") from None
     return BoundResult(
         "johnson-recursive",
         value,
@@ -238,6 +291,22 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
     )
 
 
+def _answer(blocks, reach: int, st: _RecState) -> tuple[int, _Rule, _RecState]:
+    """:func:`_lookup` on the shared memo of ``st``; a call that its budget
+    cuts off takes out what it added and answers again on a private table,
+    with the state of that second call."""
+    known = len(st.memo)
+    try:
+        value, rule = _lookup(blocks, reach, st)
+    finally:  # an interrupted call must not leave cut-off entries either
+        while st.truncated and len(st.memo) > known:  # newest pops first
+            st.memo.popitem()
+    if st.truncated:
+        st = _RecState(st.d, st.budget, {})
+        value, rule = _lookup(blocks, reach, st)
+    return value, rule, st
+
+
 def _rec_trace(blocks, rule: _Rule, st: _RecState, limit: int = 64) -> tuple[_Rule, ...]:
     """Path of winning rules from the root state down to a terminal rule,
     read from the table that the answer came from: a base case is
@@ -246,12 +315,12 @@ def _rec_trace(blocks, rule: _Rule, st: _RecState, limit: int = 64) -> tuple[_Ru
     trace = [rule]
     while rule[0] in ("eq1", "eq2") and len(trace) < limit:
         i = blocks.index(rule[1:])
-        child_block = next(c for c, r, *_ in _block_record(blocks[i])[1] if r == rule)
+        child_block = next(c for c, _, r, _, _ in _block_record(blocks[i])[5] if r == rule)
         blocks = blocks[:i] + blocks[i + 1 :]
         if child_block is not None:
             blocks = tuple(sorted((*blocks, child_block)))
         base = not blocks or st.d > 2 * sum(w for w, _ in blocks)
-        rule = ("single",) if base else st.memo.get(blocks, (None, ("product",)))[1]
+        rule = ("single",) if base else st.memo.get(_key(blocks), (None, ("product",)))[1]
         trace.append(rule)
     return tuple(trace)
 

@@ -206,6 +206,8 @@ def cmd_bound(args) -> int:
             try:
                 result = _BOUND_FNS[name](params)
             except McwcError as exc:
+                if name == "johnson":
+                    raise  # johnson applies to every shape, so its error ends the command
                 rows.append([name, "-", str(exc)])
                 continue
         if name == "lp":

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .core import (
     CodeParameters,
@@ -103,13 +104,15 @@ def sfs_type_key(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...
     return tuple(sorted((int(a), int(b)) for a, b in pairs))
 
 
-def _hole_of(size: int, parts: Sequence[Iterable[int]]) -> list[Optional[int]]:
-    """The hole of each index in [0, size): its part's position, or None."""
-    hole: list[Optional[int]] = [None] * size
-    for k, part in enumerate(parts):
-        for x in part:
-            hole[x] = k
-    return hole
+def _hole_of(parts: Iterable[Iterable[int]]) -> dict[int, int]:
+    """The hole of each index that lies in a part: its part's position."""
+    return {x: k for k, part in enumerate(parts) for x in part}
+
+
+def _partitions(parts: Iterable[Iterable[int]], size: int) -> bool:
+    """Whether ``parts`` partition [0, size), in time and space of the parts."""
+    flat = sorted(itertools.chain(*parts))
+    return len(flat) == size and flat == list(range(size))
 
 
 def verify_square(sq: SkewSquare) -> VerificationReport:
@@ -142,17 +145,19 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
             return fail("hole points outside the point set")
         row_parts, point_parts = [sq.hole_rows], [sq.hole_points]
     elif sq.kind is SquareKind.SFS:
-        if sorted(itertools.chain(*sq.row_parts)) != list(range(sq.s)):
+        if not _partitions(sq.row_parts, sq.s):
             return fail("row parts do not partition the row index set")
-        if sorted(itertools.chain(*sq.point_parts)) != list(range(sq.v)):
+        if not _partitions(sq.point_parts, sq.v):
             return fail("point parts do not partition the point set")
         if len(sq.row_parts) != len(sq.point_parts):
             return fail("row and point partitions must have the same number of holes")
         row_parts, point_parts = sq.row_parts, sq.point_parts
     else:
         row_parts = point_parts = ()
-    row_hole = _hole_of(sq.s, row_parts)
-    point_hole = _hole_of(sq.v, point_parts)
+    # the maps and lists below hold the cells and parts, never a list as long
+    # as the side or the point count that the header claims
+    row_hole = _hole_of(row_parts).get
+    point_hole = _hole_of(point_parts).get
 
     # property 1: skewness
     for (i, j) in sq.cells:
@@ -164,8 +169,8 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
         if i == j:
             return fail(f"diagonal cell ({i},{i}) is filled")
     for (i, j) in sq.cells:
-        k = row_hole[i]
-        if k is not None and k == row_hole[j]:
+        k = row_hole(i)
+        if k is not None and k == row_hole(j):
             return fail(f"hole cell ({i},{j}) is filled" if holey
                         else f"cell ({i},{j}) lies inside hole {k}")
 
@@ -181,26 +186,29 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
     # property 4: no pair inside a point hole
     for cell, pair in sq.cells.items():
         a, b = pair
-        k = point_hole[a]
-        if k is not None and k == point_hole[b]:
+        k = point_hole(a)
+        if k is not None and k == point_hole(b):
             return fail(f"cell {cell} pairs two hole points {set(pair)}" if holey
                         else f"cell {cell} pairs two points of hole {k}")
 
     # resolvability: the points of row i and column i, from one pass over the
     # cells; an sfs reports its rows hole by hole
-    lines: list[list[int]] = [[] for _ in range(sq.s)]
+    lines: defaultdict[int, list[int]] = defaultdict(list)
     for (i, j), pair in sq.cells.items():
         lines[i] += pair
         lines[j] += pair
-    outside = [frozenset(range(sq.v)) - frozenset(part) for part in point_parts]
     starred = []
     for i in itertools.chain(*row_parts) if sq.kind is SquareKind.SFS else range(sq.s):
-        covered = set(lines[i])
-        if len(covered) != len(lines[i]):
+        line = lines.get(i, ())
+        covered = set(line)
+        if len(covered) != len(line):
             return fail(f"row/column {i}: a point is covered twice")
-        k = row_hole[i]
+        k = row_hole(i)
         if k is not None:
-            if covered != outside[k]:
+            # every point lies in [0, v) and a part has distinct points, so
+            # this says that the row covers exactly the points outside hole k
+            part = point_parts[k]
+            if len(covered) != sq.v - len(part) or not covered.isdisjoint(part):
                 return fail(
                     f"hole row/column {i} does not partition the points outside the hole"
                     if holey
@@ -300,8 +308,7 @@ def verify_gdd(design: GddDesign) -> VerificationReport:
     """Every pair of distinct points lies in one group or exactly one block,
     never both."""
     x = design.num_points
-    flat = sorted(itertools.chain(*design.groups))
-    if flat != list(range(x)):
+    if not _partitions(design.groups, x):
         return VerificationReport(False, "groups do not partition the point set")
     group_of = {}
     for k, g in enumerate(design.groups):

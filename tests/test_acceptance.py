@@ -15,6 +15,7 @@ from mcwc import corpus
 from mcwc.core import CodeParameters, verify_mcwc
 from mcwc.bounds import (
     comparison_f,
+    best_upper_bound,
     gv_lower_bound,
     johnson_eq3,
     mu_c,
@@ -52,6 +53,9 @@ def test_criterion_1_small_table_reproduction():
         assert verify_mcwc(code).valid, (n1, n2)
         expected = 6 if (n1, n2) == (5, 7) else (n2 * (n1 - 1)) // 4
         assert len(code) == expected, (n1, n2)
+        # each code meets the computed upper bound, but (5,7): 6 against Johnson's 7
+        bound = best_upper_bound(code.params).value
+        assert len(code) == bound - ((n1, n2) == (5, 7)), (n1, n2, bound)
     _report(1, "small-table reproduction", started, 1.0)
 
 
@@ -61,7 +65,7 @@ def test_criterion_2_cyclic_development(n1):
     g = corpus.DEVELOP_FAMILIES[n1]
     for n2 in range(n1, 8 * g + 2, 2):
         code = develop(corpus.develop_table(n1, n2))  # verifies distance 6
-        assert len(code) == g * n2, (n1, n2)
+        assert len(code) == g * n2 == best_upper_bound(code.params).value, (n1, n2)
     _report(2, f"cyclic development, point side {n1}", started, 10.0)
 
 
@@ -70,7 +74,8 @@ def test_criterion_3_oracle_agreement():
     assert max_mcwc(CodeParameters((3, 3), (2, 2), 6)).size == 1
     assert max_mcwc(CodeParameters((3, 5), (2, 2), 6)).size == 2
     assert max_mcwc(CodeParameters((5, 5), (2, 2), 6)).size == 5
-    assert max_mcwc(CodeParameters((5, 7), (2, 2), 6)).size == 6
+    exceptional = max_mcwc(CodeParameters((5, 7), (2, 2), 6))
+    assert exceptional.size == 6 and exceptional.complete  # proven, one below Johnson's 7
     assert max_mcwc(CodeParameters.uniform(1, 5, 2, 4)).size == 2
     assert max_mcwc(CodeParameters.uniform(1, 4, 2, 2)).size == 6
     _report(3, "oracle agreement", started, 60.0)

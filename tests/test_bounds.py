@@ -1,4 +1,7 @@
+import inspect
+import itertools
 import re
+import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcwc import bounds
-from mcwc.core import CodeParameters, DomainError, ShapeError, canonical_weight
+from mcwc.core import CodeParameters, DomainError, ShapeError, SizeError, canonical_weight
 from mcwc.bounds import (
     asymptotic_point,
     best_of,
@@ -100,10 +103,10 @@ class TestJohnsonRecursive:
     def test_memo_holds_canonical_blocks_only(self):
         bounds._REC_CACHE.clear()
         johnson_recursive(CodeParameters((9, 8, 7), (6, 4, 3), 8))
-        keys = [blocks for memo in bounds._REC_CACHE.values() for blocks in memo]
+        keys = [_decode(key) for memo in bounds._REC_CACHE.values() for key in memo]
         assert keys and all(0 < 2 * w <= n for blocks in keys for w, n in blocks)
         # at n = 2w both steps lead to (w - 1, 2w - 1), so only eq1 is kept
-        assert [rule for _, rule, _, _, _ in bounds._block_record((2, 4))[1]] == [("eq1", 2, 4)]
+        assert [rule for _, _, rule, _, _ in bounds._block_record((2, 4))[5]] == [("eq1", 2, 4)]
 
     def test_base_case_never_truncated(self):
         r = johnson_recursive(CodeParameters((3, 3), (2, 2), 10), state_budget=0)
@@ -242,20 +245,47 @@ class TestBudgetedAnswers:
         johnson_recursive(uni(3, 9, 3, 6))
         before = _memo_snapshot()
         calls = []
-        space_size = bounds._space_size
+        rec_bound = bounds._rec_bound
 
-        def interrupt_after_the_cut(blocks):  # called once per new state
-            calls.append(blocks)
+        def interrupt_after_the_cut(*state):  # called once per new state
+            calls.append(state)
             if len(calls) > 60:
                 raise Interrupt
-            return space_size(blocks)
+            return rec_bound(*state)
 
-        monkeypatch.setattr(bounds, "_space_size", interrupt_after_the_cut)
+        monkeypatch.setattr(bounds, "_rec_bound", interrupt_after_the_cut)
         with pytest.raises(Interrupt):
             johnson_recursive(uni(4, 9, 3, 6), state_budget=50)
         monkeypatch.undo()
         assert _memo_snapshot() == before
         assert johnson_recursive(uni(4, 9, 3, 6)).value == 1016064
+
+    def test_too_deep_a_recursion_keeps_the_memo_exact(self):
+        """A recursion deeper than the interpreter allows is a SizeError; the
+        memo keeps what it held, and each state the call finished is stored
+        with the value and rule that a complete call computes."""
+        # the (3, 7) states finish first, then the chain (1, 60), (1, 59), ...
+        # goes one frame deeper per state
+        deep = CodeParameters((60, 7), (1, 3), 6)
+        bounds._REC_CACHE.clear()
+        johnson_recursive(uni(2, 5, 2, 6))
+        before = _memo_snapshot()[6]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            with pytest.raises(SizeError, match="deeper than Python's recursion limit"):
+                johnson_recursive(deep)
+        finally:
+            sys.setrecursionlimit(limit)
+        after = _memo_snapshot()[6]
+        assert list(after.items())[: len(before)] == list(before.items())
+        added = list(after.items())[len(before) :]
+        assert added
+        got = _answer(deep)
+        bounds._REC_CACHE.clear()
+        assert _answer(deep)[:3] == got[:3]  # value, rule and trace
+        complete = bounds._REC_CACHE[6]
+        assert all(complete[key] == entry for key, entry in added)
 
     def test_memoized_root_costs_no_state(self):
         johnson_recursive(uni(4, 9, 3, 6))
@@ -373,9 +403,24 @@ def _certificate(params, budget=None):
     return value, rule, trace, states, past_budget, truncated
 
 
-def _memo_entries(cache):
-    """Each distance's memo entries in insertion order."""
-    return {d: list(memo.items()) for d, memo in cache.items() if memo}
+def _memo_entries(cache, key=lambda blocks: blocks):
+    """Each distance's memo entries in insertion order, each memo key mapped
+    through ``key``: the package's key function maps the reference's sorted
+    block tuples to the package's keys."""
+    return {d: [(key(k), v) for k, v in memo.items()] for d, memo in cache.items() if memo}
+
+
+def _decode(key):
+    """The sorted canonical blocks of one of the package's memo keys, by
+    factoring it over the primes of the block types the package has met."""
+    blocks = []
+    for block, p in bounds._PRIMES.items():
+        while key % p == 0:
+            key //= p
+            blocks.append(block)
+        if key == 1:
+            return tuple(sorted(blocks))
+    raise AssertionError(f"{key} is no product of the registered primes")
 
 
 def _bound_workload_calls():
@@ -405,7 +450,7 @@ def test_bound_workload_certificates_match_the_reference():
     for params, budget in calls:
         expected = reference_johnson(params, cache, budget)
         assert _certificate(params, budget) == expected, (params, budget)
-    assert _memo_entries(bounds._REC_CACHE) == _memo_entries(cache)
+    assert _memo_entries(bounds._REC_CACHE) == _memo_entries(cache, bounds._key)
 
 
 @st.composite
@@ -432,6 +477,9 @@ _budgets = st.one_of(st.none(), st.integers(0, 60))
 @example([], uni(4, 9, 3, 6), 50)
 @example([(uni(3, 9, 3, 6), None)], uni(4, 9, 3, 6), 50)
 @example([(uni(4, 6, 2, 6), 7)], uni(4, 6, 2, 6), None)
+@example([], uni(5, 7, 2, 6), None)  # five and six equal blocks, as in the bound grid
+@example([(uni(6, 5, 2, 6), 50)], uni(6, 5, 2, 6), None)
+@example([(uni(5, 9, 1, 4), None)], uni(6, 9, 1, 4), 60)
 def test_certificates_match_the_reference(earlier, params, budget):
     """On an emptied memo (no earlier calls) or one warmed by earlier calls,
     which both sides make, the certificate and the memo match the reference."""
@@ -439,12 +487,14 @@ def test_certificates_match_the_reference(earlier, params, budget):
     cache: dict = {}
     for shape, b in [*earlier, (params, budget)]:
         assert _certificate(shape, b) == reference_johnson(shape, cache, b)
-        assert _memo_entries(bounds._REC_CACHE) == _memo_entries(cache)
+        assert _memo_entries(bounds._REC_CACHE) == _memo_entries(cache, bounds._key)
 
 
 @settings(max_examples=100, deadline=None)
 @given(johnson_shapes())
 @example(uni(4, 9, 3, 6))
+@example(uni(5, 7, 2, 6))
+@example(uni(6, 9, 1, 4))
 def test_memo_hits_are_the_lookups_after_the_first(params):
     """On an empty memo a complete call expands each state once, at its first
     lookup, so every other lookup of a child that is not a base case is a
@@ -455,7 +505,7 @@ def test_memo_hits_are_the_lookups_after_the_first(params):
     memo = bounds._REC_CACHE.get(params.distance, {})
     assert c["truncated"] is False and c["states"] == len(memo)
     lookups = 0
-    for blocks in memo:
+    for blocks in map(_decode, memo):
         for i, block in enumerate(blocks):
             if i and block == blocks[i - 1]:
                 continue
@@ -464,6 +514,57 @@ def test_memo_hits_are_the_lookups_after_the_first(params):
                 child = rest if child_block is None else tuple(sorted((*rest, child_block)))
                 lookups += bool(child) and params.distance <= 2 * sum(w for w, _ in child)
     assert c["memo_hits"] == (lookups - len(memo) + 1 if memo else 0)
+
+
+def _multisets(types, most):
+    return [blocks for k in range(most + 1)
+            for blocks in itertools.combinations_with_replacement(types, k)]
+
+
+def test_memo_key_is_injective_and_carried_exactly():
+    """Distinct multisets of blocks get distinct keys, and a child's key, as
+    the recursion computes it from its parent's, is the key of its blocks."""
+    types = sorted((w, n) for n in range(2, 7) for w in range(1, n // 2 + 1))[:8]
+    sets = _multisets(types, 6)
+    assert len(sets) == 3003 and len({bounds._key(blocks) for blocks in sets}) == 3003
+    for blocks in sets:
+        key = bounds._key(blocks)
+        for i, block in enumerate(blocks):
+            record = bounds._block_record(block)
+            assert record[:5] == (block, comb(block[1], block[0]), block[1], block[0] ** 2,
+                                  bounds._key((block,)))
+            rest = blocks[:i] + blocks[i + 1 :]
+            for child, child_prime, _, _, _ in record[5]:
+                child_blocks = rest if child is None else (*rest, child)
+                assert key // record[4] * child_prime == bounds._key(child_blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(johnson_shapes())
+@example(uni(6, 5, 2, 6))
+@example(CodeParameters((5, 7, 9, 11), (2, 2, 3, 3), 8))
+def test_every_state_gets_its_own_key_size_and_eq3_sums(params):
+    """Each state the recursion expands is passed its sorted records and the
+    key, product size, L = prod n and T = sum w^2*L/n of its blocks, carried
+    from its parent's without a pass over the blocks."""
+    states = []
+    rec_bound = bounds._rec_bound
+
+    def check(blocks, key, size, big, tsum, reach, st):
+        wn = [record[0] for record in blocks]
+        states.append(wn)
+        assert wn == sorted(wn) and reach == sum(w for w, _ in wn)
+        assert key == bounds._key(wn) and size == prod(comb(n, w) for w, n in wn)
+        assert big == prod(n for _, n in wn) and tsum == sum(w * w * big // n for w, n in wn)
+        return rec_bound(blocks, key, size, big, tsum, reach, st)
+
+    bounds._REC_CACHE.clear()
+    bounds._rec_bound = check
+    try:
+        c = johnson_recursive(params).certificate
+    finally:
+        bounds._rec_bound = rec_bound
+    assert len(states) == c["states"]
 
 
 @st.composite

@@ -524,6 +524,26 @@ class TestExitContract:
         rc, out = run(["search", "--m", "1", "--n", "10", "--w", "4", "--d", "4"], capsys)
         assert rc == 0 and out.startswith("lower-bound-only") and "11 nodes, node-budget)" in out
 
+    @pytest.mark.parametrize("argv", [["--m", "1", "--n", "1000", "--w", "500", "--method", "johnson"],
+                                      ["--m", "2", "--n", "700", "--w", "350"]],
+                             ids=["one-block", "two-blocks"])
+    def test_johnson_recursion_too_deep(self, argv, capsys):
+        from mcwc import bounds
+        from mcwc.core import CodeParameters
+
+        later = CodeParameters.uniform(2, 9, 3, 4)
+        bounds._REC_CACHE.clear()
+        answer = bounds.johnson_recursive(later)
+        before = {d: dict(memo) for d, memo in bounds._REC_CACHE.items()}
+        rc = main(["bound", *argv, "--d", "4"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert "deeper than Python's recursion limit" in captured.err
+        assert {d: dict(memo) for d, memo in bounds._REC_CACHE.items()} == before
+        again = bounds.johnson_recursive(later)
+        assert (again.value, again.certificate["trace"]) == (answer.value, answer.certificate["trace"])
+
     @pytest.mark.parametrize(
         "op", ["square-to-code", "code-to-square", "bibd", "decomp", "concat", "fill-hole"]
     )

@@ -190,6 +190,32 @@ def test_pinned_violation_messages(case):
     assert not report.valid and report.violation == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("square sas 1000000 5\n",
+      "row/column 0 covers 0 points, not a partition of the point set minus one point"),
+     ("square sfs 1000000 5\n", "row parts do not partition the row index set"),
+     ("square hsas 5 1000000\nhole-rows 0\nhole-points 0\n",
+      "hole row/column 0 does not partition the points outside the hole"),
+     ("gdd 1000000\n", "groups do not partition the point set")],
+    ids=["sas", "sfs", "hsas", "gdd"],
+)
+def test_a_large_header_costs_no_memory(text, message):
+    """The verifiers allocate for the cells, parts and groups in the file,
+    never for the side or point count its header claims."""
+    import tracemalloc
+
+    design = parse_gdd(text) if text.startswith("gdd") else parse_square(text)
+    tracemalloc.start()
+    try:
+        report = (verify_gdd if text.startswith("gdd") else verify_square)(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.valid and report.violation == message
+    assert peak < 2**20
+
+
 def test_square_equality_compares_cells():
     first = SkewSquare.build("sas", 5, 5, {(0, 1): {0, 1}})
     assert first == SkewSquare.build("sas", 5, 5, {(0, 1): [1, 0]})
