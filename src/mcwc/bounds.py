@@ -63,12 +63,14 @@ def johnson_eq3(params: CodeParameters) -> BoundResult:
     if params.distance % 2 != 0:
         return BoundResult(method, None, {"reason": "odd distance"})
     u = params.distance // 2
-    blocks = tuple(zip(params.block_weights, params.block_lengths))
-    value, denom, big = _eq3_on_blocks(blocks, u)
-    cert = {"u": u, "lambda": params.total_weight - u, "denominator": Fraction(denom, big)}
-    if value is None:
+    lam = params.total_weight - u
+    big, tsum = _eq3_sums(tuple(zip(params.block_weights, params.block_lengths)))
+    denom = tsum - lam * big
+    cert = {"u": u, "lambda": lam, "denominator": Fraction(denom, big)}
+    if denom <= 0:
         cert["reason"] = "denominator <= 0"
-    return BoundResult(method, value, cert)
+        return BoundResult(method, None, cert)
+    return BoundResult(method, u * big // denom, cert)
 
 
 # -- recursive Johnson bound -------------------------------------------------
@@ -128,18 +130,11 @@ def _block_record(block: tuple[int, int]):
     return block, comb(n, w), n, w * w, prime, tuple(steps.values())
 
 
-def _eq3_on_blocks(blocks, u: int) -> tuple[Optional[int], int, int]:
-    """floor(u / D) at distance 2u, where D = sum w^2/n - lambda, or None when
-    D <= 0; returned with L*D and L = prod n, which keep it in integers."""
-    big = 1
-    lam = -u
-    for w, n in blocks:
-        big *= n
-        lam += w
-    denom = -lam * big
-    for w, n in blocks:
-        denom += w * w * (big // n)
-    return (u * big // denom if denom > 0 else None), denom, big
+def _eq3_sums(blocks) -> tuple[int, int]:
+    """L = prod n and T = sum w^2*L/n over blocks (w, n): eq3's denominator
+    sum w^2/n - lambda is (T - lambda*L)/L, kept in integers."""
+    big = prod(n for _, n in blocks)
+    return big, sum(w * w * (big // n) for w, n in blocks)
 
 
 @dataclass(slots=True)
@@ -164,10 +159,8 @@ def _lookup(blocks, reach: int, st: _RecState) -> tuple[int, _Rule]:
     if hit is not None:
         st.memo_hits += 1
         return hit
-    big = prod(n for _, n in blocks)
     return _rec_bound(tuple(map(_block_record, blocks)), key,
-                      prod(comb(n, w) for w, n in blocks), big,
-                      sum(w * w * (big // n) for w, n in blocks), reach, st)
+                      prod(comb(n, w) for w, n in blocks), *_eq3_sums(blocks), reach, st)
 
 
 def _rec_bound(blocks, key: int, size: int, big: int, tsum: int, reach: int,

@@ -1,24 +1,22 @@
 """Command-line front end.
 
 Subcommands: verify, bound, asymptotic, construct, develop, search, table.
-All invocations are deterministic.  Default search budgets honor the
-MCWC_NODE_BUDGET and MCWC_VERTEX_CAP environment variables.
+All invocations are deterministic.
 
 Exit status:
 
 * 0: every check passed;
 * 1: a check failed: an INVALID row of ``verify``, an ERROR row for a file
   that does not parse or construct, or a BELOW-TARGET row of ``table``;
-* 2: an error: a bad argument or environment value, or an input that is
-  missing, unreadable or (outside ``verify``) malformed.  It is reported as
-  one ``error: ...`` line (argparse's usage message for an option value that
-  is not a number), never as a traceback.
+* 2: an error: a bad argument, or an input that is missing, unreadable or
+  (outside ``verify``) malformed.  It is reported as one ``error: ...`` line
+  (argparse's usage message for an option value that is not a number), never
+  as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -29,6 +27,7 @@ from . import corpus
 from .bounds import (
     asymptotic_point,
     best_of,
+    best_upper_bound,
     gv_lower_bound,
     johnson_eq3,
     johnson_recursive,
@@ -342,7 +341,7 @@ def cmd_table(args) -> int:
         if n1 < 3 or n1 % 2 == 0:
             raise McwcError(f"n1 must be odd and at least 3, got {n1}")
         for n2 in range(n1, 2 * n1, 2):
-            target = (n2 * (n1 - 1)) // 4
+            target = best_upper_bound(CodeParameters((n1, n2), (2, 2), 6)).value
             achieved, method = _table_achieved(n1, n2)
             if achieved is None:
                 status = "open"
@@ -359,9 +358,8 @@ def cmd_table(args) -> int:
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, built once per process, and the options whose default
-    comes from an environment variable, as {action: (variable, fallback)}."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mcwc",
         description="multiply constant-weight codes: bounds, constructions, search",
@@ -432,11 +430,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("search", help="exact optimum for small parameters", parents=[common])
     add_params(p)
-    # defaults read from the environment by main() on every call
-    env_defaults = {
-        p.add_argument("--budget", type=int): ("MCWC_NODE_BUDGET", 10_000_000),
-        p.add_argument("--vertex-cap", type=int): ("MCWC_VERTEX_CAP", 2000),
-    }
+    p.add_argument("--budget", type=int, default=SearchConfig.node_budget)
+    p.add_argument("--vertex-cap", type=int, default=SearchConfig.vertex_cap)
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--emit-witness")
     p.set_defaults(fn=cmd_search)
@@ -445,16 +440,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n1", help="comma-separated odd n1 values")
     p.add_argument("--n1-max", type=int, default=21)
     p.set_defaults(fn=cmd_table)
-    return parser, env_defaults
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, env_defaults = build_parser()
-    # argparse converts a string default with ``type`` only when its
-    # subcommand runs, so a malformed variable is a usage error of 'search'
-    for action, (variable, fallback) in env_defaults.items():
-        action.default = os.environ.get(variable, fallback)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.format = args.format or args.format_global or "text"
     try:
         return args.fn(args)

@@ -192,13 +192,21 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
                         else f"cell {cell} pairs two points of hole {k}")
 
     # resolvability: the points of row i and column i, from one pass over the
-    # cells; an sfs reports its rows hole by hole
+    # cells; an sfs reports its rows hole by hole, every other kind in index
+    # order.  A row outside ``visited`` holds no cell and lies in no hole, so
+    # all of them share the verdict of the first one, ``blank``
     lines: defaultdict[int, list[int]] = defaultdict(list)
     for (i, j), pair in sq.cells.items():
         lines[i] += pair
         lines[j] += pair
+    visited = set(lines).union(*row_parts)
+    blank = next(i for i in itertools.count() if i not in visited)
+    if sq.kind is SquareKind.SFS:
+        order = itertools.chain(*row_parts)
+    else:
+        order = sorted(visited | {blank} if blank < sq.s else visited)
     starred = []
-    for i in itertools.chain(*row_parts) if sq.kind is SquareKind.SFS else range(sq.s):
+    for i in order:
         line = lines.get(i, ())
         covered = set(line)
         if len(covered) != len(line):
@@ -226,8 +234,12 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
                 f"row/column {i} covers {len(covered)} points, not a partition of"
                 f" the point set minus {'one point' if sq.kind is SquareKind.SAS else 'one or three points'}"
             )
-    if sq.kind is SquareKind.SAS_STAR and len(starred) != 1:
-        return fail(f"expected exactly one deficient row/column, found {starred or 'none'}")
+    if sq.kind is SquareKind.SAS_STAR:
+        if blank in starred and sq.s - len(visited) > 1:
+            # then so is every row outside ``visited``
+            starred = sorted(set(starred).union(i for i in range(sq.s) if i not in visited))
+        if len(starred) != 1:
+            return fail(f"expected exactly one deficient row/column, found {starred or 'none'}")
     return VerificationReport(True)
 
 
@@ -310,10 +322,7 @@ def verify_gdd(design: GddDesign) -> VerificationReport:
     x = design.num_points
     if not _partitions(design.groups, x):
         return VerificationReport(False, "groups do not partition the point set")
-    group_of = {}
-    for k, g in enumerate(design.groups):
-        for p in g:
-            group_of[p] = k
+    group_of = _hole_of(design.groups)
     for b, block in enumerate(design.blocks):
         if len(set(block)) != len(block):
             return VerificationReport(False, f"block {b} repeats a point")

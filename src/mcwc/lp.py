@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from typing import Literal, Optional, Sequence
 
-from .bounds import LP_CLASS_CAP, BoundResult
-from .core import CodeParameters, DomainError, ShapeError, SizeError
+from .bounds import LP_CLASS_CAP, BoundResult, _require_uniform
+from .core import CodeParameters, DomainError, SizeError
 from .scheme import build_scheme_tables
 
 Relation = Literal["<=", ">="]
@@ -210,14 +210,9 @@ def delsarte_lp(params: CodeParameters):
     ``<=`` form, -M*S/V <= M, each entry reduced by a gcd and the row scaled
     by the lcm of the reduced denominators, with no ``Fraction`` made.
     """
-    params = params.canonical()
-    if not params.is_uniform:
-        raise ShapeError("the LP bound requires uniform parameters")
+    m, n, w = _require_uniform(params, "the LP bound")
     if params.distance % 2 != 0:
         raise DomainError("the LP bound requires an even distance")
-    m = params.m
-    n = params.block_lengths[0]
-    w = params.block_weights[0]
     u = params.distance // 2
     if w > n:  # no word exists
         return RationalLinearProgram(0, ()), []

@@ -48,6 +48,7 @@ from .core import (
     PartitionedCode,
     PartitionedWord,
     SizeError,
+    _block_masks,
     _canonical_supports,
     canonical_weight,
     verify_mcwc,
@@ -221,12 +222,12 @@ def enumerate_words(params: CodeParameters) -> list[tuple[tuple[int, ...], int]]
     bits are the block mask XOR those of its complement."""
     bit = [1 << i for i in range(params.total_length)].__getitem__
     words = [((), 0)]
-    for (start, end), w in zip(params.block_spans(), params.block_weights):
+    for (start, end), w, mask in zip(params.block_spans(), params.block_weights,
+                                     _block_masks(params.block_lengths)):
         points = range(start, end)
         side = canonical_weight(w, end - start)
         bits = [sum(map(bit, c)) for c in itertools.combinations(points, side)]
         if side != w:
-            mask = (1 << end) - (1 << start)
             bits = [mask ^ b for b in reversed(bits)]
         block = list(zip(itertools.combinations(points, w), bits))
         words = [(s + c, b | cb) for s, b in words for c, cb in block]
@@ -272,8 +273,8 @@ def _orbit_masks(params: CodeParameters, words: list) -> list[int]:
     orbit key is the sorted tuple of (block shape, overlap with word 0 in the
     block)."""
     zero = words[0][1]
-    parts = [(n, w, zero & ((1 << end) - (1 << start))) for (start, end), n, w
-             in zip(params.block_spans(), params.block_lengths, params.block_weights)]
+    parts = [(n, w, zero & mask) for mask, n, w in zip(
+        _block_masks(params.block_lengths), params.block_lengths, params.block_weights)]
     keys = [tuple(sorted((n, w, (bits & z).bit_count()) for n, w, z in parts))
             for _, bits in words]
     orbit: dict[tuple, int] = {}

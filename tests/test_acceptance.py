@@ -14,6 +14,7 @@ import pytest
 from mcwc import corpus
 from mcwc.core import CodeParameters, verify_mcwc
 from mcwc.bounds import (
+    best_of,
     comparison_f,
     best_upper_bound,
     gv_lower_bound,
@@ -289,3 +290,50 @@ def test_criterion_9_construction_optimality():
     assert code.params == CodeParameters.uniform(4, 3, 1, 6)
     assert johnson_eq3(code.params).value == 9
     _report(9, "construction optimality", started, 1.0)
+
+
+# -- non-uniform shapes -----------------------------------------------------
+
+NON_UNIFORM_CAP = 120  # largest word count, prod C(n_i, w_i), of a shape
+
+
+def _non_uniform_instances():
+    """Sorted blocks (n_i, w_i), 1 <= w_i < n_i, at least two and not all
+    equal, with at most NON_UNIFORM_CAP words; each at every even distance 2u,
+    1 <= u <= sum min(w_i, n_i - w_i) + 1."""
+    blocks = [(n, w) for n in range(2, NON_UNIFORM_CAP + 1) for w in range(1, n)
+              if comb(n, w) <= NON_UNIFORM_CAP // 2]
+    shapes = []
+
+    def extend(shape, words, first):
+        if len(shape) >= 2 and len(set(shape)) > 1:
+            shapes.append(shape)
+        for i, block in enumerate(blocks[first:], first):
+            if words * comb(*block) <= NON_UNIFORM_CAP:
+                extend(shape + (block,), words * comb(*block), i)
+
+    extend((), 1, 0)
+    return [(shape, 2 * u) for shape in shapes
+            for u in range(1, sum(min(w, n - w) for n, w in shape) + 2)]
+
+
+def test_criterion_10_non_uniform_sandwich():
+    """On every non-uniform shape of the family the oracle proves its
+    optimum, and no applicable upper bound falls below it."""
+    started = time.monotonic()
+    cfg = SearchConfig(node_budget=SWEEP_BUDGET_NODES)
+    instances = _non_uniform_instances()
+    assert len(instances) == 5522 and len({shape for shape, _ in instances}) == 1444
+    below = 0
+    for shape, d in instances:
+        lengths, weights = zip(*shape)
+        params = CodeParameters(lengths, weights, d)
+        oracle = max_mcwc(params, cfg)
+        assert oracle.complete, (shape, d)
+        table = oracle.bounds or upper_bounds(params)
+        for result in table.values():
+            if result.applicable:
+                assert oracle.size <= result.value, (shape, d, result.method, result.value)
+        below += oracle.size < best_of(table).value
+    print(f"  non-uniform: {len(instances)} instances, {below} optima below the best bound")
+    _report(10, "non-uniform sandwich", started, 120.0)

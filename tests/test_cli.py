@@ -487,6 +487,17 @@ class TestTable:
         body = out.splitlines()[1:]
         assert body and all("open" in l and " - " in l for l in body)
 
+    def test_targets_and_statuses_to_37(self, capsys):
+        # the targets come from best_upper_bound; the paper's Johnson-type
+        # bound n2(n1 - 1)/4 is the independent reference
+        rc, out = run(["--format", "tsv", "table", "--n1-max", "37"], capsys)
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert rc == 0 and len(rows) == 189
+        assert all(int(t) == int(n2) * (int(n1) - 1) // 4 for n1, n2, t, *_ in rows)
+        statuses = [row[-1] for row in rows]
+        assert {s: statuses.count(s) for s in set(statuses)} == {
+            "ok": 128, "exceptional": 1, "open": 60}
+
     def test_identical_values_in_tsv(self, capsys):
         rc, text = run(["table", "--n1", "3"], capsys)
         rc, tsv = run(["--format", "tsv", "table", "--n1", "3"], capsys)
@@ -505,24 +516,20 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: "), err
 
-    def test_malformed_budget_variable_spares_other_commands(self, monkeypatch, capsys):
-        monkeypatch.setenv("MCWC_NODE_BUDGET", "abc")
-        rc, out = run(["bound", "--m", "2", "--n", "5", "--w", "2", "--d", "6",
-                       "--method", "johnson"], capsys)
-        assert rc == 0 and out.splitlines()[1].split() == ["johnson", "5"]
+    def test_environment_is_not_an_input(self, monkeypatch, capsys):
+        # the search budgets come from the options alone, defaulting to SearchConfig's
+        def search():
+            try:
+                rc = main(["search", "--m", "1", "--n", "10", "--w", "4", "--d", "4"])
+            except SystemExit as exc:
+                rc = exc.code
+            return rc, capsys.readouterr()
 
-    @pytest.mark.parametrize("variable", ["MCWC_NODE_BUDGET", "MCWC_VERTEX_CAP"])
-    def test_malformed_budget_variable_is_a_usage_error(self, variable, monkeypatch, capsys):
-        monkeypatch.setenv(variable, "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "--m", "2", "--n", "5", "--w", "2", "--d", "6"])
-        assert exc.value.code == 2
-        assert "invalid int value: 'abc'" in capsys.readouterr().err
-
-    def test_budget_variable_is_honored(self, monkeypatch, capsys):
+        plain = search()
         monkeypatch.setenv("MCWC_NODE_BUDGET", "10")
-        rc, out = run(["search", "--m", "1", "--n", "10", "--w", "4", "--d", "4"], capsys)
-        assert rc == 0 and out.startswith("lower-bound-only") and "11 nodes, node-budget)" in out
+        monkeypatch.setenv("MCWC_VERTEX_CAP", "abc")
+        assert search() == plain
+        assert plain[0] == 0 and plain[1].out.startswith("optimum ")
 
     @pytest.mark.parametrize("argv", [["--m", "1", "--n", "1000", "--w", "500", "--method", "johnson"],
                                       ["--m", "2", "--n", "700", "--w", "350"]],

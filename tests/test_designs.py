@@ -3,6 +3,7 @@ import re
 import pytest
 
 from mcwc import corpus
+from mcwc.bounds import best_upper_bound
 from mcwc.core import (
     CodeParameters,
     DomainError,
@@ -180,6 +181,13 @@ PINNED = {
                   "expected exactly one deficient row/column, found none"),
     "sas*-three": (lambda: _variant(_star7(), drop=[(0, 1)]),
                    "expected exactly one deficient row/column, found [0, 1, 6]"),
+    # the empty rows 1 and 3 share one verdict: a failure at 1, before row 2's
+    "sas-empty-row": (lambda: SkewSquare.build("sas", 4, 3, {(0, 2): {0, 1}, (3, 2): {0, 2}}),
+                      "row/column 1 covers 0 points, not a partition of the point set minus"
+                      " one point"),
+    # or both deficient, on three points
+    "sas*-empty-rows": (lambda: SkewSquare.build("sas*", 4, 3, {(0, 2): {0, 1}}),
+                        "expected exactly one deficient row/column, found [1, 3]"),
 }
 
 
@@ -214,6 +222,26 @@ def test_a_large_header_costs_no_memory(text, message):
         tracemalloc.stop()
     assert not report.valid and report.violation == message
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("square sas 100000000 1\n", None),
+     ("square sas* 100000000 1\n", "expected exactly one deficient row/column, found none"),
+     ("square hsas 100000000 1\nhole-rows 0\nhole-points 0\n", None)],
+    ids=["sas", "sas*", "hsas"],
+)
+def test_a_large_header_costs_no_time(text, message):
+    """Resolvability visits the rows that hold a cell or lie in a hole, and
+    the first of the others for all of them: a side of 10^8 on one point
+    takes no time for its empty rows."""
+    import time
+
+    square = parse_square(text)
+    start = time.perf_counter()
+    report = verify_square(square)
+    assert time.perf_counter() - start < 1
+    assert report.valid is (message is None) and report.violation == message
 
 
 def test_square_equality_compares_cells():
@@ -251,6 +279,20 @@ class TestSquareCodeTranslation:
     def test_non_extremal_rejected(self):
         with pytest.raises(DomainError):
             mcwc_to_square(corpus.small_code(5, 7))
+
+    def test_extremal_count_is_the_best_upper_bound(self):
+        # the cell count that mcwc_to_square asks of a code, read from its
+        # message for an empty code, on every row of `mcwc table --n1-max 37`
+        rows = 0
+        for n1 in range(3, 38, 2):
+            for n2 in range(n1, 2 * n1, 2):
+                params = CodeParameters((n1, n2), (2, 2), 6)
+                with pytest.raises(DomainError) as exc:
+                    mcwc_to_square(PartitionedCode(params, ()))
+                expected = re.search(r": 0 words, expected (\d+)$", str(exc.value))
+                assert int(expected.group(1)) == best_upper_bound(params).value, (n1, n2)
+                rows += 1
+        assert rows == 189
 
     def test_wrong_kind_rejected(self, sas55):
         sq = corpus.sfs_square(5, 0)
