@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from mcwc import corpus
+from mcwc import bounds, corpus
+from mcwc.bounds import best_upper_bound
 from mcwc.cli import main
-from mcwc.core import VerificationReport, load_code, save_code
+from mcwc.core import CodeParameters, VerificationReport, load_code, save_code
 from mcwc.designs import mcwc_to_square, save_square
 
 
@@ -488,15 +489,25 @@ class TestTable:
         assert body and all("open" in l and " - " in l for l in body)
 
     def test_targets_and_statuses_to_37(self, capsys):
-        # the targets come from best_upper_bound; the paper's Johnson-type
-        # bound n2(n1 - 1)/4 is the independent reference
+        # each target is the paper's Johnson-type bound n2(n1 - 1)/4 and the
+        # best upper bound that the bounds module computes
         rc, out = run(["--format", "tsv", "table", "--n1-max", "37"], capsys)
         rows = [line.split("\t") for line in out.splitlines()[1:]]
         assert rc == 0 and len(rows) == 189
         assert all(int(t) == int(n2) * (int(n1) - 1) // 4 for n1, n2, t, *_ in rows)
+        assert all(int(t) == best_upper_bound(CodeParameters((int(n1), int(n2)), (2, 2), 6)).value
+                   for n1, n2, t, *_ in rows)
         statuses = [row[-1] for row in rows]
         assert {s: statuses.count(s) for s in set(statuses)} == {
             "ok": 128, "exceptional": 1, "open": 60}
+
+    def test_large_n1_on_an_empty_memo(self, monkeypatch, capsys):
+        # the targets need no Johnson recursion, whose depth grows with n1
+        monkeypatch.setattr(bounds, "_REC_CACHE", {})
+        rc, out = run(["--format", "tsv", "table", "--n1", "501"], capsys)
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert rc == 0 and len(rows) == 251
+        assert all(int(t) == int(n2) * 500 // 4 for _, n2, t, *_ in rows)
 
     def test_identical_values_in_tsv(self, capsys):
         rc, text = run(["table", "--n1", "3"], capsys)
