@@ -75,14 +75,19 @@ def johnson_eq3(params: CodeParameters) -> BoundResult:
 
 # -- recursive Johnson bound -------------------------------------------------
 
-# d -> {key: (value, rule)}, filled by every call that ends within its state
-# budget, so each entry equals what a call without a budget computes.  A call
-# that the budget cuts off takes its entries out again and answers on a private
-# table, as it would on an empty memo.  A state's key is the product of the
-# primes of its blocks (:func:`_key`): unique factorization makes it exact.
+# d -> {key: (value, rule, child)}, filled by every call that ends within its
+# state budget, so each entry equals what a call without a budget computes.  A
+# call that the budget cuts off takes its entries out again and answers on a
+# private table, as it would on an empty memo.  A state's key is the product of
+# the primes of its blocks (:func:`_key`): unique factorization makes it exact.
+# ``child`` is the entry of the state that the winning eq1/eq2 step leads to,
+# the same object as in the table (``_BASE`` for a base case), and None for
+# every other rule: a reference costs less memory than a copy of the key.
 _REC_CACHE: dict[int, dict] = {}
 
 _Rule = tuple  # ("eq1", w, n) | ("eq2", w, n) | ("eq3",) | ("product",) | ...
+
+_BASE = (1, ("single",), None)  # the entry of a base case
 
 # canonical block (w, n), 0 < w <= n/2 -> its prime, the next one the first
 # time the recursion meets the block
@@ -148,12 +153,12 @@ class _RecState:
     truncated: bool = False
 
 
-def _lookup(blocks, reach: int, st: _RecState) -> tuple[int, _Rule]:
-    """(value, winning rule) for sorted canonical blocks ``blocks`` of total
-    weight ``reach``, at distance ``st.d`` > 2: a base case, a memo entry or a
-    new state."""
+def _lookup(blocks, reach: int, st: _RecState) -> tuple:
+    """The entry (value, winning rule, child) for sorted canonical blocks
+    ``blocks`` of total weight ``reach``, at distance ``st.d`` > 2: a base
+    case, a memo entry or a new state."""
     if not blocks or st.d > 2 * reach:
-        return 1, ("single",)
+        return _BASE
     key = _key(blocks)
     hit = st.memo.get(key)
     if hit is not None:
@@ -164,18 +169,17 @@ def _lookup(blocks, reach: int, st: _RecState) -> tuple[int, _Rule]:
 
 
 def _rec_bound(blocks, key: int, size: int, big: int, tsum: int, reach: int,
-               st: _RecState) -> tuple[int, _Rule]:
+               st: _RecState) -> tuple:
     """:func:`_lookup` on a state that is neither a base case nor in the memo,
     given as its sorted block records, its key, its product size, L = prod n
     and T = sum w^2*L/n; sets ``st.truncated`` where the budget cuts it off.
     Each child is resolved here from these integers, and only a child missing
     from the memo builds its records and recurses."""
-    best = size
-    rule: _Rule = ("product",)
+    best, rule, win = size, ("product",), None
     if st.visited >= st.budget:
         st.past_budget += 1
         st.truncated = True
-        return best, rule
+        return best, rule, win
     st.visited += 1
     d, memo = st.d, st.memo
     if d % 2 == 0:
@@ -201,7 +205,7 @@ def _rec_bound(blocks, key: int, size: int, big: int, tsum: int, reach: int,
         rest_key = key // prime
         for child, child_prime, step, divisor, dreach in steps:
             if dreach and light_base:
-                v = n // divisor
+                v, hit = n // divisor, _BASE
             else:
                 child_key = rest_key * child_prime
                 hit = memo.get(child_key)
@@ -229,10 +233,10 @@ def _rec_bound(blocks, key: int, size: int, big: int, tsum: int, reach: int,
                                      child_tsum, reach + dreach, st)
                 v = n * hit[0] // divisor
             if v < best:
-                best, rule = v, step
+                best, rule, win = v, step, hit
     st.memo_hits += hits
-    memo[key] = (best, rule)
-    return best, rule
+    memo[key] = entry = (best, rule, win)
+    return entry
 
 
 def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> BoundResult:
@@ -261,60 +265,56 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
     blocks = tuple(b for b in zip(params.block_weights, params.block_lengths) if b[0])
     st = _RecState(d, state_budget, _REC_CACHE.setdefault(d, {}))
     if any(w > n for w, n in blocks):
-        value, rule = 0, ("no-word",)
+        entry = 0, ("no-word",), None
     elif blocks and d <= 2:
         # distinct equal-weight words always differ in at least two coordinates
-        value, rule = prod(comb(n, w) for w, n in blocks), ("space",)
+        entry = prod(comb(n, w) for w, n in blocks), ("space",), None
     else:
         try:
-            value, rule, st = _answer(blocks, params.total_weight, st)
+            entry, st = _answer(blocks, params.total_weight, st)
         except RecursionError:
             raise SizeError("the Johnson recursion goes deeper than Python's recursion limit") from None
     return BoundResult(
         "johnson-recursive",
-        value,
+        entry[0],
         {
-            "rule": rule,
+            "rule": entry[1],
             "states": st.visited,
             "memo_hits": st.memo_hits,
             "past_budget": st.past_budget,
             "truncated": st.truncated,
-            "trace": _rec_trace(blocks, rule, st),
+            "trace": _rec_trace(entry),
         },
     )
 
 
-def _answer(blocks, reach: int, st: _RecState) -> tuple[int, _Rule, _RecState]:
+def _answer(blocks, reach: int, st: _RecState) -> tuple[tuple, _RecState]:
     """:func:`_lookup` on the shared memo of ``st``; a call that its budget
     cuts off takes out what it added and answers again on a private table,
     with the state of that second call."""
     known = len(st.memo)
     try:
-        value, rule = _lookup(blocks, reach, st)
+        entry = _lookup(blocks, reach, st)
     finally:  # an interrupted call must not leave cut-off entries either
         while st.truncated and len(st.memo) > known:  # newest pops first
             st.memo.popitem()
     if st.truncated:
         st = _RecState(st.d, st.budget, {})
-        value, rule = _lookup(blocks, reach, st)
-    return value, rule, st
+        entry = _lookup(blocks, reach, st)
+    return entry, st
 
 
-def _rec_trace(blocks, rule: _Rule, st: _RecState, limit: int = 64) -> tuple[_Rule, ...]:
-    """Path of winning rules from the root state down to a terminal rule,
-    read from the table that the answer came from: a base case is
-    ``("single",)`` and a state the budget cut off, absent from the table,
-    is ``("product",)``."""
-    trace = [rule]
-    while rule[0] in ("eq1", "eq2") and len(trace) < limit:
-        i = blocks.index(rule[1:])
-        child_block = next(c for c, _, r, _, _ in _block_record(blocks[i])[5] if r == rule)
-        blocks = blocks[:i] + blocks[i + 1 :]
-        if child_block is not None:
-            blocks = tuple(sorted((*blocks, child_block)))
-        base = not blocks or st.d > 2 * sum(w for w, _ in blocks)
-        rule = ("single",) if base else st.memo.get(_key(blocks), (None, ("product",)))[1]
-        trace.append(rule)
+def _rec_trace(entry) -> tuple[_Rule, ...]:
+    """Path of winning rules from the root's ``entry`` down to a terminal
+    rule, at most 64 long, following the child entry that each entry holds; a
+    base case is ``("single",)``.  Every child on the path is an entry of the
+    table that the answer came from: a child that the budget cut off answers
+    its product size, which gives its parent exactly the parent's product
+    size, so it never wins."""
+    trace = [entry[1]]
+    while entry[2] is not None and len(trace) < 64:
+        entry = entry[2]
+        trace.append(entry[1])
     return tuple(trace)
 
 

@@ -296,12 +296,7 @@ def cmd_construct(args) -> int:
 
 def cmd_search(args) -> int:
     params = _params_from_args(args)
-    cfg = SearchConfig(
-        vertex_cap=args.vertex_cap,
-        node_budget=args.budget,
-        symmetry_reduction=not args.no_symmetry,
-    )
-    result = max_mcwc(params, cfg)
+    result = max_mcwc(params, SearchConfig(vertex_cap=args.vertex_cap, node_budget=args.budget))
     status = "optimum" if result.complete else "lower-bound-only"
     print(f"{status} {result.size} (upper bound {result.upper_bound},"
           f" {result.nodes} nodes, {result.stop})")
@@ -365,16 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mcwc",
         description="multiply constant-weight codes: bounds, constructions, search",
     )
-    parser.add_argument(
-        "--format",
-        dest="format_global",
-        choices=["text", "tsv"],
-        default=None,
-        help="output format",
-    )
+    parser.add_argument("--format", choices=["text", "tsv"], default="text", help="output format")
+    # after a command, --format overrides the one before it; left out, it
+    # leaves that one (or the default) in place
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format", choices=["text", "tsv"], default=None, help="output format"
+        "--format", choices=["text", "tsv"], default=argparse.SUPPRESS, help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -433,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(p)
     p.add_argument("--budget", type=int, default=SearchConfig.node_budget)
     p.add_argument("--vertex-cap", type=int, default=SearchConfig.vertex_cap)
-    p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--emit-witness")
     p.set_defaults(fn=cmd_search)
 
@@ -446,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    args.format = args.format or args.format_global or "text"
     try:
         return args.fn(args)
     except (McwcError, OSError) as exc:

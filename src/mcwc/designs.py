@@ -235,10 +235,16 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
                 f" the point set minus {'one point' if sq.kind is SquareKind.SAS else 'one or three points'}"
             )
     if sq.kind is SquareKind.SAS_STAR:
+        count = len(starred)
         if blank in starred and sq.s - len(visited) > 1:
-            # then so is every row outside ``visited``
-            starred = sorted(set(starred).union(i for i in range(sq.s) if i not in visited))
-        if len(starred) != 1:
+            # then so is every row outside ``visited``; the message names
+            # only the first three deficient rows
+            count += sq.s - len(visited) - 1
+            empty = (i for i in range(sq.s) if i not in visited)
+            starred = sorted(set(starred).union(itertools.islice(empty, 3)))
+        if count > 3:
+            starred = f"[{', '.join(map(str, starred[:3]))}, ...] ({count} in all)"
+        if count != 1:
             return fail(f"expected exactly one deficient row/column, found {starred or 'none'}")
     return VerificationReport(True)
 

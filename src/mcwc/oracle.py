@@ -16,19 +16,18 @@ clique.  Every parameter set follows one path:
   rows, seeded by greedy cliques, stops early once the incumbent meets the
   best of the :func:`upper_bounds` table.
 
-With ``symmetry_reduction`` the search is restricted to cliques through
-vertex 0, which is valid because coordinate permutations inside blocks act
-transitively on the words.  The top level of the search then branches once
-per orbit under the stabilizer of word 0 (:func:`_orbit_masks`): after a
-branch on v returns, v's whole orbit leaves the candidates, since every
-clique through another member maps onto one through v.  The masks are
-computed only once the first top-level branch has returned without meeting
-the target.  The candidate order and its pruning bounds come from a greedy
-coloring that records only the vertices whose color can still beat the
-incumbent (BBMC's k_min, San Segundo et al. 2011): every candidate is still
-colored, so the bounds and the tree are those of the full coloring, and the
-vertices left out are those the bound would prune anyway.  The search is
-single-threaded and deterministic.
+The search is restricted to cliques through vertex 0, which is valid because
+coordinate permutations inside blocks act transitively on the words.  The top
+level of the search then branches once per orbit under the stabilizer of
+word 0 (:func:`_orbit_masks`): after a branch on v returns, v's whole orbit
+leaves the candidates, since every clique through another member maps onto
+one through v.  The masks are computed only once the first top-level branch
+has returned without meeting the target.  The candidate order and its pruning
+bounds come from a greedy coloring that records only the vertices whose
+color can still beat the incumbent (BBMC's k_min, San Segundo et al. 2011):
+every candidate is still colored, so the bounds and the tree are those of
+the full coloring, and the vertices left out are those the bound would prune
+anyway.  The search is single-threaded and deterministic.
 The witness is made from the enumerated (support, bits) pairs of the chosen
 words and checked by :func:`verify_mcwc` on every path.
 """
@@ -59,7 +58,6 @@ from .core import (
 class SearchConfig:
     vertex_cap: int = 2000
     node_budget: int = 10_000_000
-    symmetry_reduction: bool = True
 
     def __post_init__(self):
         for cap in (self.vertex_cap, self.node_budget):
@@ -98,14 +96,13 @@ class _TargetReached(Exception):
 class _CliqueSearch:
     """Branch and bound on an adjacency list of int bitmasks.
 
-    ``make_orbits``, when given, is called at most once and returns, per
-    vertex, the bitmask of its orbit under a group of graph automorphisms
-    that maps the candidate set onto itself; the top level then drops a
-    whole orbit per branch.
+    ``make_orbits`` is called at most once and returns, per vertex, the
+    bitmask of its orbit under a group of graph automorphisms that maps the
+    candidate set onto itself; the top level drops a whole orbit per branch.
     """
 
     def __init__(self, adj: list[int], cfg: SearchConfig, target: int,
-                 make_orbits: Optional[Callable[[], list[int]]] = None):
+                 make_orbits: Callable[[], list[int]]):
         self.adj = adj
         full = (1 << len(adj)) - 1
         # the candidates that stay available after coloring vertex v
@@ -181,7 +178,7 @@ class _CliqueSearch:
         if len(self.best) >= self.target:
             return self.best, "target-reached"
         try:
-            self._expand(p, top=self.make_orbits is not None)
+            self._expand(p, top=True)
         except _TargetReached:
             return self.best, "target-reached"  # incumbent met a proven upper bound
         except _Budget:
@@ -310,14 +307,9 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
     # every word is equivalent to vertex 0 under within-block coordinate
     # permutations, so some maximum clique contains vertex 0; the stabilizer
     # of vertex 0 then leaves its neighbourhood, the candidates, unchanged
-    if cfg.symmetry_reduction:
-        root, candidates = [0], adj[0]
-        orbits = partial(_orbit_masks, params, words)
-    else:
-        root, candidates, orbits = [], (1 << len(words)) - 1, None
-    search = _CliqueSearch(adj, cfg, target - len(root), orbits)
-    best, stop = search.run(candidates, _greedy_seed(adj, candidates))
-    chosen = [words[i] for i in root + sorted(best)]
+    search = _CliqueSearch(adj, cfg, target - 1, partial(_orbit_masks, params, words))
+    best, stop = search.run(adj[0], _greedy_seed(adj, adj[0]))
+    chosen = [words[i] for i in [0, *sorted(best)]]
     return _verified(params, chosen, stop, search.nodes, target, bounds)
 
 

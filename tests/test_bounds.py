@@ -329,17 +329,20 @@ class _RefState:
 
 
 def _ref_rec_bound(blocks, reach, st):
+    """(value, rule, child) of a state: ``child`` is the state that the
+    winning eq1/eq2 step leads to, as its sorted blocks, or 0 when it is a
+    base case, and None for every other rule."""
     if not blocks or st.d > 2 * reach:
-        return 1, ("single",)
+        return 1, ("single",), None
     hit = st.memo.get(blocks)
     if hit is not None:
         return hit
     best = prod(comb(n, w) for w, n in blocks)
-    rule = ("product",)
+    rule, win = ("product",), None
     if st.visited >= st.budget:
         st.past_budget += 1
         st.truncated = True
-        return best, rule
+        return best, rule, win
     st.visited += 1
     if st.d % 2 == 0:
         v3 = _ref_eq3(blocks, st.d // 2)
@@ -352,8 +355,9 @@ def _ref_rec_bound(blocks, reach, st):
             v = block[1] * _ref_rec_bound(child, reach + dreach, st)[0] // divisor
             if v < best:
                 best, rule = v, step
-    st.memo[blocks] = (best, rule)
-    return best, rule
+                win = child if child and st.d <= 2 * (reach + dreach) else 0
+    st.memo[blocks] = (best, rule, win)
+    return best, rule, win
 
 
 def _ref_rec_trace(blocks, rule, st, limit=64):
@@ -386,12 +390,12 @@ def reference_johnson(params, cache, state_budget=None):
         value, rule = prod(comb(n, w) for w, n in blocks), ("space",)
     else:
         known = len(st.memo)
-        value, rule = _ref_rec_bound(blocks, params.total_weight, st)
+        value, rule, _ = _ref_rec_bound(blocks, params.total_weight, st)
         while st.truncated and len(st.memo) > known:
             st.memo.popitem()
         if st.truncated:
             st = _RefState(d, state_budget, {})
-            value, rule = _ref_rec_bound(blocks, params.total_weight, st)
+            value, rule, _ = _ref_rec_bound(blocks, params.total_weight, st)
     trace = _ref_rec_trace(blocks, rule, st)
     return value, rule, trace, st.visited, st.past_budget, st.truncated
 
@@ -403,11 +407,26 @@ def _certificate(params, budget=None):
     return value, rule, trace, states, past_budget, truncated
 
 
-def _memo_entries(cache, key=lambda blocks: blocks):
-    """Each distance's memo entries in insertion order, each memo key mapped
-    through ``key``: the package's key function maps the reference's sorted
-    block tuples to the package's keys."""
-    return {d: [(key(k), v) for k, v in memo.items()] for d, memo in cache.items() if memo}
+def _package_memo():
+    """The package's memo entries (key, (value, rule, child)) per distance,
+    in insertion order, each child entry named by its key in the same table
+    (a child outside the table raises KeyError), the base case by 0."""
+    out = {}
+    for d, memo in bounds._REC_CACHE.items():
+        if memo:
+            names = {id(entry): key for key, entry in memo.items()}
+            names[id(bounds._BASE)] = 0
+            out[d] = [(key, (value, rule, None if child is None else names[id(child)]))
+                      for key, (value, rule, child) in memo.items()]
+    return out
+
+
+def _reference_memo(cache):
+    """The same for the reference's ``cache``, its sorted block tuples (memo
+    keys and children) mapped to the package's keys."""
+    return {d: [(bounds._key(k), (value, rule, child and bounds._key(child)))
+                for k, (value, rule, child) in memo.items()]
+            for d, memo in cache.items() if memo}
 
 
 def _decode(key):
@@ -450,7 +469,7 @@ def test_bound_workload_certificates_match_the_reference():
     for params, budget in calls:
         expected = reference_johnson(params, cache, budget)
         assert _certificate(params, budget) == expected, (params, budget)
-    assert _memo_entries(bounds._REC_CACHE) == _memo_entries(cache, bounds._key)
+    assert _package_memo() == _reference_memo(cache)
 
 
 @st.composite
@@ -487,7 +506,7 @@ def test_certificates_match_the_reference(earlier, params, budget):
     cache: dict = {}
     for shape, b in [*earlier, (params, budget)]:
         assert _certificate(shape, b) == reference_johnson(shape, cache, b)
-        assert _memo_entries(bounds._REC_CACHE) == _memo_entries(cache, bounds._key)
+        assert _package_memo() == _reference_memo(cache)
 
 
 @settings(max_examples=100, deadline=None)

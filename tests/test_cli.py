@@ -33,6 +33,15 @@ class TestVerify:
         assert rc == 0
         assert "size=5" in out and "min_distance=6" in out
 
+    def test_format_before_or_after_the_command(self, code_file, capsys):
+        # either position sets the format, and the command's own one wins
+        _, text = run(["verify", code_file], capsys)
+        _, tsv = run(["--format", "tsv", "verify", code_file], capsys)
+        assert text != tsv and "\t" in tsv
+        assert run(["verify", code_file, "--format", "tsv"], capsys)[1] == tsv
+        assert run(["--format", "tsv", "verify", code_file, "--format", "text"], capsys)[1] == text
+        assert run(["--format", "text", "verify", code_file, "--format", "tsv"], capsys)[1] == tsv
+
     def test_invalid_file(self, tmp_path, capsys):
         path = tmp_path / "bad.mcwc"
         path.write_text("mcwc 2 6\npart 1 3 2\npart 2 3 2\n0 1 3 4\n0 1 3 5\n")
@@ -394,13 +403,19 @@ class TestSearch:
         rc, out = run(["search", "--lengths", "5,7", "--weights", "2,2", "--d", "6"], capsys)
         assert rc == 0 and out.startswith("optimum 6")
 
-    def test_no_symmetry_searches_without_the_reduction(self, capsys):
-        # the (True, True) and (False, True) entries of PINNED in test_oracle.py
+    def test_no_symmetry_is_refused(self, capsys):
+        # the (True, True) entry of PINNED in test_oracle.py; the option that
+        # switched the symmetry reduction off is gone
         argv = ["search", "--lengths", "5,7", "--weights", "2,2", "--d", "6", "--budget", "20000"]
         rc, out = run(argv, capsys)
         assert rc == 0 and out == "optimum 6 (upper bound 7, 266 nodes, exhausted)\n"
-        rc, out = run([*argv, "--no-symmetry"], capsys)
-        assert rc == 0 and out == "lower-bound-only 6 (upper bound 7, 20001 nodes, node-budget)\n"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-symmetry"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-symmetry" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        assert "symmetry" not in capsys.readouterr().out
 
     def test_search_reports_why_it_stopped(self, capsys):
         rc, out = run(["search", "--m", "3", "--n", "4", "--w", "2", "--d", "6"], capsys)

@@ -188,6 +188,10 @@ PINNED = {
     # or both deficient, on three points
     "sas*-empty-rows": (lambda: SkewSquare.build("sas*", 4, 3, {(0, 2): {0, 1}}),
                         "expected exactly one deficient row/column, found [1, 3]"),
+    # more than three are named by the first three and their count
+    "sas*-four-empty-rows": (lambda: SkewSquare.build("sas*", 6, 3, {(0, 2): {0, 1}}),
+                             "expected exactly one deficient row/column, found [1, 3, 4, ...]"
+                             " (4 in all)"),
 }
 
 
@@ -228,13 +232,16 @@ def test_a_large_header_costs_no_memory(text, message):
     "text, message",
     [("square sas 100000000 1\n", None),
      ("square sas* 100000000 1\n", "expected exactly one deficient row/column, found none"),
-     ("square hsas 100000000 1\nhole-rows 0\nhole-points 0\n", None)],
-    ids=["sas", "sas*", "hsas"],
+     ("square hsas 100000000 1\nhole-rows 0\nhole-points 0\n", None),
+     ("square sas* 100000000 3\n", "expected exactly one deficient row/column,"
+      " found [0, 1, 2, ...] (100000000 in all)")],
+    ids=["sas", "sas*", "hsas", "sas*-deficient"],
 )
 def test_a_large_header_costs_no_time(text, message):
     """Resolvability visits the rows that hold a cell or lie in a hole, and
-    the first of the others for all of them: a side of 10^8 on one point
-    takes no time for its empty rows."""
+    the first of the others for all of them: a side of 10^8 takes no time
+    for its empty rows, nor for naming them when, on three points, each of
+    them is deficient."""
     import time
 
     square = parse_square(text)

@@ -188,6 +188,25 @@ def _use_plain_order(mp):
     mp.setattr(oracle._CliqueSearch, "_color_order", staticmethod(plain_order))
 
 
+def unreduced_search(params, cfg=SearchConfig()):
+    """:func:`max_mcwc` without the symmetry reduction, as a reference: the
+    search starts from an empty root over every word, and each vertex is its
+    own orbit, so the top level drops one vertex per branch."""
+    words = enumerate_words(params)
+    d = params.distance
+    if not words or d > 2 * params.canonical().total_weight or d <= 2:
+        return max_mcwc(params, cfg)  # a trivial answer, which no search makes
+    adj = oracle._compatibility_graph(params, words)
+    table = upper_bounds(params)
+    target = best_of(table).value
+    singletons = [1 << v for v in range(len(words))]
+    search = oracle._CliqueSearch(adj, cfg, target, lambda: singletons)
+    everything = (1 << len(words)) - 1
+    best, stop = search.run(everything, oracle._greedy_seed(adj, everything))
+    chosen = [words[i] for i in sorted(best)]
+    return oracle._verified(params, chosen, stop, search.nodes, target, table)
+
+
 class TestSearchBehavior:
     def test_witness_verifies(self):
         for params in [
@@ -204,8 +223,8 @@ class TestSearchBehavior:
         a = max_mcwc(params)
         b = max_mcwc(params)
         assert a.witness.support_set() == b.witness.support_set()
-        c = max_mcwc(params, SearchConfig(symmetry_reduction=False))
-        assert c.size == a.size
+        c = unreduced_search(params)
+        assert c.complete and c.size == a.size
 
     def test_vertex_cap(self):
         with pytest.raises(SizeError):
@@ -333,8 +352,8 @@ class TestOrbitRejection:
         reach = 2 * shape.canonical().total_weight
         d = data.draw(st.integers(3, max(3, reach)))
         params = CodeParameters(shape.block_lengths, shape.block_weights, d)
-        reduced, full = (max_mcwc(params, SearchConfig(node_budget=20_000, symmetry_reduction=s))
-                         for s in (True, False))
+        cfg = SearchConfig(node_budget=20_000)
+        reduced, full = max_mcwc(params, cfg), unreduced_search(params, cfg)
         if reduced.complete and full.complete:
             assert reduced.size == full.size
 
@@ -360,12 +379,14 @@ def test_invalid_witness_raises_construction_error(monkeypatch):
     assert str(exc.value) == "oracle produced an invalid witness: forced"
 
 
-# (params, node budget, {(symmetry_reduction, greedy coloring): (size, complete,
+# (params, node budget, {(symmetry reduction, greedy coloring): (size, complete,
 # nodes, upper_bound, indices of the witness words in enumerate_words order)}),
 # recorded before the search was folded into one path; the (True, True) node
 # counts of (5, 7; 2, 2; 6) and uniform(3, 4, 2, 6) and the (True, False) entry
 # of (5, 7; 2, 2; 6) were re-recorded when the top level began to branch once
-# per orbit (sizes and witnesses unchanged)
+# per orbit (sizes and witnesses unchanged).  The entries without the reduction
+# were recorded from max_mcwc when the reduction could be switched off, and now
+# pin unreduced_search, which makes that search
 U = CodeParameters.uniform
 PINNED = [
     (CodeParameters((3,), (4,), 2), 10_000_000, {
@@ -453,12 +474,12 @@ def _shape_id(params):
                          ids=[_shape_id(params) for params, _, _ in PINNED])
 def test_pinned_results(params, budget, expected, monkeypatch):
     words = [support for support, _ in enumerate_words(params)]
+    cfg = SearchConfig(node_budget=budget)
     for (symmetry, coloring), (size, complete, nodes, upper, indices) in expected.items():
-        cfg = SearchConfig(node_budget=budget, symmetry_reduction=symmetry)
         with monkeypatch.context() as mp:
             if not coloring:
                 _use_plain_order(mp)
-            result = max_mcwc(params, cfg)
+            result = (max_mcwc if symmetry else unreduced_search)(params, cfg)
         got = (result.size, result.complete, result.nodes, result.upper_bound)
         assert got == (size, complete, nodes, upper), (symmetry, coloring)
         assert sorted(result.witness.support_set()) == [words[i] for i in indices]
