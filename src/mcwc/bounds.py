@@ -306,13 +306,17 @@ def _answer(blocks, reach: int, st: _RecState) -> tuple[tuple, _RecState]:
 
 def _rec_trace(entry) -> tuple[_Rule, ...]:
     """Path of winning rules from the root's ``entry`` down to a terminal
-    rule, at most 64 long, following the child entry that each entry holds; a
-    base case is ``("single",)``.  Every child on the path is an entry of the
-    table that the answer came from: a child that the budget cut off answers
-    its product size, which gives its parent exactly the parent's product
-    size, so it never wins."""
+    rule, following the child entry that each entry holds; a base case is
+    ``("single",)``.  A path longer than 64 rules is cut after the 64th, and
+    the trace then ends in ``("cut",)`` instead of a terminal rule.  Every
+    child on the path is an entry of the table that the answer came from: a
+    child that the budget cut off answers its product size, which gives its
+    parent exactly the parent's product size, so it never wins."""
     trace = [entry[1]]
-    while entry[2] is not None and len(trace) < 64:
+    while entry[2] is not None:
+        if len(trace) == 64:
+            trace.append(("cut",))
+            break
         entry = entry[2]
         trace.append(entry[1])
     return tuple(trace)

@@ -27,7 +27,11 @@ bounds come from a greedy coloring that records only the vertices whose
 color can still beat the incumbent (BBMC's k_min, San Segundo et al. 2011):
 every candidate is still colored, so the bounds and the tree are those of
 the full coloring, and the vertices left out are those the bound would prune
-anyway.  The search is single-threaded and deterministic.
+anyway.  Each node below the top level colors inline, keeps its vertices and
+their colors in two lists, returns before building them when the first k_min
+colors take every candidate, and names a vertex v by h = v + 1, the
+``bit_length`` of its bit, which indexes its bit, row and non-neighbours.
+The search is single-threaded and deterministic.
 The witness is made from the enumerated (support, bits) pairs of the chosen
 words and checked by :func:`verify_mcwc` on every path.
 """
@@ -99,91 +103,130 @@ class _CliqueSearch:
     ``make_orbits`` is called at most once and returns, per vertex, the
     bitmask of its orbit under a group of graph automorphisms that maps the
     candidate set onto itself; the top level drops a whole orbit per branch.
+    Inside the search a vertex v goes by h = v + 1, the ``bit_length`` of its
+    bit, which indexes the tables directly.
     """
 
     def __init__(self, adj: list[int], cfg: SearchConfig, target: int,
                  make_orbits: Callable[[], list[int]]):
-        self.adj = adj
         full = (1 << len(adj)) - 1
-        # the candidates that stay available after coloring vertex v
-        self.nonadj = [full ^ (row | 1 << v) for v, row in enumerate(adj)]
+        self.bit = [0, *(1 << v for v in range(len(adj)))]
+        self.adj = [0, *adj]
+        # the candidates that stay available after coloring vertex h
+        self.nonadj = [0, *(full ^ (row | 1 << v) for v, row in enumerate(adj))]
         self.node_budget = cfg.node_budget
         self.target = target
         self.make_orbits = make_orbits
-        self.orbits: Optional[list[int]] = None
         self.nodes = 0
-        self.best: list[int] = []
-        self.stack: list[int] = []
-
-    def _color_order(self, p: int, kmin: int) -> list[tuple[int, int]]:
-        """Greedy coloring of the candidate set; returns the (vertex, color)
-        pairs with color > ``kmin`` in increasing color order.  A color bounds
-        the clique among the candidates up to its pair, so the vertices of
-        colors <= ``kmin`` cannot beat the incumbent and are not recorded."""
-        nonadj = self.nonadj
-        color = 0
-        rest = p
-        while rest and color < kmin:
-            color += 1
-            avail = rest
-            while avail:
-                v = avail.bit_length() - 1
-                avail &= nonadj[v]
-                rest ^= 1 << v
-        order: list[tuple[int, int]] = []
-        append = order.append
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = avail.bit_length() - 1
-                avail &= nonadj[v]
-                rest ^= 1 << v
-                append((v, color))
-        return order
-
-    def _expand(self, p: int, top: bool = False):
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise _Budget
-        if p == 0:
-            if len(self.stack) > len(self.best):
-                self.best = list(self.stack)
-                if len(self.best) >= self.target:
-                    raise _TargetReached
-            return
-        adj = self.adj
-        stack = self.stack
-        depth = len(stack)
-        for v, bound in reversed(self._color_order(p, len(self.best) - depth)):
-            if depth + bound <= len(self.best):
-                return
-            if top and not p >> v & 1:
-                continue  # dropped with the orbit of an earlier branch
-            stack.append(v)
-            self._expand(p & adj[v])
-            stack.pop()
-            if top:
-                # every clique through another member of v's orbit maps onto
-                # one through v inside the same orbit-closed candidate set
-                if self.orbits is None:
-                    self.orbits = self.make_orbits()
-                p &= ~self.orbits[v]
-            else:
-                p ^= 1 << v
 
     def run(self, p: int, seed: list[int]) -> tuple[list[int], str]:
         """(best clique, stop reason) over the candidates ``p``."""
-        self.best = list(seed)
-        if len(self.best) >= self.target:
-            return self.best, "target-reached"
+        bit, adj, nonadj = self.bit, self.adj, self.nonadj
+        budget, target = self.node_budget, self.target
+        if len(seed) >= target:
+            return list(seed), "target-reached"
+        best = [v + 1 for v in seed]
+        size = len(best)
+        path = [0] * len(adj)  # path[:depth] is the clique of the current node
+        nodes = 1
+
+        def greedy_order(p: int, kmin: int) -> tuple[list[int], list[int]]:
+            """Greedy coloring of the candidates ``p``: the vertices of the
+            colors above ``kmin`` and their colors, in increasing color order.
+            A color bounds the clique among the candidates up to its vertex,
+            so the vertices of colors <= ``kmin`` cannot beat the incumbent
+            and are not recorded.  ``expand`` inlines this loop, and returns
+            early once the first ``kmin`` colors take every candidate."""
+            color = 0
+            rest = p
+            while rest and color < kmin:
+                color += 1
+                avail = rest
+                while avail:
+                    h = avail.bit_length()
+                    avail &= nonadj[h]
+                    rest ^= bit[h]
+            hs: list[int] = []
+            colors: list[int] = []
+            while rest:
+                color += 1
+                avail = rest
+                while avail:
+                    h = avail.bit_length()
+                    avail &= nonadj[h]
+                    rest ^= bit[h]
+                    hs.append(h)
+                    colors.append(color)
+            return hs, colors
+
+        def expand(p: int, depth: int):
+            """A node below the top level, with ``path[:depth]`` chosen."""
+            nonlocal nodes, size, best
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            if not p:
+                if depth > size:
+                    best = path[:depth]
+                    size = depth
+                    if size >= target:
+                        raise _TargetReached
+                return
+            color = 0
+            rest = p
+            kmin = size - depth
+            while color < kmin:
+                color += 1
+                avail = rest
+                while avail:
+                    h = avail.bit_length()
+                    avail &= nonadj[h]
+                    rest ^= bit[h]
+                if not rest:
+                    return  # no candidate can beat the incumbent
+            hs = []
+            colors = []
+            while rest:
+                color += 1
+                avail = rest
+                while avail:
+                    h = avail.bit_length()
+                    avail &= nonadj[h]
+                    rest ^= bit[h]
+                    hs.append(h)
+                    colors.append(color)
+            below = depth + 1
+            for h, bound in zip(reversed(hs), reversed(colors)):
+                if depth + bound <= size:
+                    return
+                path[depth] = h
+                expand(p & adj[h], below)
+                p ^= bit[h]
+
+        # the top level, node 1 (which no positive budget stops), holds the
+        # empty clique and branches once per orbit
+        hs, colors = greedy_order(p, size)
+        orbits = None
         try:
-            self._expand(p, top=True)
+            for h, bound in zip(reversed(hs), reversed(colors)):
+                if bound <= size:
+                    break
+                if not p & bit[h]:
+                    continue  # dropped with the orbit of an earlier branch
+                path[0] = h
+                expand(p & adj[h], 1)
+                # every clique through another member of h's orbit maps onto
+                # one through h inside the same orbit-closed candidate set
+                if orbits is None:
+                    orbits = self.make_orbits()
+                p &= ~orbits[h - 1]
         except _TargetReached:
-            return self.best, "target-reached"  # incumbent met a proven upper bound
+            return [h - 1 for h in best], "target-reached"  # incumbent met a proven upper bound
         except _Budget:
-            return self.best, "node-budget"
-        return self.best, "exhausted"
+            return [h - 1 for h in best], "node-budget"
+        finally:
+            self.nodes = nodes
+        return [h - 1 for h in best], "exhausted"
 
 
 _SEED_STARTS = 32

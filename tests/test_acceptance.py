@@ -5,9 +5,11 @@ The bound-consistency sweep (criterion 4) runs once and is shared with the
 Plotkin/Johnson equivalence check (criterion 5).
 """
 
+import hashlib
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +168,31 @@ def test_criterion_4_bound_consistency_sweep(sweep_records):
     print(f"  sweep: {len(records)} instances,"
           f" {len(incomplete)} budget-limited {sorted(incomplete)}")
     _report(4, "bound consistency sweep", started, 600.0)
+
+
+# one line per sweep instance, in sweep order, as written by _golden_line:
+# recorded from the search before its node was inlined, which must build the
+# same tree; re-record it only for an intended change of the search
+SWEEP_GOLDEN = Path(__file__).with_name("sweep_golden.txt")
+
+
+def _golden_line(key, oracle):
+    """The instance, then the oracle's size, complete, nodes, stop and the
+    first 16 hex digits of the SHA-256 of its witness: the packed words (bit
+    i for point i of the support) in increasing order, in hex, space-separated."""
+    words = " ".join(map(hex, sorted(word.bits for word in oracle.witness.words)))
+    digest = hashlib.sha256(words.encode()).hexdigest()[:16]
+    return "\t".join([" ".join(map(str, key)), str(oracle.size), str(oracle.complete),
+                      str(oracle.nodes), oracle.stop, digest])
+
+
+def test_criterion_4_search_matches_the_golden(sweep_records):
+    records, _ = sweep_records
+    got = [_golden_line(key, oracle) for key, oracle, _, _ in records]
+    expected = SWEEP_GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(expected) == 1642
+    differ = [(g, e) for g, e in zip(got, expected) if g != e]
+    assert not differ, differ[:5]
 
 
 def test_criterion_5_plotkin_equals_johnson(sweep_records):

@@ -66,6 +66,14 @@ class TestJohnsonRecursive:
         assert trace[0] == ("eq1", 2, 5)
         assert trace[-1][0] in ("eq3", "single", "space", "product", "no-word")
 
+    def test_a_trace_past_64_rules_ends_in_cut(self):
+        # the path runs on past its 64th rule, an eq2 step, so the trace says
+        # that it was cut instead of ending in a terminal rule
+        trace = johnson_recursive(CodeParameters((90, 7), (1, 3), 6)).certificate["trace"]
+        assert len(trace) == 65
+        assert trace[-2:] == (("eq2", 1, 27), ("cut",))
+        assert all(rule[0] in ("eq1", "eq2") for rule in trace[:-1])
+
     def test_base_single(self):
         assert johnson_recursive(CodeParameters((3, 3), (2, 2), 10)).value == 1
 
@@ -371,6 +379,8 @@ def _ref_rec_trace(blocks, rule, st, limit=64):
             blocks = tuple(sorted((*blocks, child_block)))
         rule = _ref_rec_bound(blocks, sum(w for w, _ in blocks), lookup)[1]
         trace.append(rule)
+    if rule[0] in ("eq1", "eq2"):
+        trace.append(("cut",))
     return tuple(trace)
 
 
@@ -499,6 +509,7 @@ _budgets = st.one_of(st.none(), st.integers(0, 60))
 @example([], uni(5, 7, 2, 6), None)  # five and six equal blocks, as in the bound grid
 @example([(uni(6, 5, 2, 6), 50)], uni(6, 5, 2, 6), None)
 @example([(uni(5, 9, 1, 4), None)], uni(6, 9, 1, 4), 60)
+@example([], CodeParameters((90, 7), (1, 3), 6), None)  # a trace cut after 64 rules
 def test_certificates_match_the_reference(earlier, params, budget):
     """On an emptied memo (no earlier calls) or one warmed by earlier calls,
     which both sides make, the certificate and the memo match the reference."""

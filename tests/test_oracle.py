@@ -1,5 +1,6 @@
 import itertools
 from math import comb
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +15,7 @@ from mcwc.core import (
     verify_mcwc,
 )
 from mcwc.bounds import best_of, gv_lower_bound, johnson_recursive, upper_bounds
-from mcwc.oracle import SearchConfig, enumerate_words, max_mcwc
+from mcwc.oracle import SearchConfig, _Budget, _TargetReached, enumerate_words, max_mcwc
 
 
 def reference_words(params):
@@ -168,6 +169,101 @@ class TestKnownValues:
         assert twin.size == uniform.size and twin.complete
 
 
+class ReferenceSearch:
+    """Branch and bound on an adjacency list of int bitmasks: the search
+    kernel as it was before its node was inlined, kept as the reference that
+    :class:`oracle._CliqueSearch` must match tree for tree.
+
+    ``make_orbits`` is called at most once and returns, per vertex, the
+    bitmask of its orbit under a group of graph automorphisms that maps the
+    candidate set onto itself; the top level drops a whole orbit per branch.
+    """
+
+    def __init__(self, adj: list[int], cfg: SearchConfig, target: int,
+                 make_orbits: Callable[[], list[int]]):
+        self.adj = adj
+        full = (1 << len(adj)) - 1
+        # the candidates that stay available after coloring vertex v
+        self.nonadj = [full ^ (row | 1 << v) for v, row in enumerate(adj)]
+        self.node_budget = cfg.node_budget
+        self.target = target
+        self.make_orbits = make_orbits
+        self.orbits: Optional[list[int]] = None
+        self.nodes = 0
+        self.best: list[int] = []
+        self.stack: list[int] = []
+
+    def _color_order(self, p: int, kmin: int) -> list[tuple[int, int]]:
+        """Greedy coloring of the candidate set; returns the (vertex, color)
+        pairs with color > ``kmin`` in increasing color order.  A color bounds
+        the clique among the candidates up to its pair, so the vertices of
+        colors <= ``kmin`` cannot beat the incumbent and are not recorded."""
+        nonadj = self.nonadj
+        color = 0
+        rest = p
+        while rest and color < kmin:
+            color += 1
+            avail = rest
+            while avail:
+                v = avail.bit_length() - 1
+                avail &= nonadj[v]
+                rest ^= 1 << v
+        order: list[tuple[int, int]] = []
+        append = order.append
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = avail.bit_length() - 1
+                avail &= nonadj[v]
+                rest ^= 1 << v
+                append((v, color))
+        return order
+
+    def _expand(self, p: int, top: bool = False):
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise _Budget
+        if p == 0:
+            if len(self.stack) > len(self.best):
+                self.best = list(self.stack)
+                if len(self.best) >= self.target:
+                    raise _TargetReached
+            return
+        adj = self.adj
+        stack = self.stack
+        depth = len(stack)
+        for v, bound in reversed(self._color_order(p, len(self.best) - depth)):
+            if depth + bound <= len(self.best):
+                return
+            if top and not p >> v & 1:
+                continue  # dropped with the orbit of an earlier branch
+            stack.append(v)
+            self._expand(p & adj[v])
+            stack.pop()
+            if top:
+                # every clique through another member of v's orbit maps onto
+                # one through v inside the same orbit-closed candidate set
+                if self.orbits is None:
+                    self.orbits = self.make_orbits()
+                p &= ~self.orbits[v]
+            else:
+                p ^= 1 << v
+
+    def run(self, p: int, seed: list[int]) -> tuple[list[int], str]:
+        """(best clique, stop reason) over the candidates ``p``."""
+        self.best = list(seed)
+        if len(self.best) >= self.target:
+            return self.best, "target-reached"
+        try:
+            self._expand(p, top=True)
+        except _TargetReached:
+            return self.best, "target-reached"  # incumbent met a proven upper bound
+        except _Budget:
+            return self.best, "node-budget"
+        return self.best, "exhausted"
+
+
 def plain_order(p: int, kmin: int) -> list[tuple[int, int]]:
     """Reference candidate order: one color per vertex, from the highest vertex
     down, keeping the colors above ``kmin``.  Expanded lowest first, each
@@ -184,14 +280,17 @@ def plain_order(p: int, kmin: int) -> list[tuple[int, int]]:
 
 
 def _use_plain_order(mp):
-    """Swap the greedy coloring for the reference order."""
-    mp.setattr(oracle._CliqueSearch, "_color_order", staticmethod(plain_order))
+    """Swap the search for the reference search with the reference order, in
+    :func:`max_mcwc` and in :func:`unreduced_search`."""
+    mp.setattr(ReferenceSearch, "_color_order", staticmethod(plain_order))
+    mp.setattr(oracle, "_CliqueSearch", ReferenceSearch)
 
 
 def unreduced_search(params, cfg=SearchConfig()):
     """:func:`max_mcwc` without the symmetry reduction, as a reference: the
-    search starts from an empty root over every word, and each vertex is its
-    own orbit, so the top level drops one vertex per branch."""
+    reference search starts from an empty root over every word, and each
+    vertex is its own orbit, so the top level drops one vertex per branch.
+    Under :func:`_use_plain_order` it takes the reference order too."""
     words = enumerate_words(params)
     d = params.distance
     if not words or d > 2 * params.canonical().total_weight or d <= 2:
@@ -200,7 +299,7 @@ def unreduced_search(params, cfg=SearchConfig()):
     table = upper_bounds(params)
     target = best_of(table).value
     singletons = [1 << v for v in range(len(words))]
-    search = oracle._CliqueSearch(adj, cfg, target, lambda: singletons)
+    search = ReferenceSearch(adj, cfg, target, lambda: singletons)
     everything = (1 << len(words)) - 1
     best, stop = search.run(everything, oracle._greedy_seed(adj, everything))
     chosen = [words[i] for i in sorted(best)]
@@ -277,6 +376,76 @@ class TestSearchBehavior:
         result = max_mcwc(params, SearchConfig(node_budget=budget))
         assert result.stop == stop
         assert result.complete == (stop != "node-budget")
+
+
+@st.composite
+def search_instances(draw, max_vertices=28):
+    """A graph on 1-``max_vertices`` vertices as bitset rows (each edge drawn
+    with probability 1/2 or 3/4), candidates, orbit masks that partition the
+    vertices, a seed clique or none, a target and a node budget down to 1.
+    The orbits need not come from automorphisms: the kernels must build the
+    same tree on any input, not only on a sound one."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.integers(0, (1 << len(pairs)) - 1))
+    if draw(st.booleans()):
+        edges |= draw(st.integers(0, (1 << len(pairs)) - 1))
+    adj = [0] * n
+    for k, (i, j) in enumerate(pairs):
+        if edges >> k & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    orbit: dict[int, int] = {}
+    for v, label in enumerate(labels):
+        orbit[label] = orbit.get(label, 0) | 1 << v
+    p = draw(st.integers(0, (1 << n) - 1))
+    seed = oracle._greedy_seed(adj, p) if draw(st.booleans()) else []
+    target = draw(st.integers(len(seed), n + 1))
+    budget = draw(st.one_of(st.integers(1, 20), st.integers(1, 400)))
+    return adj, [orbit[label] for label in labels], p, seed, target, budget
+
+
+def both_kernels(adj, orbits, p, seed, target, budget):
+    """(best, stop, nodes) of the package's search and of the reference."""
+    cfg = SearchConfig(node_budget=budget)
+    out = []
+    for kernel in (oracle._CliqueSearch, ReferenceSearch):
+        search = kernel(adj, cfg, target, lambda: orbits)
+        best, stop = search.run(p, list(seed))
+        out.append((best, stop, search.nodes))
+    return out
+
+
+def complete_graph(n):
+    return [(1 << n) - 1 ^ 1 << v for v in range(n)]
+
+
+# K6 over every vertex, each its own orbit: (target, budget, stop, nodes); the
+# top level is node 1 and the first leaf, the clique of all six, is node 7
+INNER_STOPS = [
+    (4, 100, "target-reached", 7),
+    (7, 1, "node-budget", 2),
+    (7, 4, "node-budget", 5),
+    (7, 100, "exhausted", 7),
+    (0, 100, "target-reached", 0),  # the seed meets the target
+]
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(search_instances())
+    def test_same_tree_as_the_reference(self, instance):
+        new, reference = both_kernels(*instance)
+        assert new == reference
+
+    @pytest.mark.parametrize("target, budget, stop, nodes", INNER_STOPS)
+    def test_stops_inside_the_tree(self, target, budget, stop, nodes):
+        adj = complete_graph(6)
+        singletons = [1 << v for v in range(6)]
+        new, reference = both_kernels(adj, singletons, (1 << 6) - 1, [], target, budget)
+        assert new == reference
+        assert new[1:] == (stop, nodes)
 
 
 @st.composite
@@ -386,7 +555,9 @@ def test_invalid_witness_raises_construction_error(monkeypatch):
 # of (5, 7; 2, 2; 6) were re-recorded when the top level began to branch once
 # per orbit (sizes and witnesses unchanged).  The entries without the reduction
 # were recorded from max_mcwc when the reduction could be switched off, and now
-# pin unreduced_search, which makes that search
+# pin unreduced_search, which makes that search; the entries without the
+# reduction or without the greedy coloring run ReferenceSearch, the others the
+# package's kernel
 U = CodeParameters.uniform
 PINNED = [
     (CodeParameters((3,), (4,), 2), 10_000_000, {
