@@ -251,6 +251,7 @@ def parse_base_table(text: str) -> BaseCodewordTable:
     classes: dict[int, tuple[int, ...]] = {}
     fixed: dict[int, tuple[str, ...]] = {}
     words: list[BaseWord] = []
+    parsed: dict[str, Point] = {}  # each point token that parsed, by its text
     for lineno, tokens in body:
         if tokens[0] == "layout":
             if len(tokens) < 3:
@@ -285,7 +286,10 @@ def parse_base_table(text: str) -> BaseCodewordTable:
                     (orbit,) = _ints([token[len("orbit="):]], lineno,
                                      "orbit length must be an integer")
                 else:
-                    points.append(_parse_point(token, lineno))
+                    point = parsed.get(token)
+                    if point is None:
+                        point = parsed[token] = _parse_point(token, lineno)
+                    points.append(point)
             if len(points) != 4:
                 raise FormatError("a base word needs exactly four points", lineno)
             words.append(BaseWord(tuple(points), orbit))

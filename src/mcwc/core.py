@@ -272,16 +272,37 @@ def _canonical_supports(params: CodeParameters, supports, bits) -> list[tuple[in
     return out
 
 
-def _first_pair_sharing(supports, s: int) -> Optional[tuple[int, int]]:
-    """The first pair ``i < j`` (least i, then least j) of sorted supports that
-    share at least ``s`` points, from one index keyed by s-subsets; or None."""
-    owner: dict[tuple[int, ...], int] = {}
-    claim = owner.setdefault
+def _first_pair_sharing(supports, s: int, length: int) -> Optional[tuple[int, int]]:
+    """The first pair ``i < j`` (least i, then least j) of sorted supports on
+    coordinates ``0 .. length - 1`` that share at least ``s`` points; or None.
+
+    For s <= 2, ``through[x]`` has bit i set when an earlier word i holds x:
+    folding word j's masks gives the words that meet it once and twice, and
+    the lowest bit is the least i.  For s >= 3, an index maps each s-subset
+    to the first word that holds it."""
+    through = [0] * length if s <= 2 else None
+    claim = {}.setdefault
     found = None
+    bit = 1
     for j, support in enumerate(supports):
-        # the least earlier word that shares an s-subset with word j, else j
-        i = min(map(claim, combinations(support, s), repeat(j)))
-        if i < j and (found is None or i < found[0]):
+        # the least earlier word that shares s points with word j
+        if through is not None:
+            once = twice = 0
+            for x in support:
+                seen = through[x]
+                twice |= once & seen
+                once |= seen
+                through[x] = seen | bit
+            bit <<= 1
+            clash = twice if s == 2 else once
+            if not clash:
+                continue
+            i = (clash & -clash).bit_length() - 1
+        else:
+            i = min(map(claim, combinations(support, s), repeat(j)))
+            if i == j:
+                continue
+        if found is None or i < found[0]:
             found = (i, j)
             if i == 0:
                 break
@@ -296,8 +317,10 @@ def _closest_pair_indexed(code: PartitionedCode, stop_below: int) -> Optional[tu
     distance 2(W - s).  So the first pair closer than ``stop_below`` is the
     first pair sharing t = W - ceil(stop_below / 2) + 1 points, and otherwise
     the first closest pair is the first one sharing the most points, tried
-    from t - 1 down.  Where a level would index more s-subsets than there
-    are pairs, the scan runs instead.
+    from t - 1 down.  Each level asks :func:`_first_pair_sharing`, which
+    reads per-point word masks for s <= 2 and an s-subset index for s >= 3.
+    Where a level's words hold more s-subsets than there are pairs, the scan
+    runs instead, at every s.
     """
     words = code.words
     count = len(words)
@@ -311,7 +334,7 @@ def _closest_pair_indexed(code: PartitionedCode, stop_below: int) -> Optional[tu
     for s in range(t, 0, -1):
         if count * comb(total, s) > count * (count - 1) // 2:
             return _closest_pair([word.bits for word in words], stop_below)
-        found = _first_pair_sharing(supports, s)
+        found = _first_pair_sharing(supports, s, params.total_length)
         if found is not None:
             break
     else:

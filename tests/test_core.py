@@ -1,10 +1,12 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcwc import core
+from mcwc import core, corpus
+from mcwc.constructions import develop
 from mcwc.core import (
     CodeParameters,
     ConstructionError,
@@ -145,7 +147,6 @@ class TestVerifyKernel:
         assert len(scans) == 1
 
     def test_871_word_code_takes_the_index(self, monkeypatch):
-        from mcwc import corpus
         from mcwc.designs import (
             bfc_fill, fill_hole, mcwc_to_square, sfs_type_key, square_to_mcwc,
             transversal_design, wfc_construct,
@@ -168,6 +169,35 @@ class TestVerifyKernel:
         monkeypatch.setattr(core, "_closest_pair", no_scan)
         report = verify_mcwc(code)
         assert report.valid and report.min_distance == 6
+
+
+def test_shipped_codes_match_the_pairwise_scan():
+    # every shipped explicit code and every developed code with n1 <= 17, as
+    # shipped and with one word moved onto the first side of an earlier word:
+    # they share two points, so the code falls below distance 6
+    codes = [(f"small_{a}_{b}", corpus.small_code(a, b)) for a, b in corpus.SMALL_PAIRS]
+    codes += [(f"t{a}_n{b}", develop(corpus.develop_table(a, b)))
+              for a, b in corpus.develop_pairs() if a <= 17]
+    assert len(codes) == len(corpus.SMALL_PAIRS) + 16
+    assert sum(len(code) for name, code in codes if name.startswith("t")) == 1299
+    for name, code in codes:
+        expected = all_pairs_report(code)
+        assert expected.valid
+        assert verify_mcwc(code) == expected, name
+        if len(code) < 2:
+            continue
+        n1 = code.params.block_lengths[0]
+        words = list(code.words)
+        j = len(words) // 2
+        i = j // 3
+        side1 = [x for x in words[i].support if x < n1]
+        side2 = [x for x in words[j].support if x >= n1]
+        words[j] = PartitionedWord.from_support(code.params, side1 + side2)
+        assert words[j].support not in code.support_set()
+        moved = PartitionedCode(code.params, tuple(words))
+        expected = all_pairs_report(moved)
+        assert not expected.valid
+        assert verify_mcwc(moved) == expected, name
 
 
 class TestParameters:
@@ -388,6 +418,51 @@ def candidate_codes(draw):
 @given(candidate_codes())
 def test_verify_matches_the_pairwise_scan(code):
     assert verify_mcwc(code) == all_pairs_report(code)
+
+
+@st.composite
+def sharing_lists(draw):
+    """(s, points, supports): s in 1..4 and sorted supports of one weight
+    w >= s on at most 40 points, enough of them that verify_mcwc's rule runs
+    the kernel, not the scan.  The words are random, or the graphs
+    {k*q + c(k) : k < w} of distinct polynomials c of degree < s over GF(q),
+    which share fewer than s points pairwise; then 0-3 words that share at
+    least s points with an earlier word are planted at random rows."""
+    s = draw(st.integers(1, 4))
+    spread = [(w, q) for w in range(s, 9) for q in (2, 3, 5, 7, 11, 13, 17, 19)
+              if w <= q and w * q <= 40 and q**s > 2 * comb(w, s)]
+    if draw(st.booleans()):
+        w, q = draw(st.sampled_from(spread))
+        least = 2 * comb(w, s) + 1
+        points = w * q
+        picks = draw(st.lists(st.integers(0, q**s - 1), min_size=least,
+                              max_size=min(197, q**s), unique=True))
+        supports = [[k * q + sum(c // q**e % q * k**e for e in range(s)) % q for k in range(w)]
+                    for c in picks]
+    else:
+        w = draw(st.integers(s, 8))
+        least = 2 * comb(w, s) + 1
+        points = draw(st.integers(w, 40))
+        support = st.lists(st.integers(0, points - 1), min_size=w, max_size=w, unique=True)
+        supports = draw(st.lists(support, min_size=least, max_size=197))
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(1, len(supports)))
+        keep = draw(st.permutations(supports[draw(st.integers(0, j - 1))]))
+        keep = keep[:draw(st.integers(s, w))]
+        rest = [x for x in draw(st.permutations(range(points))) if x not in keep]
+        supports.insert(j, keep + rest[:w - len(keep)])
+    return s, points, [tuple(sorted(x)) for x in supports]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sharing_lists())
+def test_first_pair_sharing_is_the_least_pair(drawn):
+    s, points, supports = drawn
+    count, w = len(supports), len(supports[0])
+    assert count * comb(w, s) <= count * (count - 1) // 2  # the index, not the scan
+    least = next(((i, j) for i, j in combinations(range(count), 2)
+                  if len(set(supports[i]) & set(supports[j])) >= s), None)
+    assert core._first_pair_sharing(supports, s, points) == least
 
 
 def reference_report(code):
