@@ -36,6 +36,7 @@ from .bounds import (
     upper_bounds,
 )
 from .constructions import (
+    _develop_columns,
     develop as develop_table,
     load_base_table,
     parse_base_table,
@@ -158,9 +159,11 @@ def cmd_verify(args) -> int:
                 report = verify_decomposition(dec)
                 detail = f"n={dec.n} m={dec.m} members={len(dec.members)}"
             elif kind == "develop":
-                code = develop_table(parse_base_table(text))
-                report = VerificationReport(True)  # develop raises unless the code verifies
-                detail = f"developed={len(code)} params=(2;{code.params.block_lengths[0]},{code.params.block_lengths[1]};2,2;6)"
+                # raises unless the developed code verifies
+                params, supports, _bits = _develop_columns(parse_base_table(text))
+                report = VerificationReport(True)
+                n1, n2 = params.block_lengths
+                detail = f"developed={len(supports)} params=(2;{n1},{n2};2,2;6)"
             else:
                 raise FormatError(f"unknown file kind {kind!r}")
         except McwcError as exc:
@@ -306,21 +309,25 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _table_achieved(n1: int, n2: int) -> tuple[Optional[int], str]:
+def _table_achieved(n1: int, n2: int,
+                    fillers: dict[int, SkewSquare]) -> tuple[Optional[int], str]:
     """Best verified code size for T(2,n1;2,n2;6), with its source tag.  The
     shipped file names say which source covers a cell: an explicit code, a
     base-codeword table, or a holey square HSAS(s=n2, v=n1; t, 3) whose hole
-    takes the square of the explicit code (3, t)."""
+    takes the square of the explicit code (3, t).  ``fillers`` holds those
+    squares by t, each built on first use."""
     if (n1, n2) in corpus.SMALL_PAIRS:
         code = corpus.small_code(n1, n2)
         verify_mcwc(code).require(f"shipped code ({n1},{n2}) is invalid")
         return len(code), "table"
     if n1 in corpus.DEVELOP_FAMILIES:
-        code = develop_table(corpus.develop_table(n1, n2))
-        return len(code), "develop"
+        _params, supports, _bits = _develop_columns(corpus.develop_table(n1, n2))
+        return len(supports), "develop"
     for v, t, s in corpus.HSAS_SHAPES:
         if (v, s) == (n1, n2):
-            square = fill_hole(corpus.hsas_square(v, t, s), mcwc_to_square(corpus.small_code(3, t)))
+            if t not in fillers:
+                fillers[t] = mcwc_to_square(corpus.small_code(3, t))
+            square = fill_hole(corpus.hsas_square(v, t, s), fillers[t])
             return len(square_to_mcwc(square)), "hole-fill"
     return None, "none"
 
@@ -331,6 +338,7 @@ def cmd_table(args) -> int:
     n1_values = _int_list(args.n1, "--n1") if args.n1 else list(range(3, args.n1_max + 1, 2))
     rows = []
     ok = True
+    fillers: dict[int, SkewSquare] = {}  # the hole fillers of this command, by t
     for n1 in n1_values:
         if n1 < 3 or n1 % 2 == 0:
             raise McwcError(f"n1 must be odd and at least 3, got {n1}")
@@ -338,7 +346,7 @@ def cmd_table(args) -> int:
             # the Johnson-type bound; it equals best_upper_bound of
             # (n1, n2; 2, 2; 6), whose recursion would need ~2*n1 frames here
             target = (n2 * (n1 - 1)) // 4
-            achieved, method = _table_achieved(n1, n2)
+            achieved, method = _table_achieved(n1, n2, fillers)
             if achieved is None:
                 status = "open"
             elif (n1, n2) == (5, 7):

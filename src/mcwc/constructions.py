@@ -26,6 +26,7 @@ from .core import (
     _ints,
     _read_text,
     _records,
+    _verify_columns,
     verify_mcwc,
 )
 from .designs import transversal_design
@@ -178,11 +179,64 @@ def _layout(table: BaseCodewordTable) -> dict[Point, int]:
     return coord
 
 
-def _path(p: Point, coord: dict[Point, int], rings: dict[int, list[int]], g: int) -> list[int]:
-    """The coordinates of the translates t = 0, 1, ..., g - 1 of a point of the layout."""
-    if p[0] != "g":
-        return [coord[p]] * g
-    return rings[p[2]][p[1]:p[1] + g]
+def _develop_columns(
+    table: BaseCodewordTable,
+) -> tuple[CodeParameters, list[tuple[int, ...]], list[int]]:
+    """The developed code of :func:`develop` as columns ``(params, supports,
+    bits)``: word k's sorted support and packed bits, in development order.
+    Makes every check that :func:`develop` documents, in its order, and
+    verifies the columns at distance 6."""
+    g = table.group_order
+    if g < 1:
+        raise DomainError("group order must be positive")
+    coord = _layout(table)
+    n1, n2 = table.side_lengths
+    params = CodeParameters((n1, n2), (2, 2), 6)
+    # each labeled point: whether it lies on the first side (the coordinates
+    # below n1), and the coordinates and bits of its translates t = 0, ..., g - 1
+    orbits = {p: (x < n1, [x] * g, [1 << x] * g) for p, x in coord.items() if p[0] != "g"}
+    for c in itertools.chain(*table.classes):
+        start = coord[("g", 0, c)]
+        # the class's coordinates twice over: a point's translates are a slice
+        ring = [*range(start, start + g)] * 2
+        ring_bits = [1 << x for x in ring[:g]] * 2
+        for e in range(g):
+            orbits[("g", e, c)] = (start < n1, ring[e:e + g], ring_bits[e:e + g])
+    supports: list[tuple[int, ...]] = []
+    bits: list[int] = []
+    repeated = None  # the first base support that repeats a point: after all other checks
+    for k, word in enumerate(table.words):
+        if len(word.points) != 4:
+            raise ConstructionError(f"base word {k} {word} does not have four points")
+        found = list(map(orbits.get, word.points))
+        if None in found:
+            p = word.points[found.index(None)]
+            raise ConstructionError(
+                f"base word {k} {word} uses {_point_str(p)}, outside the declared layout"
+            )
+        (in_a, a, bits_a), (in_b, b, bits_b), (in_c, c, bits_c), (in_d, d, bits_d) = found
+        in1 = in_a + in_b + in_c + in_d
+        if in1 != 2:
+            raise ConstructionError(
+                f"base word {k} {word} has {in1} points on the first side, expected 2"
+            )
+        declared = word.orbit if word.orbit is not None else g
+        orbit = list(map(tuple, map(sorted, zip(a, b, c, d))))
+        # a cyclic action first repeats the word itself (the appended copy: g)
+        length = (orbit + orbit[:1]).index(orbit[0], 1)
+        if length != declared:
+            raise ConstructionError(
+                f"base word {k} {word} has orbit length {length}, declared {declared}"
+            )
+        if repeated is None and len(set(orbit[0])) < 4:
+            repeated = list(orbit[0])
+        supports += orbit[:length]
+        # four distinct points' bits: their sum is their union
+        bits += map(sum, zip(bits_a[:length], bits_b, bits_c, bits_d))
+    if repeated is not None:
+        raise DomainError(f"duplicate support index in {repeated}")
+    _verify_columns(params, supports, bits).require("developed code fails verification")
+    return params, supports, bits
 
 
 def develop(table: BaseCodewordTable) -> PartitionedCode:
@@ -192,49 +246,9 @@ def develop(table: BaseCodewordTable) -> PartitionedCode:
     Declared short orbits are cross-checked: the orbit of a word must close
     exactly at its declared length (at the group order when undeclared).
     """
-    g = table.group_order
-    if g < 1:
-        raise DomainError("group order must be positive")
-    coord = _layout(table)
-    n1, n2 = table.side_lengths
-    params = CodeParameters((n1, n2), (2, 2), 6)
-    # each class's coordinates twice over: a point's translates are a slice
-    rings = {c: [*range(coord[("g", 0, c)], coord[("g", 0, c)] + g)] * 2
-             for side in table.classes for c in side}
-    words: list[PartitionedWord] = []
-    repeated = None  # the first base support that repeats a point: after all other checks
-    for k, word in enumerate(table.words):
-        if len(word.points) != 4:
-            raise ConstructionError(f"base word {k} {word} does not have four points")
-        for p in word.points:
-            if p not in coord:
-                raise ConstructionError(
-                    f"base word {k} {word} uses {_point_str(p)}, outside the declared layout"
-                )
-        # side 1 holds the coordinates below n1
-        in1 = sum(1 for p in word.points if coord[p] < n1)
-        if in1 != 2:
-            raise ConstructionError(
-                f"base word {k} {word} has {in1} points on the first side, expected 2"
-            )
-        declared = word.orbit if word.orbit is not None else g
-        paths = [_path(p, coord, rings, g) for p in word.points]
-        supports = [tuple(sorted(at)) for at in zip(*paths)]
-        # a cyclic action first repeats the word itself (the appended copy: g)
-        length = (supports + supports[:1]).index(supports[0], 1)
-        if length != declared:
-            raise ConstructionError(
-                f"base word {k} {word} has orbit length {length}, declared {declared}"
-            )
-        if repeated is None and len(set(supports[0])) < 4:
-            repeated = list(supports[0])
-        words += [PartitionedWord(params, s, (1 << s[0]) | (1 << s[1]) | (1 << s[2]) | (1 << s[3]))
-                  for s in supports[:length]]
-    if repeated is not None:
-        raise DomainError(f"duplicate support index in {repeated}")
-    code = PartitionedCode(params, tuple(words))
-    verify_mcwc(code).require("developed code fails verification")
-    return code
+    params, supports, bits = _develop_columns(table)
+    words = map(PartitionedWord, itertools.repeat(params), supports, bits)
+    return PartitionedCode(params, tuple(words))
 
 
 # Base-codeword file format:
@@ -263,19 +277,23 @@ def parse_base_table(text: str) -> BaseCodewordTable:
                 raise FormatError(f"'layout {side}' is repeated", lineno)
             cls: tuple[int, ...] = ()
             fix: tuple[str, ...] = ()
+            named = set()
             for item in tokens[2:]:
-                if item.startswith("classes="):
-                    value = item[len("classes="):]
+                name = next((n for n in ("classes=", "fixed=") if item.startswith(n)), None)
+                if name is None:
+                    raise FormatError(f"unknown layout item {item!r}", lineno)
+                if name in named:
+                    raise FormatError(f"layout item {name!r} is repeated", lineno)
+                named.add(name)
+                value = item[len(name):]
+                if name == "classes=":
                     cls = tuple(_ints(filter(None, value.split(",")), lineno,
                                       "layout classes must be integers"))
-                elif item.startswith("fixed="):
-                    value = item[len("fixed="):]
+                else:
                     fix = tuple(t for t in value.split(",") if t)
                     for token in fix:
                         if _parse_point(token, lineno)[0] == "g":
                             raise FormatError(_NOT_FIXED.format(token), lineno)
-                else:
-                    raise FormatError(f"unknown layout item {item!r}", lineno)
             classes[side] = cls
             fixed[side] = fix
         elif tokens[0] == "w":
@@ -283,6 +301,8 @@ def parse_base_table(text: str) -> BaseCodewordTable:
             points = []
             for token in tokens[1:]:
                 if token.startswith("orbit="):
+                    if orbit is not None:
+                        raise FormatError("base word item 'orbit=' is repeated", lineno)
                     (orbit,) = _ints([token[len("orbit="):]], lineno,
                                      "orbit length must be an integer")
                 else:

@@ -180,7 +180,12 @@ class PartitionedWord:
         return cls(params, tuple(idx), _support_bits(idx, params.total_length))
 
     def __str__(self) -> str:
-        return "<" + ", ".join(map(str, self.support)) + ">"
+        return _support_str(self.support)
+
+
+def _support_str(support) -> str:
+    """How a report names a word: its support in angle brackets."""
+    return "<" + ", ".join(map(str, support)) + ">"
 
 
 def _support_bits(idx: list[int], n: int) -> int:
@@ -309,9 +314,11 @@ def _first_pair_sharing(supports, s: int, length: int) -> Optional[tuple[int, in
     return found
 
 
-def _closest_pair_indexed(code: PartitionedCode, stop_below: int) -> Optional[tuple[int, int, int]]:
-    """:func:`_closest_pair` of the code's words, for distinct words that carry
-    the code's block weights.
+def _closest_pair_indexed(params: CodeParameters, supports, bits: list[int],
+                          stop_below: int) -> Optional[tuple[int, int, int]]:
+    """:func:`_closest_pair` of the packed words ``bits``, for distinct words
+    that carry the block weights of ``params``; ``supports`` are the same
+    words' sorted supports.
 
     On canonical supports of total weight W, a pair sharing s points is at
     distance 2(W - s).  So the first pair closer than ``stop_below`` is the
@@ -322,19 +329,16 @@ def _closest_pair_indexed(code: PartitionedCode, stop_below: int) -> Optional[tu
     Where a level's words hold more s-subsets than there are pairs, the scan
     runs instead, at every s.
     """
-    words = code.words
-    count = len(words)
+    count = len(bits)
     if count < 2:
         return None
-    params = code.params
     total = sum(map(canonical_weight, params.block_weights, params.block_lengths))
     t = total - (stop_below + 1) // 2 + 1
-    supports = (_canonical_supports(params, (word.support for word in words),
-                                    (word.bits for word in words)) if t > 0 else [])
+    canonical = _canonical_supports(params, supports, bits) if t > 0 else []
     for s in range(t, 0, -1):
         if count * comb(total, s) > count * (count - 1) // 2:
-            return _closest_pair([word.bits for word in words], stop_below)
-        found = _first_pair_sharing(supports, s, params.total_length)
+            return _closest_pair(bits, stop_below)
+        found = _first_pair_sharing(canonical, s, params.total_length)
         if found is not None:
             break
     else:
@@ -342,13 +346,57 @@ def _closest_pair_indexed(code: PartitionedCode, stop_below: int) -> Optional[tu
         # all pairs are equally far apart, and the scan stops at the first
         found = (0, 1)
     i, j = found
-    return (words[i].bits ^ words[j].bits).bit_count(), i, j
+    return (bits[i] ^ bits[j]).bit_count(), i, j
 
 
 def min_distance(code: PartitionedCode) -> Optional[int]:
     """Minimum pairwise Hamming distance; ``None`` when fewer than two words."""
     found = _closest_pair([word.bits for word in code.words], 1)
     return None if found is None else found[0]
+
+
+def _weight_violation(params: CodeParameters, supports, bits: list[int]) -> Optional[str]:
+    """The first word in row order with a wrong block weight, and its first
+    such block, as a report's message; None when every word carries the
+    block weights of ``params``.  ``supports`` only name the word."""
+    blocks = list(zip(_block_masks(params.block_lengths), params.block_weights))
+    # one pass per block over all words; the rows are walked only on a failure
+    count = len(bits)
+    if any(list(map(int.bit_count, map(mask.__and__, bits))).count(w) != count
+           for mask, w in blocks):
+        for k, b in enumerate(bits):
+            for i, (mask, w) in enumerate(blocks):
+                got = (b & mask).bit_count()
+                if got != w:
+                    word = _support_str(supports[k])
+                    return f"word {k} {word} has weight {got} in block {i}, expected {w}"
+    return None
+
+
+def _verify_columns(params: CodeParameters, supports, bits: list[int]) -> VerificationReport:
+    """:func:`verify_mcwc` of the words given as columns: ``supports[k]`` and
+    ``bits[k]`` are word k's sorted support and packed bits, on ``params``."""
+    message = _weight_violation(params, supports, bits)
+    if message is not None:
+        return VerificationReport(False, message)
+    if len(set(bits)) != len(bits):
+        seen: dict[int, int] = {}
+        for k, b in enumerate(bits):
+            if b in seen:
+                return VerificationReport(False, f"words {seen[b]} and {k} are identical")
+            seen[b] = k
+    d = params.distance
+    # distinct words with equal block weights are >= 2 apart, so a pair at
+    # distance 2 is a closest one and the search may stop there
+    found = _closest_pair_indexed(params, supports, bits, max(d, 3))
+    if found is not None and found[0] < d:
+        dist, i, j = found
+        return VerificationReport(
+            False,
+            f"words {i} {_support_str(supports[i])} and {j} {_support_str(supports[j])}"
+            f" are at distance {dist} < {d}",
+        )
+    return VerificationReport(True, min_distance=None if found is None else found[0])
 
 
 def verify_mcwc(code: PartitionedCode) -> VerificationReport:
@@ -359,33 +407,15 @@ def verify_mcwc(code: PartitionedCode) -> VerificationReport:
     A valid report carries the code's :func:`min_distance`.
     """
     params = code.params
-    blocks = list(enumerate(zip(_block_masks(params.block_lengths), params.block_weights)))
-    for k, word in enumerate(code.words):
-        if word.params is not params and word.params != params:
-            return VerificationReport(False, f"word {k} has mismatched parameters")
-        for i, (mask, w) in blocks:
-            got = (word.bits & mask).bit_count()
-            if got != w:
-                return VerificationReport(
-                    False, f"word {k} {word} has weight {got} in block {i}, expected {w}"
-                )
-    seen: dict[int, int] = {}
-    for k, word in enumerate(code.words):
-        if word.bits in seen:
-            return VerificationReport(False, f"words {seen[word.bits]} and {k} are identical")
-        seen[word.bits] = k
-    d = params.distance
     words = code.words
-    # distinct words with equal block weights are >= 2 apart, so a pair at
-    # distance 2 is a closest one and the search may stop there
-    found = _closest_pair_indexed(code, max(d, 3))
-    if found is not None and found[0] < d:
-        dist, i, j = found
-        return VerificationReport(
-            False,
-            f"words {i} {words[i]} and {j} {words[j]} are at distance {dist} < {d}",
-        )
-    return VerificationReport(True, min_distance=None if found is None else found[0])
+    supports = [word.support for word in words]
+    bits = [word.bits for word in words]
+    for k, word in enumerate(words):
+        if word.params is not params and word.params != params:
+            # a wrong block weight in an earlier row comes first
+            message = _weight_violation(params, supports[:k], bits[:k])
+            return VerificationReport(False, message or f"word {k} has mismatched parameters")
+    return _verify_columns(params, supports, bits)
 
 
 # ---------------------------------------------------------------------------

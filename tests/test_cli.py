@@ -12,6 +12,11 @@ from mcwc.designs import mcwc_to_square, save_square
 
 
 GOLDEN = Path(__file__).with_name("asymptotic_golden.txt")
+# `mcwc verify --format tsv` over the shipped files, run from the data root,
+# and `mcwc table --n1-max 37 --format tsv`, recorded before either command
+# checked a developed code without building its words
+VERIFY_GOLDEN = Path(__file__).with_name("verify_golden.tsv")
+TABLE_GOLDEN = Path(__file__).with_name("table_golden.tsv")
 
 
 def run(argv, capsys):
@@ -530,6 +535,34 @@ class TestTable:
         assert [l.split() for l in text.splitlines()] == [
             l.split("\t") for l in tsv.splitlines()
         ]
+
+
+    def test_hole_fillers_built_once_per_command(self, monkeypatch, capsys):
+        from mcwc import cli
+
+        built = []
+        square = cli.mcwc_to_square
+        monkeypatch.setattr(cli, "mcwc_to_square", lambda code: built.append(len(code)) or square(code))
+        rc, out = run(["--format", "tsv", "table", "--n1", "11,15,19"], capsys)
+        assert rc == 0 and out.count("\thole-fill\tok") == 24
+        assert sorted(built) == [1, 2]  # the codes (3, 3) and (3, 5)
+        run(["table", "--n1", "11"], capsys)
+        assert sorted(built) == [1, 1, 2, 2]  # a new command builds its own
+
+
+class TestGoldens:
+    def test_verify_of_every_shipped_file(self, monkeypatch, capsys):
+        root = corpus.data_root()
+        monkeypatch.chdir(root)
+        files = sorted(str(path.relative_to(root)) for sub in ("codes", "develop", "squares")
+                       for path in (root / sub).iterdir() if path.suffix in (".mcwc", ".dev", ".sq"))
+        assert len(files) == 168
+        rc, out = run(["verify", "--format", "tsv", *files], capsys)
+        assert rc == 0 and out == VERIFY_GOLDEN.read_text(encoding="utf-8")
+
+    def test_table_to_37(self, capsys):
+        rc, out = run(["table", "--n1-max", "37", "--format", "tsv"], capsys)
+        assert rc == 0 and out == TABLE_GOLDEN.read_text(encoding="utf-8")
 
 
 class TestExitContract:

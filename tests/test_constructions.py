@@ -190,7 +190,15 @@ def test_group_order_must_be_positive():
     ("develop 3 2\nlayout 3 classes=0\n", "line 2: side must be 1 or 2"),
     ("develop 3 2\nlayout 1 colors=0\n", "line 2: unknown layout item 'colors=0'"),
     ("develop 3 2\nlayout 1 classes=0\n", "both 'layout 1' and 'layout 2' lines are required"),
-], ids=["two-sided", "layout-items", "side", "layout-item", "both-layouts"])
+    # a repeated item would replace the first one
+    ("develop 3 2\nlayout 1 classes=0 classes=5\nlayout 2 classes=1\nw 0_0 1_0 0_1 1_1\n",
+     "line 2: layout item 'classes=' is repeated"),
+    ("develop 3 2\nlayout 1 classes=0\nlayout 2 fixed=inf classes=1 fixed=a1\n",
+     "line 3: layout item 'fixed=' is repeated"),
+    ("develop 3 2\nlayout 1 classes=0 fixed=inf\nlayout 2 classes=1\n"
+     "w inf 0_0 0_1 1_1 orbit=1 orbit=3\n", "line 4: base word item 'orbit=' is repeated"),
+], ids=["two-sided", "layout-items", "side", "layout-item", "both-layouts",
+        "classes-twice", "fixed-twice", "orbit-twice"])
 def test_base_table_format_errors(text, message):
     with pytest.raises(FormatError) as exc:
         parse_base_table(text)
@@ -287,12 +295,24 @@ def outcome(build, table):
     return code.params, [(w.params, w.support, w.bits) for w in code.words]
 
 
+def columns_outcome(table):
+    """:func:`outcome` of the columns ``_develop_columns`` returns."""
+    try:
+        params, supports, bits = constructions._develop_columns(table)
+    except McwcError as exc:
+        return type(exc), str(exc)
+    assert type(supports) is list and all(type(s) is tuple for s in supports)
+    return params, [(params, s, b) for s, b in zip(supports, bits, strict=True)]
+
+
 @pytest.mark.parametrize("n1,n2", list(corpus.develop_pairs()))
 def test_shipped_tables_match_the_reference_developer(n1, n2):
+    # the words of develop, and the supports, bits and word order of its columns
     table = corpus.develop_table(n1, n2)
     got = outcome(develop, table)
     assert got == outcome(reference_develop, table)
     assert isinstance(got[1], list)
+    assert columns_outcome(table) == got
 
 
 @st.composite
@@ -329,7 +349,9 @@ def small_tables(draw):
 @settings(max_examples=400, deadline=None)
 @given(small_tables())
 def test_develop_matches_the_reference_developer(table):
-    assert outcome(develop, table) == outcome(reference_develop, table)
+    expected = outcome(reference_develop, table)
+    assert outcome(develop, table) == expected
+    assert columns_outcome(table) == expected
 
 
 DOMAIN = "a design needs v >= 2, k >= 2, lambda >= 1 and alpha >= 1"

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations
 from math import comb
@@ -531,4 +532,66 @@ def invalid_candidates(draw):
 @settings(max_examples=300, deadline=None)
 @given(invalid_candidates())
 def test_verify_matches_the_definition_on_invalid_candidates(code):
+    assert verify_mcwc(code) == reference_report(code)
+
+
+DEVELOPED_PAIRS = [(a, b) for a, b in corpus.develop_pairs() if a <= 17]
+
+
+@functools.cache
+def developed_code(n1, n2):
+    return develop(corpus.develop_table(n1, n2))
+
+
+@st.composite
+def mutated_developed_codes(draw):
+    """A shipped developed code with n1 <= 17 (39-132 words) with 1-4 words
+    planted or overwritten at random rows: a word with one point more or
+    fewer in one block (a wrong block weight), a copy of a word, a word with
+    one side of a word and the other side of another (so it shares at least
+    two points with each), or a copy whose parameters have another distance,
+    another shape, or are an equal but separate object."""
+    code = developed_code(*draw(st.sampled_from(DEVELOPED_PAIRS)))
+    params = code.params
+    (n1, n2), weights = params.block_lengths, params.block_weights
+    words = list(code.words)
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw(st.sampled_from(words))
+        # clashes, the last check, show only when no other mutation does
+        kind = draw(st.sampled_from(["weight", "copy", "clash", "clash", "clash", "params"]))
+        if kind == "weight":
+            support = list(base.support)
+            a, b = draw(st.sampled_from([(0, n1), (n1, n1 + n2)]))
+            inside = [x for x in support if a <= x < b]
+            if inside and draw(st.booleans()):
+                support.remove(draw(st.sampled_from(inside)))
+            else:
+                support.append(draw(st.sampled_from([x for x in range(a, b) if x not in support])))
+            planted = PartitionedWord.from_support(params, support)
+        elif kind == "copy":
+            planted = base
+        elif kind == "clash":
+            first, second = base, draw(st.sampled_from(words))
+            if draw(st.booleans()):
+                first, second = second, first
+            planted = PartitionedWord.from_support(
+                params, [x for x in first.support if x < n1] + [x for x in second.support if x >= n1])
+        else:
+            other = draw(st.sampled_from([
+                CodeParameters((n1, n2), weights, 5),
+                CodeParameters((n1, n2 + 1), weights, 6),
+                CodeParameters((n1, n2), weights, 6),
+            ]))
+            planted = PartitionedWord(other, base.support, base.bits)
+        row = draw(st.integers(0, len(words) - 1))
+        if draw(st.booleans()):
+            words.insert(row, planted)
+        else:
+            words[row] = planted
+    return PartitionedCode(params, tuple(words))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_developed_codes())
+def test_verify_matches_the_definition_on_mutated_developed_codes(code):
     assert verify_mcwc(code) == reference_report(code)
