@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, repeat
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -277,36 +276,75 @@ def _canonical_supports(params: CodeParameters, supports, bits) -> list[tuple[in
     return out
 
 
+def _holding(through: list[int], support, s: int, full: int) -> int:
+    """The words among ``full`` that hold at least ``s`` of ``support``'s
+    points, where bit i of ``through[x]`` is set when word i holds x.
+
+    Saturating level masks fold the points in: after each point's mask m,
+    ``counts[k] |= counts[k - 1] & m``, so ``counts[k]`` holds the words met
+    more than k times.  The fold counts hits up to s, or misses up to
+    len(support) - s + 1 over ``full ^ through[x]`` (a word holds s points
+    unless it misses that many), whichever takes fewer levels; one and two
+    levels are unrolled."""
+    misses = len(support) - s + 1
+    hits = s <= misses
+    if hits:
+        masks = map(through.__getitem__, support)
+        levels = s
+    else:
+        masks = [full ^ through[x] for x in support]
+        levels = misses
+    if levels == 1:
+        at = 0
+        for m in masks:
+            at |= m
+    elif levels == 2:
+        once = at = 0
+        for m in masks:
+            at |= once & m
+            once |= m
+    elif levels > 2:
+        counts = [0] * levels
+        top = range(levels - 1, 0, -1)
+        for m in masks:
+            for k in top:
+                counts[k] |= counts[k - 1] & m
+            counts[0] |= m
+        at = counts[-1]
+    else:
+        at = full  # every word meets at least none of them
+    return at & full if hits else full ^ (at & full)
+
+
 def _first_pair_sharing(supports, s: int, length: int) -> Optional[tuple[int, int]]:
     """The first pair ``i < j`` (least i, then least j) of sorted supports on
     coordinates ``0 .. length - 1`` that share at least ``s`` points; or None.
 
-    For s <= 2, ``through[x]`` has bit i set when an earlier word i holds x:
-    folding word j's masks gives the words that meet it once and twice, and
-    the lowest bit is the least i.  For s >= 3, an index maps each s-subset
-    to the first word that holds it."""
-    through = [0] * length if s <= 2 else None
-    claim = {}.setdefault
+    ``through[x]`` has bit i set when an earlier word i holds x, and the
+    lowest bit of the earlier words that share s points with word j is the
+    least i.  For s <= 2, folding word j's masks inline gives the words that
+    meet it once and twice; for s >= 3, :func:`_holding` folds them."""
+    through = [0] * length
     found = None
     bit = 1
     for j, support in enumerate(supports):
-        # the least earlier word that shares s points with word j
-        if through is not None:
+        # the earlier words that share s points with word j
+        if s <= 2:
             once = twice = 0
             for x in support:
                 seen = through[x]
                 twice |= once & seen
                 once |= seen
                 through[x] = seen | bit
-            bit <<= 1
             clash = twice if s == 2 else once
-            if not clash:
-                continue
-            i = (clash & -clash).bit_length() - 1
         else:
-            i = min(map(claim, combinations(support, s), repeat(j)))
-            if i == j:
-                continue
+            clash = _holding(through, support, s, bit - 1)
+            for x in support:
+                through[x] |= bit
+        bit <<= 1
+        if not clash:
+            continue
+        i = (clash & -clash).bit_length() - 1
         if found is None or i < found[0]:
             found = (i, j)
             if i == 0:
@@ -325,9 +363,9 @@ def _closest_pair_indexed(params: CodeParameters, supports, bits: list[int],
     first pair sharing t = W - ceil(stop_below / 2) + 1 points, and otherwise
     the first closest pair is the first one sharing the most points, tried
     from t - 1 down.  Each level asks :func:`_first_pair_sharing`, which
-    reads per-point word masks for s <= 2 and an s-subset index for s >= 3.
-    Where a level's words hold more s-subsets than there are pairs, the scan
-    runs instead, at every s.
+    folds per-point word masks.  The scan is kept as a cost rule: where a
+    level's words hold more s-subsets than there are pairs, the scan runs
+    instead, at every s.
     """
     count = len(bits)
     if count < 2:

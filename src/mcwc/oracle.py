@@ -10,8 +10,8 @@ clique.  Every parameter set follows one path:
 * trivial answers first: with no word, a distance no two words reach (one
   word is optimal) or d <= 2 (every word fits), the answer is a prefix of
   the words whose length is also its upper bound;
-* otherwise the graph is built from one index of shared canonical points
-  (two words are closer than d exactly when they share enough of them; see
+* otherwise the graph's rows are folded from per-point word masks (two words
+  are closer than d exactly when they share enough canonical points; see
   :func:`_compatibility_graph`), and one branch and bound over its bitset
   rows, seeded by greedy cliques, stops early once the incumbent meets the
   best of the :func:`upper_bounds` table.
@@ -53,6 +53,7 @@ from .core import (
     SizeError,
     _block_masks,
     _canonical_supports,
+    _holding,
     canonical_weight,
     verify_mcwc,
 )
@@ -280,30 +281,20 @@ def _compatibility_graph(params: CodeParameters, words: list) -> list[int]:
 
     On canonical supports of total weight W, two words are closer than d
     exactly when they share t = W - ceil(d / 2) + 1 points, so each row is
-    every word but those sharing one of its t-subsets.  Every word is a
-    vertex, so nv >= 2^W >= C(W, t) and the index holds at most nv^2 keys,
-    about twice the number of pairs.
+    every word but those that hold t of its points: with ``through[x]`` the
+    words that hold point x, :func:`_holding` folds the row's W masks.
     """
-    nv = len(words)
     d = params.distance
-    total = params.canonical().total_weight
-    t = total - (d + 1) // 2 + 1
+    t = params.canonical().total_weight - (d + 1) // 2 + 1
     supports = _canonical_supports(params, (s for s, _ in words), (b for _, b in words))
-    keyed = [list(itertools.combinations(s, t)) for s in supports]
-    near: dict[tuple[int, ...], int] = {}
-    get = near.get
-    for j, keys in enumerate(keyed):
-        bit = 1 << j
-        for key in keys:
-            near[key] = get(key, 0) | bit
-    full = (1 << nv) - 1
-    adj = []
-    for keys in keyed:
-        close = 0
-        for key in keys:
-            close |= near[key]
-        adj.append(full ^ close)
-    return adj
+    through = [0] * params.total_length
+    bit = 1
+    for support in supports:
+        for x in support:
+            through[x] |= bit
+        bit <<= 1
+    full = bit - 1
+    return [full ^ _holding(through, support, t, full) for support in supports]
 
 
 def _orbit_masks(params: CodeParameters, words: list) -> list[int]:

@@ -460,10 +460,42 @@ def sharing_lists(draw):
 def test_first_pair_sharing_is_the_least_pair(drawn):
     s, points, supports = drawn
     count, w = len(supports), len(supports[0])
-    assert count * comb(w, s) <= count * (count - 1) // 2  # the index, not the scan
+    assert count * comb(w, s) <= count * (count - 1) // 2  # the masks, not the scan
     least = next(((i, j) for i, j in combinations(range(count), 2)
                   if len(set(supports[i]) & set(supports[j])) >= s), None)
     assert core._first_pair_sharing(supports, s, points) == least
+
+
+@st.composite
+def holding_cases(draw):
+    """(words, support, s, full, hits): up to 40 words on at most 12 points, a
+    support on the same points, any subset ``full`` of the words, often a
+    narrower one, and s in 1..len(support) + 1 on the side of the fold that
+    ``hits`` names: counting hits up to s, or misses up to len(support) - s + 1."""
+    points = draw(st.integers(1, 12))
+    hits = draw(st.booleans())
+    point_sets = st.lists(st.integers(0, points - 1), max_size=points, unique=True)
+    words = draw(st.lists(point_sets, min_size=1, max_size=40))
+    support = sorted(draw(st.lists(st.integers(0, points - 1), min_size=int(hits),
+                                   max_size=points, unique=True)))
+    half = (len(support) + 1) // 2
+    s = draw(st.integers(1, half) if hits else st.integers(half + 1, len(support) + 1))
+    full = draw(st.integers(0, (1 << len(words)) - 1))
+    return words, support, s, full, hits
+
+
+@settings(max_examples=300, deadline=None)
+@given(holding_cases())
+def test_holding_is_the_words_that_hold_s_points(drawn):
+    words, support, s, full, hits = drawn
+    assert (s <= len(support) - s + 1) == hits
+    through = [0] * 12  # every point is below 12
+    for i, word in enumerate(words):
+        for x in word:
+            through[x] |= 1 << i
+    expected = sum(1 << i for i, word in enumerate(words)
+                   if full >> i & 1 and len(set(word) & set(support)) >= s)
+    assert core._holding(through, support, s, full) == expected
 
 
 def reference_report(code):

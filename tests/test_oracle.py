@@ -104,7 +104,7 @@ def shapes(draw, max_words=120):
 class TestCompatibilityGraph:
     @settings(max_examples=120, deadline=None)
     @given(shapes())
-    def test_indexed_graph_equals_pair_loop(self, shape):
+    def test_graph_equals_pair_loop(self, shape):
         words = enumerate_words(shape)
         for support, bits in words:
             assert bits == sum(1 << i for i in support)
