@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from typing import Iterable, Iterator, Optional
 
 
@@ -276,44 +275,34 @@ def _canonical_supports(params: CodeParameters, supports, bits) -> list[tuple[in
     return out
 
 
-def _holding(through: list[int], support, s: int, full: int) -> int:
-    """The words among ``full`` that hold at least ``s`` of ``support``'s
-    points, where bit i of ``through[x]`` is set when word i holds x.
+def _holding(through: list[int], support, s: int) -> int:
+    """The words that hold at least ``s`` >= 1 of ``support``'s points, where
+    bit i of ``through[x]`` is set when word i holds x.
 
     Saturating level masks fold the points in: after each point's mask m,
     ``counts[k] |= counts[k - 1] & m``, so ``counts[k]`` holds the words met
-    more than k times.  The fold counts hits up to s, or misses up to
-    len(support) - s + 1 over ``full ^ through[x]`` (a word holds s points
-    unless it misses that many), whichever takes fewer levels; one and two
+    more than k times, and ``counts[s - 1]`` is the answer.  One and two
     levels are unrolled."""
-    misses = len(support) - s + 1
-    hits = s <= misses
-    if hits:
-        masks = map(through.__getitem__, support)
-        levels = s
-    else:
-        masks = [full ^ through[x] for x in support]
-        levels = misses
-    if levels == 1:
+    if s == 1:
         at = 0
-        for m in masks:
-            at |= m
-    elif levels == 2:
+        for x in support:
+            at |= through[x]
+        return at
+    if s == 2:
         once = at = 0
-        for m in masks:
+        for x in support:
+            m = through[x]
             at |= once & m
             once |= m
-    elif levels > 2:
-        counts = [0] * levels
-        top = range(levels - 1, 0, -1)
-        for m in masks:
-            for k in top:
-                counts[k] |= counts[k - 1] & m
-            counts[0] |= m
-        at = counts[-1]
-    else:
-        at = full  # every word meets at least none of them
-    return at & full if hits else full ^ (at & full)
+        return at
+    counts = [0] * s
+    top = range(s - 1, 0, -1)
+    for x in support:
+        m = through[x]
+        for k in top:
+            counts[k] |= counts[k - 1] & m
+        counts[0] |= m
+    return counts[-1]
 
 
 def _first_pair_sharing(supports, s: int, length: int) -> Optional[tuple[int, int]]:
@@ -322,8 +311,9 @@ def _first_pair_sharing(supports, s: int, length: int) -> Optional[tuple[int, in
 
     ``through[x]`` has bit i set when an earlier word i holds x, and the
     lowest bit of the earlier words that share s points with word j is the
-    least i.  For s <= 2, folding word j's masks inline gives the words that
-    meet it once and twice; for s >= 3, :func:`_holding` folds them."""
+    least i.  For s <= 2, word j's masks are folded inline, in the pass that
+    adds word j to them, into the earlier words that meet it once and twice;
+    for s >= 3, :func:`_holding` folds them before word j is added."""
     through = [0] * length
     found = None
     bit = 1
@@ -338,7 +328,7 @@ def _first_pair_sharing(supports, s: int, length: int) -> Optional[tuple[int, in
                 through[x] = seen | bit
             clash = twice if s == 2 else once
         else:
-            clash = _holding(through, support, s, bit - 1)
+            clash = _holding(through, support, s)
             for x in support:
                 through[x] |= bit
         bit <<= 1
@@ -363,19 +353,14 @@ def _closest_pair_indexed(params: CodeParameters, supports, bits: list[int],
     first pair sharing t = W - ceil(stop_below / 2) + 1 points, and otherwise
     the first closest pair is the first one sharing the most points, tried
     from t - 1 down.  Each level asks :func:`_first_pair_sharing`, which
-    folds per-point word masks.  The scan is kept as a cost rule: where a
-    level's words hold more s-subsets than there are pairs, the scan runs
-    instead, at every s.
+    folds per-point word masks; the pairwise scan never runs.
     """
-    count = len(bits)
-    if count < 2:
+    if len(bits) < 2:
         return None
     total = sum(map(canonical_weight, params.block_weights, params.block_lengths))
     t = total - (stop_below + 1) // 2 + 1
     canonical = _canonical_supports(params, supports, bits) if t > 0 else []
     for s in range(t, 0, -1):
-        if count * comb(total, s) > count * (count - 1) // 2:
-            return _closest_pair(bits, stop_below)
         found = _first_pair_sharing(canonical, s, params.total_length)
         if found is not None:
             break

@@ -294,7 +294,7 @@ def _compatibility_graph(params: CodeParameters, words: list) -> list[int]:
             through[x] |= bit
         bit <<= 1
     full = bit - 1
-    return [full ^ _holding(through, support, t, full) for support in supports]
+    return [full ^ _holding(through, support, t) for support in supports]
 
 
 def _orbit_masks(params: CodeParameters, words: list) -> list[int]:

@@ -1,7 +1,6 @@
 import functools
 import random
 from itertools import combinations
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,17 +134,12 @@ class TestVerifyKernel:
         code = PartitionedCode.from_supports(params, [[0, 1], [2, 3], [3, 4], [1, 5]])
         assert verify_mcwc(code).violation == "words 0 <0, 1> and 3 <1, 5> are at distance 2 < 4"
 
-    def test_huge_index_takes_the_scan(self, monkeypatch):
-        # 20-subsets of 20 canonical points: the index would dwarf the pairs
+    def test_weight_twenty_of_forty_matches_the_scan(self):
+        # t = 11 of 20 canonical points, so the masks fold eleven levels deep
         params = CodeParameters.uniform(1, 40, 20, 20)
         rng = random.Random(0)
         code = PartitionedCode.from_supports(params, [rng.sample(range(40), 20) for _ in range(5)])
-        expected = all_pairs_report(code)
-        scans = []
-        scan = core._closest_pair
-        monkeypatch.setattr(core, "_closest_pair", lambda *a: scans.append(a) or scan(*a))
-        assert verify_mcwc(code) == expected
-        assert len(scans) == 1
+        assert verify_mcwc(code) == all_pairs_report(code)
 
     def test_871_word_code_takes_the_index(self, monkeypatch):
         from mcwc.designs import (
@@ -423,29 +417,26 @@ def test_verify_matches_the_pairwise_scan(code):
 
 @st.composite
 def sharing_lists(draw):
-    """(s, points, supports): s in 1..4 and sorted supports of one weight
-    w >= s on at most 40 points, enough of them that verify_mcwc's rule runs
-    the kernel, not the scan.  The words are random, or the graphs
-    {k*q + c(k) : k < w} of distinct polynomials c of degree < s over GF(q),
-    which share fewer than s points pairwise; then 0-3 words that share at
-    least s points with an earlier word are planted at random rows."""
+    """(s, points, supports): s in 1..4 and at least two sorted supports of
+    one weight w >= s on at most 40 points.  The words are random, or the
+    graphs {k*q + c(k) : k < w} of distinct polynomials c of degree < s over
+    GF(q), which share fewer than s points pairwise; then 0-3 words that
+    share at least s points with an earlier word are planted at random rows."""
     s = draw(st.integers(1, 4))
     spread = [(w, q) for w in range(s, 9) for q in (2, 3, 5, 7, 11, 13, 17, 19)
-              if w <= q and w * q <= 40 and q**s > 2 * comb(w, s)]
+              if w <= q and w * q <= 40]
     if draw(st.booleans()):
         w, q = draw(st.sampled_from(spread))
-        least = 2 * comb(w, s) + 1
         points = w * q
-        picks = draw(st.lists(st.integers(0, q**s - 1), min_size=least,
+        picks = draw(st.lists(st.integers(0, q**s - 1), min_size=2,
                               max_size=min(197, q**s), unique=True))
         supports = [[k * q + sum(c // q**e % q * k**e for e in range(s)) % q for k in range(w)]
                     for c in picks]
     else:
         w = draw(st.integers(s, 8))
-        least = 2 * comb(w, s) + 1
         points = draw(st.integers(w, 40))
         support = st.lists(st.integers(0, points - 1), min_size=w, max_size=w, unique=True)
-        supports = draw(st.lists(support, min_size=least, max_size=197))
+        supports = draw(st.lists(support, min_size=2, max_size=197))
     for _ in range(draw(st.integers(0, 3))):
         j = draw(st.integers(1, len(supports)))
         keep = draw(st.permutations(supports[draw(st.integers(0, j - 1))]))
@@ -459,43 +450,34 @@ def sharing_lists(draw):
 @given(sharing_lists())
 def test_first_pair_sharing_is_the_least_pair(drawn):
     s, points, supports = drawn
-    count, w = len(supports), len(supports[0])
-    assert count * comb(w, s) <= count * (count - 1) // 2  # the masks, not the scan
-    least = next(((i, j) for i, j in combinations(range(count), 2)
+    least = next(((i, j) for i, j in combinations(range(len(supports)), 2)
                   if len(set(supports[i]) & set(supports[j])) >= s), None)
     assert core._first_pair_sharing(supports, s, points) == least
 
 
 @st.composite
 def holding_cases(draw):
-    """(words, support, s, full, hits): up to 40 words on at most 12 points, a
-    support on the same points, any subset ``full`` of the words, often a
-    narrower one, and s in 1..len(support) + 1 on the side of the fold that
-    ``hits`` names: counting hits up to s, or misses up to len(support) - s + 1."""
+    """(words, support, s): up to 40 words on at most 12 points, a support on
+    the same points, possibly empty, and s in 1..len(support) + 1."""
     points = draw(st.integers(1, 12))
-    hits = draw(st.booleans())
     point_sets = st.lists(st.integers(0, points - 1), max_size=points, unique=True)
     words = draw(st.lists(point_sets, min_size=1, max_size=40))
-    support = sorted(draw(st.lists(st.integers(0, points - 1), min_size=int(hits),
-                                   max_size=points, unique=True)))
-    half = (len(support) + 1) // 2
-    s = draw(st.integers(1, half) if hits else st.integers(half + 1, len(support) + 1))
-    full = draw(st.integers(0, (1 << len(words)) - 1))
-    return words, support, s, full, hits
+    support = sorted(draw(point_sets))
+    s = draw(st.integers(1, len(support) + 1))
+    return words, support, s
 
 
 @settings(max_examples=300, deadline=None)
 @given(holding_cases())
 def test_holding_is_the_words_that_hold_s_points(drawn):
-    words, support, s, full, hits = drawn
-    assert (s <= len(support) - s + 1) == hits
+    words, support, s = drawn
     through = [0] * 12  # every point is below 12
     for i, word in enumerate(words):
         for x in word:
             through[x] |= 1 << i
     expected = sum(1 << i for i, word in enumerate(words)
-                   if full >> i & 1 and len(set(word) & set(support)) >= s)
-    assert core._holding(through, support, s, full) == expected
+                   if len(set(word) & set(support)) >= s)
+    assert core._holding(through, support, s) == expected
 
 
 def reference_report(code):
