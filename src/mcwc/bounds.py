@@ -257,8 +257,11 @@ def johnson_recursive(params: CodeParameters, state_budget: int = 10**6) -> Boun
     states it met once the budget was spent, each answered by the product
     fallback.  Raises :class:`SizeError` when the recursion goes deeper than
     Python's recursion limit; the memo keeps only the states it finished,
-    which are exact.
+    which are exact.  Raises :class:`DomainError` unless ``state_budget`` is
+    a non-negative ``int``.
     """
+    if not isinstance(state_budget, int) or isinstance(state_budget, bool) or state_budget < 0:
+        raise DomainError("the state budget must be a non-negative integer")
     params = params.canonical()
     d = params.distance
     # a block of canonical weight 0 has one forced pattern and is dropped
@@ -357,10 +360,9 @@ def plotkin_discrete(params: CodeParameters) -> BoundResult:
     frac(w/n)*frac((n-w)/n) = w*(n-w)/n^2 makes the refined b equal u.
     """
     method = "plotkin-discrete"
-    m, n, w = _require_uniform(params, method)
-    base = plotkin_bound(params)
+    base, m, n, w = _plotkin(params, method)
     if not base.applicable:
-        return BoundResult(method, None, base.certificate)
+        return base
     if w > n:
         return BoundResult(method, 0, {"reason": "no word"})
     u, b0 = base.certificate["u"], base.certificate["b"]

@@ -22,6 +22,7 @@ from .core import (
     ShapeError,
     SizeError,
     VerificationReport,
+    _as_int,
     _closest_pair,
     _ints,
     _read_text,
@@ -569,7 +570,7 @@ def decomposition_to_mcwc(
     """One codeword per partition member: coordinate (i, x) is set when x lies
     in part i.  Output distance is 2*(total weight) - 2 because any two members
     share at most one colored edge, hence at most one support coordinate."""
-    weights = [int(w) for w in weights]
+    weights = [_as_int(w, "weights must be integers") for w in weights]
     if len(weights) != dec.m:
         raise ShapeError(f"expected {dec.m} weights, got {len(weights)}")
     if any(w <= 0 for w in weights):

@@ -70,14 +70,16 @@ class VerificationReport:
             raise ConstructionError(f"{what}: {self.violation}")
 
 
-def _as_int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
-    out = []
-    for v in values:
+def _as_int(v, rule: str) -> int:
+    """``v`` as an int; raises ``DomainError("<rule>, got <v!r>")`` when ``v``
+    is not an integer (2.5, "3", None)."""
+    try:
         iv = int(v)
-        if iv != v:
-            raise DomainError(f"{what} must be integers, got {v!r}")
-        out.append(iv)
-    return tuple(out)
+    except (TypeError, ValueError):
+        iv = None
+    if iv is None or iv != v:
+        raise DomainError(f"{rule}, got {v!r}")
+    return iv
 
 
 def canonical_weight(w: int, n: int) -> int:
@@ -99,9 +101,11 @@ class CodeParameters:
     distance: int
 
     def __post_init__(self):
-        object.__setattr__(self, "block_lengths", _as_int_tuple(self.block_lengths, "block lengths"))
-        object.__setattr__(self, "block_weights", _as_int_tuple(self.block_weights, "block weights"))
-        object.__setattr__(self, "distance", int(self.distance))
+        lengths = tuple(_as_int(n, "block lengths must be integers") for n in self.block_lengths)
+        weights = tuple(_as_int(w, "block weights must be integers") for w in self.block_weights)
+        object.__setattr__(self, "block_lengths", lengths)
+        object.__setattr__(self, "block_weights", weights)
+        object.__setattr__(self, "distance", _as_int(self.distance, "the distance must be an integer"))
         if len(self.block_lengths) == 0:
             raise DomainError("at least one block is required")
         if len(self.block_lengths) != len(self.block_weights):
@@ -174,7 +178,15 @@ class PartitionedWord:
 
     @classmethod
     def from_support(cls, params: CodeParameters, indices: Iterable[int]) -> "PartitionedWord":
-        idx = sorted(map(int, indices))
+        values = list(indices)
+        try:
+            idx = list(map(int, values))
+        except (TypeError, ValueError):
+            idx = None
+        if idx != values:  # one list comparison; the loop names the first non-integer
+            for v in values:
+                _as_int(v, "support indices must be integers")
+        idx.sort()
         return cls(params, tuple(idx), _support_bits(idx, params.total_length))
 
     def __str__(self) -> str:
@@ -342,8 +354,8 @@ def _first_pair_sharing(supports, s: int, length: int) -> Optional[tuple[int, in
     return found
 
 
-def _closest_pair_indexed(params: CodeParameters, supports, bits: list[int],
-                          stop_below: int) -> Optional[tuple[int, int, int]]:
+def _closest_pair_by_sharing(params: CodeParameters, supports, bits: list[int],
+                             stop_below: int) -> Optional[tuple[int, int, int]]:
     """:func:`_closest_pair` of the packed words ``bits``, for distinct words
     that carry the block weights of ``params``; ``supports`` are the same
     words' sorted supports.
@@ -411,7 +423,7 @@ def _verify_columns(params: CodeParameters, supports, bits: list[int]) -> Verifi
     d = params.distance
     # distinct words with equal block weights are >= 2 apart, so a pair at
     # distance 2 is a closest one and the search may stop there
-    found = _closest_pair_indexed(params, supports, bits, max(d, 3))
+    found = _closest_pair_by_sharing(params, supports, bits, max(d, 3))
     if found is not None and found[0] < d:
         dist, i, j = found
         return VerificationReport(

@@ -27,10 +27,12 @@ bounds come from a greedy coloring that records only the vertices whose
 color can still beat the incumbent (BBMC's k_min, San Segundo et al. 2011):
 every candidate is still colored, so the bounds and the tree are those of
 the full coloring, and the vertices left out are those the bound would prune
-anyway.  Each node below the top level colors inline, keeps its vertices and
-their colors in two lists, returns before building them when the first k_min
-colors take every candidate, and names a vertex v by h = v + 1, the
-``bit_length`` of its bit, which indexes its bit, row and non-neighbours.
+anyway.  Every node, the top level included, runs one branch loop: it
+colors inline, keeps its vertices and their colors in two lists, returns
+before building them when the first k_min colors take every candidate, and
+names a vertex v by h = v + 1, the ``bit_length`` of its bit, which indexes
+its bit, row and non-neighbours.  Only what a branch leaves behind differs:
+its vertex below the top level, its whole orbit at the top.
 The search is single-threaded and deterministic.
 The witness is made from the enumerated (support, bits) pairs of the chosen
 words and checked by :func:`verify_mcwc` on every path.
@@ -101,11 +103,13 @@ class _TargetReached(Exception):
 class _CliqueSearch:
     """Branch and bound on an adjacency list of int bitmasks.
 
-    ``make_orbits`` is called at most once and returns, per vertex, the
-    bitmask of its orbit under a group of graph automorphisms that maps the
-    candidate set onto itself; the top level drops a whole orbit per branch.
-    Inside the search a vertex v goes by h = v + 1, the ``bit_length`` of its
-    bit, which indexes the tables directly.
+    The top level is node 1 of the same recursion as every other node.
+    ``make_orbits`` is called at most once, after the first top-level branch
+    returns, and gives per vertex the bitmask of its orbit under a group of
+    graph automorphisms that maps the candidate set onto itself; the top
+    level drops a whole orbit per branch and skips the vertices an earlier
+    orbit dropped.  Inside the search a vertex v goes by h = v + 1, the
+    ``bit_length`` of its bit, which indexes the tables directly.
     """
 
     def __init__(self, adj: list[int], cfg: SearchConfig, target: int,
@@ -129,40 +133,13 @@ class _CliqueSearch:
         best = [v + 1 for v in seed]
         size = len(best)
         path = [0] * len(adj)  # path[:depth] is the clique of the current node
-        nodes = 1
-
-        def greedy_order(p: int, kmin: int) -> tuple[list[int], list[int]]:
-            """Greedy coloring of the candidates ``p``: the vertices of the
-            colors above ``kmin`` and their colors, in increasing color order.
-            A color bounds the clique among the candidates up to its vertex,
-            so the vertices of colors <= ``kmin`` cannot beat the incumbent
-            and are not recorded.  ``expand`` inlines this loop, and returns
-            early once the first ``kmin`` colors take every candidate."""
-            color = 0
-            rest = p
-            while rest and color < kmin:
-                color += 1
-                avail = rest
-                while avail:
-                    h = avail.bit_length()
-                    avail &= nonadj[h]
-                    rest ^= bit[h]
-            hs: list[int] = []
-            colors: list[int] = []
-            while rest:
-                color += 1
-                avail = rest
-                while avail:
-                    h = avail.bit_length()
-                    avail &= nonadj[h]
-                    rest ^= bit[h]
-                    hs.append(h)
-                    colors.append(color)
-            return hs, colors
+        nodes = 0
+        orbits = None
 
         def expand(p: int, depth: int):
-            """A node below the top level, with ``path[:depth]`` chosen."""
-            nonlocal nodes, size, best
+            """The node with ``path[:depth]`` chosen and candidates ``p``;
+            node 1, which no positive budget stops, is ``expand(p, 0)``."""
+            nonlocal nodes, size, best, orbits
             nodes += 1
             if nodes > budget:
                 raise _Budget
@@ -173,6 +150,9 @@ class _CliqueSearch:
                     if size >= target:
                         raise _TargetReached
                 return
+            # greedy coloring: a color bounds the clique among the candidates
+            # up to its vertex, so the vertices of the first kmin colors cannot
+            # beat the incumbent and are not recorded
             color = 0
             rest = p
             kmin = size - depth
@@ -200,27 +180,21 @@ class _CliqueSearch:
             for h, bound in zip(reversed(hs), reversed(colors)):
                 if depth + bound <= size:
                     return
+                if not p & bit[h]:
+                    continue  # dropped with the orbit of an earlier top-level branch
                 path[depth] = h
                 expand(p & adj[h], below)
-                p ^= bit[h]
+                if depth:
+                    p ^= bit[h]
+                else:
+                    # every clique through another member of h's orbit maps
+                    # onto one through h inside the same orbit-closed candidates
+                    if orbits is None:
+                        orbits = self.make_orbits()
+                    p &= ~orbits[h - 1]
 
-        # the top level, node 1 (which no positive budget stops), holds the
-        # empty clique and branches once per orbit
-        hs, colors = greedy_order(p, size)
-        orbits = None
         try:
-            for h, bound in zip(reversed(hs), reversed(colors)):
-                if bound <= size:
-                    break
-                if not p & bit[h]:
-                    continue  # dropped with the orbit of an earlier branch
-                path[0] = h
-                expand(p & adj[h], 1)
-                # every clique through another member of h's orbit maps onto
-                # one through h inside the same orbit-closed candidate set
-                if orbits is None:
-                    orbits = self.make_orbits()
-                p &= ~orbits[h - 1]
+            expand(p, 0)
         except _TargetReached:
             return [h - 1 for h in best], "target-reached"  # incumbent met a proven upper bound
         except _Budget:

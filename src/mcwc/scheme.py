@@ -67,12 +67,8 @@ def build_scheme_tables(w: int, n: int) -> SchemeTables:
         raise DomainError(f"w = {w} exceeds n/2 = {n}/2; use the complement scheme")
     E = tuple(tuple(eberlein(w, n, k, u) for u in range(w + 1)) for k in range(w + 1))
     valencies = tuple(E[k][0] for k in range(w + 1))
-    mult = []
-    for i in range(w + 1):
-        mu = Fraction(n - 2 * i + 1, n - i + 1) * comb(n, i)
-        if mu.denominator != 1:
-            raise AssertionError(f"non-integral multiplicity for (w, n, i) = ({w}, {n}, {i})")
-        mult.append(int(mu))
+    # the multiplicity (n - 2i + 1)/(n - i + 1) * C(n, i), in integers
+    mult = [comb(n, i) - _comb0(n, i - 1) for i in range(w + 1)]
     P = tuple(tuple(E[k][i] for k in range(w + 1)) for i in range(w + 1))
     Q = tuple(
         tuple(Fraction(mult[i] * E[k][i], valencies[k]) for i in range(w + 1))

@@ -116,6 +116,11 @@ class TestJohnsonRecursive:
         # at n = 2w both steps lead to (w - 1, 2w - 1), so only eq1 is kept
         assert [rule for _, _, rule, _, _ in bounds._block_record((2, 4))[5]] == [("eq1", 2, 4)]
 
+    @pytest.mark.parametrize("budget", [2.5, -1, True, "10"])
+    def test_state_budget_must_be_a_non_negative_int(self, budget):
+        with pytest.raises(DomainError, match="^the state budget must be a non-negative integer$"):
+            johnson_recursive(uni(4, 9, 3, 6), state_budget=budget)
+
     def test_base_case_never_truncated(self):
         r = johnson_recursive(CodeParameters((3, 3), (2, 2), 10), state_budget=0)
         assert r.value == 1 and r.certificate["truncated"] is False

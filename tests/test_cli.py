@@ -17,6 +17,26 @@ GOLDEN = Path(__file__).with_name("asymptotic_golden.txt")
 # checked a developed code without building its words
 VERIFY_GOLDEN = Path(__file__).with_name("verify_golden.tsv")
 TABLE_GOLDEN = Path(__file__).with_name("table_golden.tsv")
+# `mcwc --format tsv bound ... --method all` on the shapes of bound_golden_args,
+# each output after a "$ <arguments>" line, recorded before the scheme
+# multiplicities were computed in integers and plotkin-discrete read its
+# Plotkin quantities once
+BOUND_GOLDEN = Path(__file__).with_name("bound_golden.tsv")
+
+
+def bound_golden_args():
+    """Uniform shapes with m <= 3, 2 <= n <= 8, 0 <= w <= n + 1 and d in
+    {0, 1, 3, 4, 6, 8}; two LP-heavy shapes, the LP's class cap and its
+    variable cap; three non-uniform shapes."""
+    cases = [f"--m {m} --n {n} --w {w} --d {d}"
+             for m in (1, 2, 3) for n in range(2, 9) for w in range(n + 2)
+             for d in (0, 1, 3, 4, 6, 8)]
+    cases += [f"--m {m} --n {n} --w {w} --d {d}" for m, n, w, d in
+              ((3, 8, 3, 6), (3, 8, 5, 6), (13, 2, 1, 4), (10, 4, 2, 16))]
+    cases += ["--lengths 5,7 --weights 2,2 --d 6",
+              "--lengths 5,7,9,11 --weights 2,2,3,3 --d 8",
+              "--lengths 6,6,6 --weights 2,2,4 --d 6"]
+    return cases
 
 
 def run(argv, capsys):
@@ -563,6 +583,15 @@ class TestGoldens:
     def test_table_to_37(self, capsys):
         rc, out = run(["table", "--n1-max", "37", "--format", "tsv"], capsys)
         assert rc == 0 and out == TABLE_GOLDEN.read_text(encoding="utf-8")
+
+    def test_bound_all_methods(self, capsys):
+        cases = BOUND_GOLDEN.read_text(encoding="utf-8").split("$ ")[1:]
+        assert [case.split("\n", 1)[0] for case in cases] == bound_golden_args()
+        assert len(cases) == 889
+        for case in cases:
+            args, expected = case.split("\n", 1)
+            rc, out = run(["--format", "tsv", "bound", *args.split(), "--method", "all"], capsys)
+            assert rc == 0 and out == expected, args
 
 
 class TestExitContract:

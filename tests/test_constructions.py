@@ -485,9 +485,11 @@ class TestDecompositions:
         (digon_decomposition(4), [2, 2], ShapeError, "expected 1 weights, got 2"),
         (ordered_pair_decomposition(3), [1, 0], DomainError, "weights must be positive"),
         (ordered_pair_decomposition(3), [1, 2], DomainError, "weights must be non-increasing"),
+        (digon_decomposition(5), [2.5], DomainError, "weights must be integers, got 2.5"),
+        (digon_decomposition(5), ["2"], DomainError, "weights must be integers, got '2'"),
         (ColoredDecomposition(2, 1, (EdgeMember(0, 1, (1, 1)), EdgeMember(1, 0, (1, 1)))), [1],
          ConstructionError, "0 shaped members, a full decomposition determines 2"),
-    ], ids=["count", "positive", "order", "no-shaped-member"])
+    ], ids=["count", "positive", "order", "integer", "integer-str", "no-shaped-member"])
     def test_argument_errors(self, dec, weights, error, message):
         with pytest.raises(error) as exc:
             decomposition_to_mcwc(dec, weights)

@@ -115,7 +115,8 @@ class TestVerify:
 
 def all_pairs_report(code):
     """The distance verdict of the pairwise scan, for distinct words that carry
-    the code's block weights: what verify_mcwc reported before its index."""
+    the code's block weights: what verify_mcwc reported before it folded
+    per-point word masks."""
     d = code.params.distance
     words = code.words
     found = core._closest_pair([w.bits for w in words], max(d, 3))
@@ -141,7 +142,7 @@ class TestVerifyKernel:
         code = PartitionedCode.from_supports(params, [rng.sample(range(40), 20) for _ in range(5)])
         assert verify_mcwc(code) == all_pairs_report(code)
 
-    def test_871_word_code_takes_the_index(self, monkeypatch):
+    def test_871_word_code_matches_the_scan(self):
         from mcwc.designs import (
             bfc_fill, fill_hole, mcwc_to_square, sfs_type_key, square_to_mcwc,
             transversal_design, wfc_construct,
@@ -157,13 +158,28 @@ class TestVerifyKernel:
         star19 = fill_hole(h19, mcwc_to_square(corpus.small_code(3, 3)))
         code = square_to_mcwc(bfc_fill(frame, 3, 3, [h19] * 4 + [star19]))
         assert len(code) == 871
-
-        def no_scan(*args):
-            raise AssertionError("pairwise scan")
-
-        monkeypatch.setattr(core, "_closest_pair", no_scan)
         report = verify_mcwc(code)
+        assert report == all_pairs_report(code)
         assert report.valid and report.min_distance == 6
+        moved = moved_onto_an_earlier_side(code)
+        report = verify_mcwc(moved)
+        assert report == all_pairs_report(moved)
+        assert not report.valid
+
+
+def moved_onto_an_earlier_side(code):
+    """``code`` with word j = len // 2 moved onto the first side of the earlier
+    word i = j // 3: the two share two points, so on a code of total weight
+    four at distance six the moved code falls below its distance."""
+    n1 = code.params.block_lengths[0]
+    words = list(code.words)
+    j = len(words) // 2
+    i = j // 3
+    side1 = [x for x in words[i].support if x < n1]
+    side2 = [x for x in words[j].support if x >= n1]
+    words[j] = PartitionedWord.from_support(code.params, side1 + side2)
+    assert words[j].support not in code.support_set()
+    return PartitionedCode(code.params, tuple(words))
 
 
 def test_shipped_codes_match_the_pairwise_scan():
@@ -181,15 +197,7 @@ def test_shipped_codes_match_the_pairwise_scan():
         assert verify_mcwc(code) == expected, name
         if len(code) < 2:
             continue
-        n1 = code.params.block_lengths[0]
-        words = list(code.words)
-        j = len(words) // 2
-        i = j // 3
-        side1 = [x for x in words[i].support if x < n1]
-        side2 = [x for x in words[j].support if x >= n1]
-        words[j] = PartitionedWord.from_support(code.params, side1 + side2)
-        assert words[j].support not in code.support_set()
-        moved = PartitionedCode(code.params, tuple(words))
+        moved = moved_onto_an_earlier_side(code)
         expected = all_pairs_report(moved)
         assert not expected.valid
         assert verify_mcwc(moved) == expected, name
@@ -208,7 +216,17 @@ class TestParameters:
         (lambda: CodeParameters((3,), (1.5,), 2), "block weights must be integers, got 1.5"),
         (lambda: CodeParameters((), (), 2), "at least one block is required"),
         (lambda: CodeParameters.uniform(0, 3, 1, 2), "m must be positive"),
-    ], ids=["length", "weight", "no-block", "uniform-m"])
+        (lambda: CodeParameters((4,), (2,), 4.5), "the distance must be an integer, got 4.5"),
+        (lambda: CodeParameters((4,), (2,), "4"), "the distance must be an integer, got '4'"),
+        (lambda: CodeParameters((4,), (2,), None), "the distance must be an integer, got None"),
+        (lambda: PartitionedWord.from_support(P233, [0.5, 2]),
+         "support indices must be integers, got 0.5"),
+        (lambda: PartitionedWord.from_support(P233, ["3", "1"]),
+         "support indices must be integers, got '3'"),
+        (lambda: PartitionedWord.from_support(P233, [1, "x"]),
+         "support indices must be integers, got 'x'"),
+    ], ids=["length", "weight", "no-block", "uniform-m", "distance", "distance-str",
+            "distance-none", "index", "index-str", "index-token"])
     def test_invalid_messages(self, make, message):
         with pytest.raises(DomainError) as exc:
             make()
@@ -221,6 +239,11 @@ class TestParameters:
             CodeParameters((3,), (1, 1), 2)
         with pytest.raises(DomainError):
             CodeParameters((3,), (-1,), 2)
+
+    def test_integral_values_of_other_types_are_kept(self):
+        p = CodeParameters((4.0,), (2,), 6.0)
+        assert p == CodeParameters((4,), (2,), 6) and type(p.distance) is int
+        assert PartitionedWord.from_support(P233, (i for i in (4.0, 0))).support == (0, 4)
 
     def test_infeasible_weights_are_representable(self):
         p = CodeParameters((3,), (4,), 2)

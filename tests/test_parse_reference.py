@@ -56,7 +56,10 @@ def reference_records(text, what, header):
 
 
 def reference_from_support(params, indices):
-    idx = sorted(int(i) for i in indices)
+    for i in indices:  # the first index that is not an int, in input order
+        if not isinstance(i, int):
+            raise DomainError(f"support indices must be integers, got {i!r}")
+    idx = sorted(indices)
     n = params.total_length
     bits = 0
     for i in idx:

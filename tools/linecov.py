@@ -32,9 +32,6 @@ ALLOWED = {
     ("lp.py", 'raise AssertionError(f"distance-distribution LP came back {sol.status}")'):
         "the Delsarte LP is feasible (the zero distribution) and bounded (by the"
         " space size), so the exact simplex always reports it optimal",
-    ("scheme.py",
-     'raise AssertionError(f"non-integral multiplicity for (w, n, i) = ({w}, {n}, {i})")'):
-        "the multiplicity (n-2i+1)/(n-i+1)*C(n,i) = C(n,i) - C(n,i-1) is an integer",
     # the interpreter raises a RecursionError in the tracer's own call, which
     # switches sys.settrace off until the next test; Tier-1 runs these lines
     # and asserts their message (tests/test_bounds.py, tests/test_cli.py)
