@@ -36,8 +36,7 @@ from .bounds import (
     upper_bounds,
 )
 from .constructions import (
-    _develop_columns,
-    develop as develop_table,
+    develop,
     load_base_table,
     parse_base_table,
     parse_bibd,
@@ -160,10 +159,10 @@ def cmd_verify(args) -> int:
                 detail = f"n={dec.n} m={dec.m} members={len(dec.members)}"
             elif kind == "develop":
                 # raises unless the developed code verifies
-                params, supports, _bits = _develop_columns(parse_base_table(text))
+                code = develop(parse_base_table(text))
                 report = VerificationReport(True)
-                n1, n2 = params.block_lengths
-                detail = f"developed={len(supports)} params=(2;{n1},{n2};2,2;6)"
+                n1, n2 = code.params.block_lengths
+                detail = f"developed={len(code)} params=(2;{n1},{n2};2,2;6)"
             else:
                 raise FormatError(f"unknown file kind {kind!r}")
         except McwcError as exc:
@@ -245,7 +244,7 @@ def cmd_asymptotic(args) -> int:
 
 def cmd_develop(args) -> int:
     table = load_base_table(args.file)
-    code = develop_table(table)
+    code = develop(table)
     n1, n2 = code.params.block_lengths
     print(f"developed {len(code)} codewords, verified as MCWC(2,{n1};2,{n2};6)")
     if args.out:
@@ -321,8 +320,7 @@ def _table_achieved(n1: int, n2: int,
         verify_mcwc(code).require(f"shipped code ({n1},{n2}) is invalid")
         return len(code), "table"
     if n1 in corpus.DEVELOP_FAMILIES:
-        _params, supports, _bits = _develop_columns(corpus.develop_table(n1, n2))
-        return len(supports), "develop"
+        return len(develop(corpus.develop_table(n1, n2))), "develop"
     for v, t, s in corpus.HSAS_SHAPES:
         if (v, s) == (n1, n2):
             if t not in fillers:

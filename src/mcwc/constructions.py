@@ -18,16 +18,15 @@ from .core import (
     DomainError,
     FormatError,
     PartitionedCode,
-    PartitionedWord,
     ShapeError,
     SizeError,
     VerificationReport,
     _as_int,
+    _as_ints,
     _closest_pair,
     _ints,
     _read_text,
     _records,
-    _verify_columns,
     verify_mcwc,
 )
 from .designs import transversal_design
@@ -46,7 +45,9 @@ class QaryCode:
 
     @classmethod
     def build(cls, q: int, length: int, words, distance: int) -> "QaryCode":
-        return cls(int(q), int(length), tuple(tuple(int(s) for s in w) for w in words), int(distance))
+        q, length, distance = _as_ints((q, length, distance), "q, length and distance must be integers")
+        words = tuple(tuple(_as_ints(w, "symbols must be integers")) for w in words)
+        return cls(q, length, words, distance)
 
 
 def verify_qary(code: QaryCode) -> VerificationReport:
@@ -79,10 +80,8 @@ def concatenate(inner: PartitionedCode, outer: QaryCode) -> PartitionedCode:
         raise ShapeError("the inner code must have a single block")
     verify_mcwc(inner).require("invalid inner code")
     verify_qary(outer).require("invalid outer code")
-    if outer.q > len(inner.words):
-        raise SizeError(
-            f"outer alphabet {outer.q} exceeds the {len(inner.words)} inner codewords"
-        )
+    if outer.q > len(inner):
+        raise SizeError(f"outer alphabet {outer.q} exceeds the {len(inner)} inner codewords")
     n = inner.params.block_lengths[0]
     w = inner.params.block_weights[0]
     params = CodeParameters(
@@ -90,13 +89,8 @@ def concatenate(inner: PartitionedCode, outer: QaryCode) -> PartitionedCode:
         (w,) * outer.length,
         inner.params.distance * outer.distance,
     )
-    inner_supports = [word.support for word in inner.words]
-    supports = []
-    for word in outer.words:
-        supp: list[int] = []
-        for block, symbol in enumerate(word):
-            supp.extend(block * n + i for i in inner_supports[symbol])
-        supports.append(supp)
+    supports = [[block * n + i for block, symbol in enumerate(word) for i in inner.supports[symbol]]
+                for word in outer.words]
     code = PartitionedCode.from_supports(params, supports)
     verify_mcwc(code).require("concatenated code fails verification")
     return code
@@ -180,13 +174,14 @@ def _layout(table: BaseCodewordTable) -> dict[Point, int]:
     return coord
 
 
-def _develop_columns(
-    table: BaseCodewordTable,
-) -> tuple[CodeParameters, list[tuple[int, ...]], list[int]]:
-    """The developed code of :func:`develop` as columns ``(params, supports,
-    bits)``: word k's sorted support and packed bits, in development order.
-    Makes every check that :func:`develop` documents, in its order, and
-    verifies the columns at distance 6."""
+def develop(table: BaseCodewordTable) -> PartitionedCode:
+    """Develop every base word under the cyclic group, flatten to global
+    coordinates, and verify the resulting code at distance 6; the code is
+    made as columns, in development order, and builds no word object.
+
+    Declared short orbits are cross-checked: the orbit of a word must close
+    exactly at its declared length (at the group order when undeclared).
+    """
     g = table.group_order
     if g < 1:
         raise DomainError("group order must be positive")
@@ -236,20 +231,9 @@ def _develop_columns(
         bits += map(sum, zip(bits_a[:length], bits_b, bits_c, bits_d))
     if repeated is not None:
         raise DomainError(f"duplicate support index in {repeated}")
-    _verify_columns(params, supports, bits).require("developed code fails verification")
-    return params, supports, bits
-
-
-def develop(table: BaseCodewordTable) -> PartitionedCode:
-    """Develop every base word under the cyclic group, flatten to global
-    coordinates, and verify the resulting code at distance 6.
-
-    Declared short orbits are cross-checked: the orbit of a word must close
-    exactly at its declared length (at the group order when undeclared).
-    """
-    params, supports, bits = _develop_columns(table)
-    words = map(PartitionedWord, itertools.repeat(params), supports, bits)
-    return PartitionedCode(params, tuple(words))
+    code = PartitionedCode.from_columns(params, supports, bits)
+    verify_mcwc(code).require("developed code fails verification")
+    return code
 
 
 # Base-codeword file format:
@@ -361,16 +345,11 @@ class ResolvableBibd:
 
     @classmethod
     def build(cls, v, k, lam, alpha, classes) -> "ResolvableBibd":
-        return cls(
-            int(v),
-            int(k),
-            int(lam),
-            int(alpha),
-            tuple(
-                tuple(tuple(sorted(int(p) for p in block)) for block in cl)
-                for cl in classes
-            ),
-        )
+        v, k, lam, alpha = _as_ints((v, k, lam, alpha), "v, k, lambda and alpha must be integers")
+        return cls(v, k, lam, alpha, tuple(
+            tuple(tuple(sorted(_as_ints(block, "points must be integers"))) for block in cl)
+            for cl in classes
+        ))
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -426,15 +405,8 @@ def bibd_to_mcwc(design: ResolvableBibd) -> PartitionedCode:
     verify_bibd(design).require("invalid design")
     m, n = len(design.classes), len(design.classes[0])
     params = CodeParameters.uniform(m, n, design.alpha, 2 * (design.alpha * m - design.lam))
-    supports = []
-    for x in range(design.v):
-        supp = [
-            ci * n + bi
-            for ci, cl in enumerate(design.classes)
-            for bi, block in enumerate(cl)
-            if x in block
-        ]
-        supports.append(supp)
+    supports = [[ci * n + bi for ci, cl in enumerate(design.classes)
+                 for bi, block in enumerate(cl) if x in block] for x in range(design.v)]
     code = PartitionedCode.from_supports(params, supports)
     verify_mcwc(code).require("translated code fails verification")
     return code
@@ -592,10 +564,7 @@ def decomposition_to_mcwc(
             raise ConstructionError(
                 f"member {k} has part sizes {sizes}, expected {tuple(weights)}"
             )
-        supp = [
-            i * n + x for i, part in enumerate(member.parts) for x in part
-        ]
-        supports.append(supp)
+        supports.append([i * n + x for i, part in enumerate(member.parts) for x in part])
     code = PartitionedCode.from_supports(params, supports)
     verify_mcwc(code).require("translated code fails verification")
     w1 = weights[0]

@@ -2,17 +2,18 @@
 
 A partitioned code lives on a coordinate set split into ``m`` blocks.  Block
 ``i`` occupies the global index range ``[sum(n_j, j<i), sum(n_j, j<=i))`` and
-every codeword is required to carry exactly ``w_i`` ones inside it.  Words are
-stored sparsely as sorted support tuples together with a packed-bit integer
-used by the distance kernels.
+every codeword is required to carry exactly ``w_i`` ones inside it.  A code
+holds its words as two columns, sorted support tuples and packed-bit integers,
+and builds its :class:`PartitionedWord` objects from them on first read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from functools import cached_property, lru_cache
+from itertools import repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class McwcError(Exception):
@@ -80,6 +81,20 @@ def _as_int(v, rule: str) -> int:
     if iv is None or iv != v:
         raise DomainError(f"{rule}, got {v!r}")
     return iv
+
+
+def _as_ints(values: Iterable, rule: str) -> list[int]:
+    """:func:`_as_int` of every value, as a list: one C-level list comparison
+    checks them all, and only a failure loops to name the first culprit."""
+    values = list(values)
+    try:
+        ints = list(map(int, values))
+    except (TypeError, ValueError):
+        ints = None
+    if ints != values:
+        for v in values:
+            _as_int(v, rule)
+    return ints
 
 
 def canonical_weight(w: int, n: int) -> int:
@@ -178,16 +193,7 @@ class PartitionedWord:
 
     @classmethod
     def from_support(cls, params: CodeParameters, indices: Iterable[int]) -> "PartitionedWord":
-        values = list(indices)
-        try:
-            idx = list(map(int, values))
-        except (TypeError, ValueError):
-            idx = None
-        if idx != values:  # one list comparison; the loop names the first non-integer
-            for v in values:
-                _as_int(v, "support indices must be integers")
-        idx.sort()
-        return cls(params, tuple(idx), _support_bits(idx, params.total_length))
+        return cls(params, *_support_column(indices, params.total_length))
 
     def __str__(self) -> str:
         return _support_str(self.support)
@@ -196,6 +202,12 @@ class PartitionedWord:
 def _support_str(support) -> str:
     """How a report names a word: its support in angle brackets."""
     return "<" + ", ".join(map(str, support)) + ">"
+
+
+def _support_column(indices: Iterable[int], n: int) -> tuple[tuple[int, ...], int]:
+    """The sorted support and the packed bits of ``indices`` on ``n`` coordinates."""
+    idx = sorted(_as_ints(indices, "support indices must be integers"))
+    return tuple(idx), _support_bits(idx, n)
 
 
 def _support_bits(idx: list[int], n: int) -> int:
@@ -220,34 +232,63 @@ def hamming_distance(u: PartitionedWord, v: PartitionedWord) -> int:
     return (u.bits ^ v.bits).bit_count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PartitionedCode:
-    """A list of partitioned words sharing one parameter set.
+    """A code on one parameter set, held as two columns: ``supports[k]`` and
+    ``bits[k]`` are word k's sorted support and packed bits.  ``words``, the
+    :class:`PartitionedWord` objects, are built from the columns on first
+    read.  Codes with equal parameters and supports compare equal, whether
+    they were made from words or from columns, unless one was given a word
+    with other parameters.
 
     The container itself performs no validation; :func:`verify_mcwc` is the
     checker, so invalid candidates are representable.
     """
 
     params: CodeParameters
-    words: tuple[PartitionedWord, ...]
+    supports: tuple[tuple[int, ...], ...]
+    bits: tuple[int, ...] = field(compare=False, repr=False)
+    _mismatch: Optional[int] = field(repr=False)  # the first word with other parameters
+
+    def __init__(self, params: CodeParameters, words: Iterable[PartitionedWord]):
+        words = tuple(words)
+        vars(self).update(
+            params=params, supports=tuple(w.support for w in words),
+            bits=tuple(w.bits for w in words), words=words,
+            _mismatch=next((k for k, w in enumerate(words) if w.params != params), None))
 
     @classmethod
-    def from_supports(
-        cls, params: CodeParameters, supports: Iterable[Iterable[int]]
-    ) -> "PartitionedCode":
-        return cls(params, tuple(PartitionedWord.from_support(params, s) for s in supports))
+    def from_columns(cls, params: CodeParameters, supports, bits) -> "PartitionedCode":
+        """The code whose word k has the sorted support ``supports[k]`` and the packed
+        bits ``bits[k]``; unlike :meth:`from_supports`, it trusts them to agree."""
+        code = cls.__new__(cls)
+        vars(code).update(params=params, supports=tuple(supports), bits=tuple(bits),
+                          _mismatch=None)
+        return code
+
+    @classmethod
+    def from_supports(cls, params: CodeParameters, supports) -> "PartitionedCode":
+        """The code of the index lists ``supports``, each checked and sorted as
+        :meth:`PartitionedWord.from_support` does."""
+        columns = [_support_column(s, params.total_length) for s in supports]
+        return cls.from_columns(params, [s for s, _ in columns], [b for _, b in columns])
+
+    @cached_property
+    def words(self) -> tuple[PartitionedWord, ...]:
+        return tuple(map(PartitionedWord, repeat(self.params), self.supports, self.bits))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.supports)
 
     def support_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(w.support for w in self.words)
+        return frozenset(self.supports)
 
     def sorted_words(self) -> tuple[PartitionedWord, ...]:
-        return tuple(sorted(self.words, key=lambda w: w.support))
+        words = self.words
+        return tuple(words[k] for k in sorted(range(len(words)), key=self.supports.__getitem__))
 
 
-def _closest_pair(bits: list[int], stop_below: int) -> Optional[tuple[int, int, int]]:
+def _closest_pair(bits: Sequence[int], stop_below: int) -> Optional[tuple[int, int, int]]:
     """``(distance, i, j)`` of the first pair ``i < j`` of packed words in scan
     order that attains the least distance, or of the first pair closer than
     ``stop_below``, where the scan stops; ``None`` when fewer than two words."""
@@ -354,7 +395,7 @@ def _first_pair_sharing(supports, s: int, length: int) -> Optional[tuple[int, in
     return found
 
 
-def _closest_pair_by_sharing(params: CodeParameters, supports, bits: list[int],
+def _closest_pair_by_sharing(params: CodeParameters, supports, bits: Sequence[int],
                              stop_below: int) -> Optional[tuple[int, int, int]]:
     """:func:`_closest_pair` of the packed words ``bits``, for distinct words
     that carry the block weights of ``params``; ``supports`` are the same
@@ -386,11 +427,11 @@ def _closest_pair_by_sharing(params: CodeParameters, supports, bits: list[int],
 
 def min_distance(code: PartitionedCode) -> Optional[int]:
     """Minimum pairwise Hamming distance; ``None`` when fewer than two words."""
-    found = _closest_pair([word.bits for word in code.words], 1)
+    found = _closest_pair(code.bits, 1)
     return None if found is None else found[0]
 
 
-def _weight_violation(params: CodeParameters, supports, bits: list[int]) -> Optional[str]:
+def _weight_violation(params: CodeParameters, supports, bits: Sequence[int]) -> Optional[str]:
     """The first word in row order with a wrong block weight, and its first
     such block, as a report's message; None when every word carries the
     block weights of ``params``.  ``supports`` only name the word."""
@@ -408,12 +449,20 @@ def _weight_violation(params: CodeParameters, supports, bits: list[int]) -> Opti
     return None
 
 
-def _verify_columns(params: CodeParameters, supports, bits: list[int]) -> VerificationReport:
-    """:func:`verify_mcwc` of the words given as columns: ``supports[k]`` and
-    ``bits[k]`` are word k's sorted support and packed bits, on ``params``."""
-    message = _weight_violation(params, supports, bits)
-    if message is not None:
-        return VerificationReport(False, message)
+def verify_mcwc(code: PartitionedCode) -> VerificationReport:
+    """Check block weights, distinctness and the distance floor of a candidate.
+
+    Violations are reported, never raised; the report pinpoints the first
+    failing word or pair.  Codes with at most one word satisfy any distance.
+    A valid report carries the code's :func:`min_distance`.  It reads the
+    code's columns, never its word objects.
+    """
+    params, supports, bits = code.params, code.supports, code.bits
+    k = code._mismatch
+    # a wrong block weight in an earlier row comes before a foreign word k
+    message = _weight_violation(params, supports[:k], bits[:k])
+    if message is not None or k is not None:
+        return VerificationReport(False, message or f"word {k} has mismatched parameters")
     if len(set(bits)) != len(bits):
         seen: dict[int, int] = {}
         for k, b in enumerate(bits):
@@ -432,25 +481,6 @@ def _verify_columns(params: CodeParameters, supports, bits: list[int]) -> Verifi
             f" are at distance {dist} < {d}",
         )
     return VerificationReport(True, min_distance=None if found is None else found[0])
-
-
-def verify_mcwc(code: PartitionedCode) -> VerificationReport:
-    """Check block weights, distinctness and the distance floor of a candidate.
-
-    Violations are reported, never raised; the report pinpoints the first
-    failing word or pair.  Codes with at most one word satisfy any distance.
-    A valid report carries the code's :func:`min_distance`.
-    """
-    params = code.params
-    words = code.words
-    supports = [word.support for word in words]
-    bits = [word.bits for word in words]
-    for k, word in enumerate(words):
-        if word.params is not params and word.params != params:
-            # a wrong block weight in an earlier row comes first
-            message = _weight_violation(params, supports[:k], bits[:k])
-            return VerificationReport(False, message or f"word {k} has mismatched parameters")
-    return _verify_columns(params, supports, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +553,18 @@ def parse_code(text: str) -> PartitionedCode:
         culprits += [ln for (ln, _), w in zip(body, weights) if w < 0]
         raise FormatError(str(exc), (culprits + [head])[0]) from None
     n = params.total_length
-    words = []
+    supports = []
+    bits = []
     for lineno, tokens in body[m:]:
         indices = _ints(tokens, lineno, "support indices must be integers")
         if indices != sorted(indices):
             raise FormatError("support indices must be ascending", lineno)
         try:
-            words.append(PartitionedWord(params, tuple(indices), _support_bits(indices, n)))
+            bits.append(_support_bits(indices, n))
         except DomainError as exc:
             raise FormatError(str(exc), lineno) from None
-    return PartitionedCode(params, tuple(words))
+        supports.append(tuple(indices))
+    return PartitionedCode.from_columns(params, supports, bits)
 
 
 def format_code(code: PartitionedCode) -> str:
@@ -541,10 +573,10 @@ def format_code(code: PartitionedCode) -> str:
     out = [f"mcwc {params.m} {params.distance}"]
     for i, (n, w) in enumerate(zip(params.block_lengths, params.block_weights), start=1):
         out.append(f"part {i} {n} {w}")
-    for word in code.sorted_words():
-        if not word.support:
+    for support in sorted(code.supports):
+        if not support:
             raise FormatError("the code file format cannot express an empty-support word")
-        out.append(" ".join(map(str, word.support)))
+        out.append(" ".join(map(str, support)))
     return "\n".join(out) + "\n"
 
 

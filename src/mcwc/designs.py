@@ -20,7 +20,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Collection, Iterable, Mapping, Sequence, Union
 
 from .core import (
     CodeParameters,
@@ -30,6 +30,8 @@ from .core import (
     PartitionedCode,
     ShapeError,
     VerificationReport,
+    _as_int,
+    _as_ints,
     _ints,
     _read_text,
     _records,
@@ -65,7 +67,7 @@ class SkewSquare:
         kind: Union[SquareKind, str],
         s: int,
         v: int,
-        cells: Mapping[Cell, Iterable[int]],
+        cells: Mapping[Cell, Collection[int]],
         *,
         hole_rows: Iterable[int] = (),
         hole_points: Iterable[int] = (),
@@ -73,19 +75,21 @@ class SkewSquare:
         point_parts: Iterable[Iterable[int]] = (),
     ) -> "SkewSquare":
         kind = SquareKind(kind)
-        frozen = {
-            (int(i), int(j)): frozenset(map(int, pair))
-            for (i, j), pair in cells.items()
-        }
+        s, v = _as_ints((s, v), "the side and the point count must be integers")
+        rows, points = "rows must be integers", "points must be integers"
+        try:  # one C-level comparison when the cells map int pairs to frozensets of ints
+            frozen = {(int(i), int(j)): frozenset(map(int, pair)) for (i, j), pair in cells.items()}
+        except (TypeError, ValueError):
+            frozen = None
+        if frozen != cells:
+            frozen = {tuple(_as_ints((i, j), rows)): frozenset(_as_ints(pair, points))
+                      for (i, j), pair in cells.items()}
         return cls(
-            kind,
-            int(s),
-            int(v),
-            frozen,
-            frozenset(int(i) for i in hole_rows),
-            frozenset(int(p) for p in hole_points),
-            tuple(tuple(sorted(int(i) for i in part)) for part in row_parts),
-            tuple(tuple(sorted(int(p) for p in part)) for part in point_parts),
+            kind, s, v, frozen,
+            frozenset(_as_ints(hole_rows, rows)),
+            frozenset(_as_ints(hole_points, points)),
+            tuple(tuple(sorted(_as_ints(part, rows))) for part in row_parts),
+            tuple(tuple(sorted(_as_ints(part, points))) for part in point_parts),
         )
 
     @property
@@ -291,12 +295,8 @@ def mcwc_to_square(code: PartitionedCode) -> SkewSquare:
             f"resolvability needs an extremal code: {len(code)} words, expected {target}"
         )
     verify_mcwc(code).require("invalid code")
-    cells: dict[Cell, Pair] = {}
-    for word in code.words:
-        points = [x for x in word.support if x < n1]
-        rows = [x - n1 for x in word.support if x >= n1]
-        i, j = sorted(rows)
-        cells[(i, j)] = frozenset(points)
+    # each word's rows (i, j) and its pair of points; a support is sorted, so i < j
+    cells = {(i - n1, j - n1): frozenset((a, b)) for a, b, i, j in code.supports}
     sq = SkewSquare.build(kind, n2, n1, cells)
     verify_square(sq).require("translated square fails verification")
     return sq
@@ -315,10 +315,11 @@ class GddDesign:
 
     @classmethod
     def build(cls, num_points: int, groups, blocks) -> "GddDesign":
+        points = "points must be integers"
         return cls(
-            int(num_points),
-            tuple(tuple(sorted(int(p) for p in g)) for g in groups),
-            tuple(tuple(sorted(int(p) for p in b)) for b in blocks),
+            _as_int(num_points, "the point count must be an integer"),
+            tuple(tuple(sorted(_as_ints(g, points))) for g in groups),
+            tuple(tuple(sorted(_as_ints(b, points))) for b in blocks),
         )
 
 

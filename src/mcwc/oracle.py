@@ -34,8 +34,9 @@ names a vertex v by h = v + 1, the ``bit_length`` of its bit, which indexes
 its bit, row and non-neighbours.  Only what a branch leaves behind differs:
 its vertex below the top level, its whole orbit at the top.
 The search is single-threaded and deterministic.
-The witness is made from the enumerated (support, bits) pairs of the chosen
-words and checked by :func:`verify_mcwc` on every path.
+The witness is a code made from the support and bits columns of the chosen
+words, checked by :func:`verify_mcwc` on every path; like every code, it
+builds its word objects only when ``words`` is first read.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .core import (
     CodeParameters,
     DomainError,
     PartitionedCode,
-    PartitionedWord,
     SizeError,
     _block_masks,
     _canonical_supports,
@@ -322,6 +322,6 @@ def max_mcwc(params: CodeParameters, cfg: SearchConfig = SearchConfig()) -> Orac
 
 
 def _verified(params, words, stop, nodes, target, bounds) -> OracleResult:
-    witness = PartitionedCode(params, tuple(PartitionedWord(params, *w) for w in words))
+    witness = PartitionedCode.from_columns(params, [s for s, _ in words], [b for _, b in words])
     verify_mcwc(witness).require("oracle produced an invalid witness")
     return OracleResult(len(witness), witness, stop, nodes, target, bounds)

@@ -296,12 +296,15 @@ def outcome(build, table):
 
 
 def columns_outcome(table):
-    """:func:`outcome` of the columns ``_develop_columns`` returns."""
+    """:func:`outcome` of the columns of the code ``develop`` returns, read
+    before its words are built."""
     try:
-        params, supports, bits = constructions._develop_columns(table)
+        code = develop(table)
     except McwcError as exc:
         return type(exc), str(exc)
-    assert type(supports) is list and all(type(s) is tuple for s in supports)
+    assert "words" not in vars(code)
+    params, supports, bits = code.params, code.supports, code.bits
+    assert type(supports) is tuple and all(type(s) is tuple for s in supports)
     return params, [(params, s, b) for s, b in zip(supports, bits, strict=True)]
 
 
@@ -379,6 +382,14 @@ class TestBibd:
         design = ResolvableBibd.build(4, 2, 1, 1, [[(0, 1), (2, 3)]])
         report = verify_bibd(design)
         assert not report.valid
+
+    def test_build_rejects_non_integers(self):
+        classes = [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]]
+        with pytest.raises(DomainError, match="v, k, lambda and alpha must be integers, got 4.5"):
+            ResolvableBibd.build(4.5, 2, 1, 1, classes)
+        with pytest.raises(DomainError, match="points must be integers, got 2.5"):
+            ResolvableBibd.build(4, 2, 1, 1, classes[:2] + [[(0, 3), (1, 2.5)]])
+        assert ResolvableBibd.build(4, 2.0, 1, 1, classes) == ResolvableBibd.build(4, 2, 1, 1, classes)
 
     def test_class_count_must_match(self):
         design = ResolvableBibd.build(
@@ -522,6 +533,15 @@ class TestQary:
     def test_distance_violation(self):
         bad = QaryCode.build(3, 2, [(0, 0), (0, 1)], 2)
         assert not verify_qary(bad).valid
+
+    def test_build_rejects_non_integers(self):
+        with pytest.raises(DomainError, match="q, length and distance must be integers, got 3.5"):
+            QaryCode.build(3.5, 2, [[0, 1]], 2)
+        with pytest.raises(DomainError, match="q, length and distance must be integers, got 2.5"):
+            QaryCode.build(3, 2, [[0, 1]], 2.5)
+        with pytest.raises(DomainError, match="symbols must be integers, got 1.5"):
+            QaryCode.build(3, 2, [[0, 1.5]], 2)
+        assert QaryCode.build(3.0, 2, [[0, 1.0]], 2) == QaryCode(3, 2, ((0, 1),), 2)
 
     @pytest.mark.parametrize("words,message", [
         ([(0, 1, 1), (0, 1)], "word 1 has length 2"),

@@ -632,3 +632,123 @@ def mutated_developed_codes(draw):
 @given(mutated_developed_codes())
 def test_verify_matches_the_definition_on_mutated_developed_codes(code):
     assert verify_mcwc(code) == reference_report(code)
+
+
+# -- a code holds its columns -------------------------------------------------
+
+
+@st.composite
+def planted_supports(draw):
+    """(params, supports): the words of :func:`candidate_codes` with 0-3 words
+    planted at random rows: a word with one point more or fewer (a wrong
+    block weight), a repeated word, or a word with one point moved inside a
+    block, at distance 2 from the word it was moved from (a close pair)."""
+    code = draw(candidate_codes())
+    params, supports = code.params, [list(s) for s in code.supports]
+    for _ in range(draw(st.integers(0, 3))):
+        base = list(draw(st.sampled_from(supports)))
+        free = [x for x in range(params.total_length) if x not in base]
+        kind = draw(st.sampled_from(["weight", "copy", "close"]))
+        if kind == "weight":
+            if not free or draw(st.booleans()):
+                base.remove(draw(st.sampled_from(base)))
+            else:
+                base.append(draw(st.sampled_from(free)))
+        elif kind == "close":
+            a, b = draw(st.sampled_from(params.block_spans()))
+            inside, outside = [x for x in base if a <= x < b], [x for x in free if a <= x < b]
+            if inside and outside:
+                base[base.index(draw(st.sampled_from(inside)))] = draw(st.sampled_from(outside))
+        supports.insert(draw(st.integers(0, len(supports))), base)
+    return params, supports
+
+
+def _format_or_error(code):
+    try:
+        return format_code(code)
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_supports())
+def test_columns_and_words_make_the_same_code(drawn):
+    params, supports = drawn
+    words = [PartitionedWord.from_support(params, s) for s in supports]
+    as_words = PartitionedCode(params, words)
+    as_columns = PartitionedCode.from_columns(
+        params, [w.support for w in words], [w.bits for w in words])
+    checked = PartitionedCode.from_supports(params, supports)
+    for code in (as_columns, checked):
+        assert code == as_words and hash(code) == hash(as_words)
+        assert code.supports == as_words.supports and code.bits == as_words.bits
+        assert verify_mcwc(code) == verify_mcwc(as_words)
+        assert _format_or_error(code) == _format_or_error(as_words)
+        assert len(code) == len(as_words) == len(supports)
+        assert code.sorted_words() == as_words.sorted_words()
+        assert code.support_set() == as_words.support_set()
+        assert code.words is code.words and code.words == as_words.words
+    assert as_words.words == tuple(words)
+    assert all(a is b for a, b in zip(as_words.words, words))
+
+
+def test_a_code_given_a_word_with_other_parameters_is_another_code():
+    # equal codes verify alike, so the first such word is part of a code's identity
+    code = PartitionedCode.from_supports(P233, [[0, 1, 3, 4], [1, 2, 4, 5]])
+    first, second = code.words
+    other = CodeParameters((3, 3), (2, 2), 4)
+    foreign = PartitionedCode(P233, [first, PartitionedWord(other, second.support, second.bits)])
+    assert foreign != code and foreign.supports == code.supports
+    assert foreign == PartitionedCode(P233, foreign.words)
+    assert verify_mcwc(foreign) == VerificationReport(False, "word 1 has mismatched parameters")
+    assert verify_mcwc(code) == VerificationReport(
+        False, "words 0 <0, 1, 3, 4> and 1 <1, 2, 4, 5> are at distance 4 < 6")
+
+
+class TestNoWordObjects:
+    """Parsing, developing, verifying and searching read and make the columns
+    of a code; its :class:`PartitionedWord` objects are built only when
+    ``words`` is read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The number of PartitionedWord objects constructed so far."""
+        count = [0]
+        init = PartitionedWord.__init__
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PartitionedWord, "__init__", counting)
+        return lambda: count[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "codes/small_5_5.mcwc"],
+        ["verify", "develop/t13_n25.dev"],
+        ["table", "--n1", "13"],
+    ], ids=["verify-mcwc", "verify-dev", "table"])
+    def test_cli(self, argv, built, capsys):
+        from mcwc.cli import main
+
+        argv = [str(corpus.data_root() / a) if "/" in a else a for a in argv]
+        assert main(argv) == 0
+        assert built() == 0
+        assert "ok" in capsys.readouterr().out
+
+    def test_oracle_witness(self, built):
+        from mcwc.oracle import enumerate_words, max_mcwc
+
+        params = CodeParameters.uniform(1, 9, 8, 2)
+        result = max_mcwc(params)
+        assert (result.size, result.stop, result.nodes) == (9, "trivial", 0)
+        assert verify_mcwc(result.witness).min_distance == 2
+        assert built() == 0
+        words = result.witness.words
+        assert built() == 9 and result.witness.words is words
+        # the 8-subsets of 0..8 in lexicographic order: the missing point descends
+        assert [w.support for w in words] == [
+            tuple(x for x in range(9) if x != k) for k in range(8, -1, -1)]
+        assert words == tuple(PartitionedWord(params, s, b) for s, b in enumerate_words(params))
+        assert [w.bits for w in words] == [511 ^ 1 << k for k in range(8, -1, -1)]
+        assert built() == 18

@@ -257,6 +257,23 @@ def test_square_equality_compares_cells():
     assert first != SkewSquare.build("sas", 5, 5, {(0, 2): {3, 4}})
     assert first != SkewSquare.build("sas", 5, 5, {(0, 1): {0, 2}})
 
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    (("sas", 5.5, 5, {}), {}, "the side and the point count must be integers, got 5.5"),
+    (("sas", 5, 5, {(0, 1): [1.5, 2]}), {}, "points must be integers, got 1.5"),
+    (("sas", 5, 5, {(0, 1): frozenset(("1", 2))}), {}, "points must be integers, got '1'"),
+    (("sas", 5, 5, {(0, 1.5): frozenset((1, 2))}), {}, "rows must be integers, got 1.5"),
+    (("hsas", 5, 5, {}), {"hole_rows": [0, 1.5]}, "rows must be integers, got 1.5"),
+    (("sfs", 4, 4, {}), {"point_parts": [(0, 1), (2, 3.5)]}, "points must be integers, got 3.5"),
+])
+def test_square_build_rejects_non_integers(args, kwargs, message):
+    # a non-integer raises instead of being truncated; an integral value of
+    # another type is kept as its int
+    with pytest.raises(DomainError, match=re.escape(message)):
+        SkewSquare.build(*args, **kwargs)
+    assert SkewSquare.build("sas", 5.0, 5, {(0, 1.0): [1.0, 2]}) == SkewSquare.build(
+        "sas", 5, 5, {(0, 1): {1, 2}})
+
 class TestSquareCodeTranslation:
     def test_sas55_to_code_matches_table(self, sas55):
         code = square_to_mcwc(sas55)
@@ -329,6 +346,16 @@ class TestGdd:
         bad = GddDesign.build(4, [(0, 1), (2, 3)], [(0, 1)])
         report = verify_gdd(bad)
         assert not report.valid and "group" in report.violation
+
+    def test_build_rejects_non_integers(self):
+        groups, blocks = [(0, 1), (2, 3), (4, 5)], [(0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4.9)]
+        with pytest.raises(DomainError, match="points must be integers, got 4.9"):
+            GddDesign.build(6, groups, blocks)
+        with pytest.raises(DomainError, match="the point count must be an integer, got 6.7"):
+            GddDesign.build(6.7, groups, self.TD32.blocks)
+        with pytest.raises(DomainError, match="points must be integers, got '5'"):
+            GddDesign.build(6, [(0, 1), (2, 3), (4, "5")], self.TD32.blocks)
+        assert GddDesign.build(6.0, groups, blocks[:3] + [(1, 3, 4.0)]) == self.TD32
 
     @pytest.mark.parametrize("k,q", [(3, 2), (4, 3), (5, 4), (5, 5), (9, 8), (9, 9)])
     def test_transversal_designs(self, k, q):
