@@ -262,6 +262,8 @@ def test_square_equality_compares_cells():
     (("sas", 5.5, 5, {}), {}, "the side and the point count must be integers, got 5.5"),
     (("sas", 5, 5, {(0, 1): [1.5, 2]}), {}, "points must be integers, got 1.5"),
     (("sas", 5, 5, {(0, 1): frozenset(("1", 2))}), {}, "points must be integers, got '1'"),
+    (("sas", 5, 5, {(0, 1): frozenset(("x", 2))}), {}, "points must be integers, got 'x'"),
+    (("sas", 5, 5, {(None, 1): frozenset((1, 2))}), {}, "rows must be integers, got None"),
     (("sas", 5, 5, {(0, 1.5): frozenset((1, 2))}), {}, "rows must be integers, got 1.5"),
     (("hsas", 5, 5, {}), {"hole_rows": [0, 1.5]}, "rows must be integers, got 1.5"),
     (("sfs", 4, 4, {}), {"point_parts": [(0, 1), (2, 3.5)]}, "points must be integers, got 3.5"),
