@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcwc import core, corpus
+from mcwc.cli import main
 from mcwc.constructions import develop
 from mcwc.core import (
     CodeParameters,
@@ -22,6 +23,7 @@ from mcwc.core import (
     parse_code,
     verify_mcwc,
 )
+from mcwc.oracle import enumerate_words, max_mcwc
 
 
 P233 = CodeParameters((3, 3), (2, 2), 6)
@@ -729,16 +731,12 @@ class TestNoWordObjects:
         ["table", "--n1", "13"],
     ], ids=["verify-mcwc", "verify-dev", "table"])
     def test_cli(self, argv, built, capsys):
-        from mcwc.cli import main
-
         argv = [str(corpus.data_root() / a) if "/" in a else a for a in argv]
         assert main(argv) == 0
         assert built() == 0
         assert "ok" in capsys.readouterr().out
 
     def test_oracle_witness(self, built):
-        from mcwc.oracle import enumerate_words, max_mcwc
-
         params = CodeParameters.uniform(1, 9, 8, 2)
         result = max_mcwc(params)
         assert (result.size, result.stop, result.nodes) == (9, "trivial", 0)

@@ -267,7 +267,7 @@ def test_square_equality_compares_cells():
     (("sas", 5, 5, {(0, 1.5): frozenset((1, 2))}), {}, "rows must be integers, got 1.5"),
     (("hsas", 5, 5, {}), {"hole_rows": [0, 1.5]}, "rows must be integers, got 1.5"),
     (("sfs", 4, 4, {}), {"point_parts": [(0, 1), (2, 3.5)]}, "points must be integers, got 3.5"),
-])
+], ids=["side", "point", "point-text", "point-not-a-number", "row-none", "row", "hole-row", "part"])
 def test_square_build_rejects_non_integers(args, kwargs, message):
     # a non-integer raises instead of being truncated; an integral value of
     # another type is kept as its int
