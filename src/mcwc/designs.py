@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Iterable, Mapping, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     CodeParameters,
@@ -50,16 +50,42 @@ Cell = tuple[int, int]
 Pair = frozenset  # of two point indices
 
 
+class _Cells(dict):
+    """A square's cells: a dict that refuses every change, so that a passing
+    report stays true of the square that carries it."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a square's cells are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _Cells, (dict(self),)
+
+
 @dataclass(frozen=True)
 class SkewSquare:
+    """A square and its hole metadata.  The constructor takes cells that are
+    already canonical (int pairs to frozensets of ints) and keeps a read-only
+    copy; :meth:`build` normalises and checks cells that a caller supplies.
+    ``report`` is the passing report of :func:`verify_square`, set when this
+    very square verified; an unchecked or invalid square carries none."""
+
     kind: SquareKind
     s: int
     v: int
-    cells: dict[Cell, Pair]
+    cells: Mapping[Cell, Pair]
     hole_rows: frozenset[int] = frozenset()
     hole_points: frozenset[int] = frozenset()
     row_parts: tuple[tuple[int, ...], ...] = ()
     point_parts: tuple[tuple[int, ...], ...] = ()
+    report: Optional[VerificationReport] = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if type(self.cells) is not _Cells:
+            object.__setattr__(self, "cells", _Cells(self.cells))
 
     @classmethod
     def build(
@@ -121,7 +147,10 @@ def _partitions(parts: Iterable[Iterable[int]], size: int) -> bool:
 
 def verify_square(sq: SkewSquare) -> VerificationReport:
     """Check every defining property of the square's kind; the report names
-    the first violated property and the offending index or cell."""
+    the first violated property and the offending index or cell.  Each
+    property is checked by bulk passes over the cells, which are walked in
+    order only to name the first offender.  A passing report is attached to
+    the square as ``sq.report``."""
 
     def fail(msg: str) -> VerificationReport:
         return VerificationReport(False, msg)
@@ -129,13 +158,21 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
     if sq.s <= 0 or sq.v <= 0:
         return fail("side and point count must be positive")
 
-    for (i, j), pair in sq.cells.items():
-        if not (0 <= i < sq.s and 0 <= j < sq.s):
-            return fail(f"cell ({i},{j}) outside the {sq.s}x{sq.s} array")
-        if len(pair) != 2:
-            return fail(f"cell ({i},{j}) does not hold a pair of two distinct points")
-        if any(not 0 <= p < sq.v for p in pair):
-            return fail(f"cell ({i},{j}) holds a point outside [0, {sq.v})")
+    cells = sq.cells
+    rows, cols = zip(*cells) if cells else ((), ())
+    lines = rows + cols
+    counts = Counter(lines)  # the cells on row/column i
+    points = set().union(*cells.values())
+    if cells and (min(counts) < 0 or max(counts) >= sq.s or {*map(len, cells.values())} != {2}
+                  or min(points) < 0 or max(points) >= sq.v):
+        for (i, j), pair in cells.items():
+            if not (0 <= i < sq.s and 0 <= j < sq.s):
+                return fail(f"cell ({i},{j}) outside the {sq.s}x{sq.s} array")
+            if len(pair) != 2:
+                return fail(f"cell ({i},{j}) does not hold a pair of two distinct points")
+            if any(not 0 <= p < sq.v for p in pair):
+                return fail(f"cell ({i},{j}) holds a point outside [0, {sq.v})")
+    firsts, seconds = zip(*cells.values()) if cells else ((), ())
 
     # the holes: rows and points in parallel parts, one for an hsas, one per
     # part for an sfs, none for sas and sas*
@@ -163,47 +200,58 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
     row_hole = _hole_of(row_parts).get
     point_hole = _hole_of(point_parts).get
 
-    # property 1: skewness
-    for (i, j) in sq.cells:
-        if i != j and (j, i) in sq.cells:
-            return fail(f"skewness violated: both ({i},{j}) and ({j},{i}) are filled")
+    # the distinct hole labels of a cell's row, column and two points
+    labels = set(zip(map(row_hole, rows), map(row_hole, cols), map(point_hole, firsts),
+                     map(point_hole, seconds))) if row_parts else ()
 
-    # property 2: empty diagonal / empty hole subarrays
-    for (i, j) in sq.cells:
-        if i == j:
-            return fail(f"diagonal cell ({i},{i}) is filled")
-    for (i, j) in sq.cells:
-        k = row_hole(i)
-        if k is not None and k == row_hole(j):
-            return fail(f"hole cell ({i},{j}) is filled" if holey
-                        else f"cell ({i},{j}) lies inside hole {k}")
+    # property 1: skewness; property 2: empty diagonal / empty hole subarrays
+    if not cells.keys().isdisjoint(zip(cols, rows)):  # a mirrored cell or a diagonal one
+        for (i, j) in cells:
+            if i != j and (j, i) in cells:
+                return fail(f"skewness violated: both ({i},{j}) and ({j},{i}) are filled")
+        for (i, j) in cells:
+            if i == j:
+                return fail(f"diagonal cell ({i},{i}) is filled")
+    if any(k is not None and k == h for k, h, _, _ in labels):
+        for (i, j) in cells:
+            k = row_hole(i)
+            if k is not None and k == row_hole(j):
+                return fail(f"hole cell ({i},{j}) is filled" if holey
+                            else f"cell ({i},{j}) lies inside hole {k}")
 
     # property 3: every pair of points at most once
-    seen_pairs: dict[Pair, Cell] = {}
-    for cell, pair in sq.cells.items():
-        if pair in seen_pairs:
-            return fail(
-                f"pair {set(pair)} appears in cells {seen_pairs[pair]} and {cell}"
-            )
-        seen_pairs[pair] = cell
+    if len(set(cells.values())) != len(cells):
+        seen_pairs: dict[Pair, Cell] = {}
+        for cell, pair in cells.items():
+            if pair in seen_pairs:
+                return fail(
+                    f"pair {set(pair)} appears in cells {seen_pairs[pair]} and {cell}"
+                )
+            seen_pairs[pair] = cell
 
     # property 4: no pair inside a point hole
-    for cell, pair in sq.cells.items():
-        a, b = pair
-        k = point_hole(a)
-        if k is not None and k == point_hole(b):
-            return fail(f"cell {cell} pairs two hole points {set(pair)}" if holey
-                        else f"cell {cell} pairs two points of hole {k}")
+    if any(k is not None and k == h for _, _, k, h in labels):
+        for cell, pair in cells.items():
+            a, b = pair
+            k = point_hole(a)
+            if k is not None and k == point_hole(b):
+                return fail(f"cell {cell} pairs two hole points {set(pair)}" if holey
+                            else f"cell {cell} pairs two points of hole {k}")
 
-    # resolvability: the points of row i and column i, from one pass over the
-    # cells; an sfs reports its rows hole by hole, every other kind in index
-    # order.  A row outside ``visited`` holds no cell and lies in no hole, so
-    # all of them share the verdict of the first one, ``blank``
-    lines: defaultdict[int, list[int]] = defaultdict(list)
-    for (i, j), pair in sq.cells.items():
-        lines[i] += pair
-        lines[j] += pair
-    visited = set(lines).union(*row_parts)
+    # resolvability: the points of row i and column i are the incidences
+    # (i, p) of its counts[i] cells.  A line covers a point twice when two of
+    # them coincide, and a line of hole k clashes when it covers a point of
+    # point-hole k.  An sfs reports its rows hole by hole, every other kind
+    # in index order.  A row outside ``visited`` holds no cell and lies in no
+    # hole, so all of them share the verdict of the first one, ``blank``
+    on_line, on_point = lines * 2, firsts * 2 + seconds * 2
+    twice = clash = ()
+    if len(set(zip(on_line, on_point))) != len(on_point):
+        twice = {i for (i, _), c in Counter(zip(on_line, on_point)).items() if c > 1}
+    if any(k is not None and k in (a, b) for r, c, a, b in labels for k in (r, c)):
+        clash = {i for i, p in zip(on_line, on_point)
+                 if row_hole(i) is not None and row_hole(i) == point_hole(p)}
+    visited = set(counts).union(*row_parts)
     blank = next(i for i in itertools.count() if i not in visited)
     if sq.kind is SquareKind.SFS:
         order = itertools.chain(*row_parts)
@@ -211,31 +259,27 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
         order = sorted(visited | {blank} if blank < sq.s else visited)
     starred = []
     for i in order:
-        line = lines.get(i, ())
-        covered = set(line)
-        if len(covered) != len(line):
+        if i in twice:
             return fail(f"row/column {i}: a point is covered twice")
+        covered = 2 * counts[i]  # the points of the line, each once
         k = row_hole(i)
         if k is not None:
-            # every point lies in [0, v) and a part has distinct points, so
-            # this says that the row covers exactly the points outside hole k
-            part = point_parts[k]
-            if len(covered) != sq.v - len(part) or not covered.isdisjoint(part):
+            if covered != sq.v - len(point_parts[k]) or i in clash:
                 return fail(
                     f"hole row/column {i} does not partition the points outside the hole"
                     if holey
                     else f"row/column {i} of hole {k} does not partition the points"
                     f" outside point-hole {k}"
                 )
-        elif len(covered) == sq.v - 1:
+        elif covered == sq.v - 1:
             continue
-        elif sq.kind is SquareKind.SAS_STAR and len(covered) == sq.v - 3:
+        elif sq.kind is SquareKind.SAS_STAR and covered == sq.v - 3:
             starred.append(i)
         elif holey:
-            return fail(f"row/column {i} covers {len(covered)} points, expected {sq.v - 1}")
+            return fail(f"row/column {i} covers {covered} points, expected {sq.v - 1}")
         else:
             return fail(
-                f"row/column {i} covers {len(covered)} points, not a partition of"
+                f"row/column {i} covers {covered} points, not a partition of"
                 f" the point set minus {'one point' if sq.kind is SquareKind.SAS else 'one or three points'}"
             )
     if sq.kind is SquareKind.SAS_STAR:
@@ -250,7 +294,9 @@ def verify_square(sq: SkewSquare) -> VerificationReport:
             starred = f"[{', '.join(map(str, starred[:3]))}, ...] ({count} in all)"
         if count != 1:
             return fail(f"expected exactly one deficient row/column, found {starred or 'none'}")
-    return VerificationReport(True)
+    report = VerificationReport(True)
+    object.__setattr__(sq, "report", report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +309,13 @@ def square_to_mcwc(sq: SkewSquare) -> PartitionedCode:
     {a, b, v+i, v+j} inside parameters (2; v, s; 2, 2; 6)."""
     if sq.kind not in (SquareKind.SAS, SquareKind.SAS_STAR):
         raise ShapeError("only sas and sas* squares translate to codes directly")
-    verify_square(sq).require("invalid square")
+    (sq.report or verify_square(sq)).require("invalid square")
     params = CodeParameters((sq.v, sq.s), (2, 2), 6)
-    supports = [
-        sorted(pair) + [sq.v + i, sq.v + j] for (i, j), pair in sorted(sq.cells.items())
-    ]
-    code = PartitionedCode.from_supports(params, supports)
+    # a verified pair lies below v, so each support is sorted
+    supports = [(*sorted(pair), sq.v + min(cell), sq.v + max(cell))
+                for cell, pair in sorted(sq.cells.items())]
+    bits = [1 << a | 1 << b | 1 << i | 1 << j for a, b, i, j in supports]
+    code = PartitionedCode.from_columns(params, supports, bits)
     verify_mcwc(code).require("translated code fails verification")
     return code
 
@@ -297,7 +344,7 @@ def mcwc_to_square(code: PartitionedCode) -> SkewSquare:
     verify_mcwc(code).require("invalid code")
     # each word's rows (i, j) and its pair of points; a support is sorted, so i < j
     cells = {(i - n1, j - n1): frozenset((a, b)) for a, b, i, j in code.supports}
-    sq = SkewSquare.build(kind, n2, n1, cells)
+    sq = SkewSquare(kind, n2, n1, cells)
     verify_square(sq).require("translated square fails verification")
     return sq
 
@@ -414,7 +461,7 @@ def _overlay(
     Every target cell is still empty: each caller's verified inputs keep the
     cells it copies apart from those already there."""
     for (i, j), pair in square.cells.items():
-        cells[(row_map[i], row_map[j])] = frozenset(point_map[p] for p in pair)
+        cells[(row_map[i], row_map[j])] = frozenset(map(point_map.__getitem__, pair))
 
 
 def wfc_construct(
@@ -429,7 +476,8 @@ def wfc_construct(
     for every block an ingredient SFS of type {(s(x), v(x)) : x in B} is laid
     onto the corresponding index runs.  Groups become the holes of the result.
     Ingredient parts are matched to block points by sorted (s, v) pairs, and
-    each ingredient is verified the first time a block uses it.
+    an ingredient that carries no report is verified the first time a block
+    uses it.
     """
     verify_gdd(design).require("invalid design")
     try:
@@ -444,7 +492,6 @@ def wfc_construct(
     point_start = [0, *itertools.accumulate(v_of)]
 
     cells: dict[Cell, Pair] = {}
-    verified: set[tuple[tuple[int, int], ...]] = set()
     for block in design.blocks:
         key = sfs_type_key((s_of[x], v_of[x]) for x in block)
         try:
@@ -455,11 +502,9 @@ def wfc_construct(
             raise IngredientError(f"ingredient for type {key} is not an SFS")
         if ingredient.sfs_type() != key:
             raise IngredientError(f"ingredient type mismatch for {key}")
-        if key not in verified:
-            report = verify_square(ingredient)
-            if not report.valid:
-                raise IngredientError(f"ingredient for type {key} is invalid: {report.violation}")
-            verified.add(key)
+        report = ingredient.report or verify_square(ingredient)
+        if not report.valid:
+            raise IngredientError(f"ingredient for type {key} is invalid: {report.violation}")
 
         # sorted is stable: equal (s, v) sizes keep the parts' own order
         parts = sorted(zip(ingredient.row_parts, ingredient.point_parts),
@@ -471,20 +516,12 @@ def wfc_construct(
             point_map.update(zip(points, range(point_start[x], point_start[x + 1])))
         _overlay(cells, ingredient, row_map, point_map)
 
-    result = SkewSquare.build(
-        SquareKind.SFS,
-        row_start[-1],
-        point_start[-1],
-        cells,
-        row_parts=[
-            itertools.chain(*(range(row_start[x], row_start[x + 1]) for x in g))
-            for g in design.groups
-        ],
-        point_parts=[
-            itertools.chain(*(range(point_start[x], point_start[x + 1]) for x in g))
-            for g in design.groups
-        ],
-    )
+    def runs(start):  # the indices of each group's points, ascending like the points
+        return tuple(tuple(itertools.chain(*(range(start[x], start[x + 1]) for x in g)))
+                     for g in design.groups)
+
+    result = SkewSquare(SquareKind.SFS, row_start[-1], point_start[-1], cells,
+                        row_parts=runs(row_start), point_parts=runs(point_start))
     verify_square(result).require("assembled frame fails verification (bad ingredient?)")
     return result
 
@@ -503,7 +540,7 @@ def bfc_fill(
     """
     if frame.kind is not SquareKind.SFS:
         raise ShapeError("the frame must be an SFS")
-    verify_square(frame).require("invalid frame")
+    (frame.report or verify_square(frame)).require("invalid frame")
     n = len(frame.row_parts)
     if len(fillers) != n:
         raise ShapeError(f"expected {n} fillers, got {len(fillers)}")
@@ -517,7 +554,7 @@ def bfc_fill(
         h_k = len(frame.point_parts[k])
         last = k == n - 1
         if fillers.index(filler) == k:
-            verify_square(filler).require(f"filler {k} is invalid")
+            (filler.report or verify_square(filler)).require(f"filler {k} is invalid")
         if filler.s != s_k + e or filler.v != h_k + w:
             raise ShapeError(
                 f"filler {k} is {filler.s}x{filler.s} on {filler.v} points,"
@@ -547,14 +584,9 @@ def bfc_fill(
 
     kind = fillers[-1].kind
     holey = kind is SquareKind.HSAS
-    result = SkewSquare.build(
-        kind,
-        frame.s + e,
-        frame.v + w,
-        cells,
-        hole_rows=new_rows if holey else (),
-        hole_points=new_points if holey else (),
-    )
+    result = SkewSquare(kind, frame.s + e, frame.v + w, cells,
+                        hole_rows=frozenset(new_rows if holey else ()),
+                        hole_points=frozenset(new_points if holey else ()))
     verify_square(result).require("assembled square fails verification")
     return result
 
@@ -568,19 +600,13 @@ def sas_as_hsas(sq: SkewSquare, row: int) -> SkewSquare:
     """
     if sq.kind is not SquareKind.SAS:
         raise ShapeError("sas_as_hsas expects a plain sas square")
-    verify_square(sq).require("invalid square")
+    (sq.report or verify_square(sq)).require("invalid square")
     if not 0 <= row < sq.s:
         raise DomainError(f"row {row} outside the array")
     covered = {p for cell, pair in sq.cells.items() if row in cell for p in pair}
     (missing,) = set(range(sq.v)) - covered
-    result = SkewSquare.build(
-        SquareKind.HSAS,
-        sq.s,
-        sq.v,
-        sq.cells,
-        hole_rows=[row],
-        hole_points=[missing],
-    )
+    result = SkewSquare(SquareKind.HSAS, sq.s, sq.v, sq.cells,
+                        hole_rows=frozenset([row]), hole_points=frozenset([missing]))
     verify_square(result).require("holey view fails verification")
     return result
 
@@ -592,8 +618,8 @@ def fill_hole(frame: SkewSquare, filler: SkewSquare) -> SkewSquare:
         raise ShapeError("fill_hole expects an hsas frame")
     if filler.kind not in (SquareKind.SAS, SquareKind.SAS_STAR):
         raise ShapeError("the hole filler must be sas or sas*")
-    verify_square(frame).require("invalid frame")
-    verify_square(filler).require("invalid filler")
+    (frame.report or verify_square(frame)).require("invalid frame")
+    (filler.report or verify_square(filler)).require("invalid filler")
     if filler.s != len(frame.hole_rows) or filler.v != len(frame.hole_points):
         raise ShapeError(
             f"filler is {filler.s}x{filler.s} on {filler.v} points; the hole"
@@ -601,7 +627,7 @@ def fill_hole(frame: SkewSquare, filler: SkewSquare) -> SkewSquare:
         )
     cells = dict(frame.cells)
     _overlay(cells, filler, sorted(frame.hole_rows), sorted(frame.hole_points))
-    result = SkewSquare.build(filler.kind, frame.s, frame.v, cells)
+    result = SkewSquare(filler.kind, frame.s, frame.v, cells)
     verify_square(result).require("filled square fails verification")
     return result
 
@@ -639,7 +665,10 @@ def parse_square(text: str) -> SkewSquare:
                 raise FormatError("expected integers", lineno) from None
             if (i, j) in cells:
                 raise FormatError(f"cell ({i},{j}) filled twice", lineno)
-            cells[(i, j)] = frozenset((a, b))
+            # a violation message lists a pair's points in its set order,
+            # which a copy can change; the pair is copied once, as
+            # SkewSquare.build copied it, so the messages stay as they were
+            cells[(i, j)] = frozenset(iter(frozenset((a, b))))
         elif tag in ("hole-rows", "hole-points", "row-part", "point-part"):
             if tag in once:
                 raise FormatError(f"'{tag}' is repeated", lineno)
@@ -653,16 +682,11 @@ def parse_square(text: str) -> SkewSquare:
                              for g in groups if g.strip()]
         else:
             raise FormatError(f"unknown directive {tag!r}", lineno)
-    return SkewSquare.build(
-        kind,
-        s,
-        v,
-        cells,
-        hole_rows=once.get("hole-rows", ()),
-        hole_points=once.get("hole-points", ()),
-        row_parts=once.get("row-part", ()),
-        point_parts=once.get("point-part", ()),
-    )
+    # the cells and holes hold ints already; only the parts need sorting
+    row_parts, point_parts = (tuple(tuple(sorted(part)) for part in once.get(tag, ()))
+                              for tag in ("row-part", "point-part"))
+    return SkewSquare(kind, s, v, cells, frozenset(once.get("hole-rows", ())),
+                      frozenset(once.get("hole-points", ())), row_parts, point_parts)
 
 
 def format_square(sq: SkewSquare) -> str:

@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import pickle
+import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +11,7 @@ from mcwc import corpus
 from mcwc.bounds import best_upper_bound
 from mcwc.core import (
     CodeParameters,
+    ConstructionError,
     DomainError,
     FormatError,
     IngredientError,
@@ -202,6 +208,92 @@ def test_pinned_violation_messages(case):
     assert not report.valid and report.violation == message
 
 
+# verify_square's verdict and exact message on seeded mutants of the shipped
+# squares and of the squares of the small codes, one row per mutant:
+# source, mutation, verdict, message
+SQUARE_VIOLATION_GOLDEN = Path(__file__).with_name("square_violation_golden.tsv")
+MUTATIONS = (
+    "none", "move-point", "swap-cells", "fill-diagonal", "add-mirror", "repeat-pair",
+    "pair-in-point-hole", "fill-hole-cell", "drop-cell", "out-of-range", "wrong-size-pair",
+)
+
+
+def _mutate(rng, sq, items, mutation):
+    """``items``, the (cell, pair) list of a square like ``sq``, after one
+    seeded mutation; None when the square has nothing to mutate that way."""
+    items = list(items)
+    if mutation == "none" or not items:
+        return items if mutation == "none" else None
+    k = rng.randrange(len(items))
+    (i, j), pair = items[k]
+    fresh = frozenset(rng.sample(range(sq.v), 2))
+    row_holes = [p for p in sq.row_parts or [sorted(sq.hole_rows)] if len(p) >= 2]
+    point_holes = [p for p in sq.point_parts or [sorted(sq.hole_points)] if len(p) >= 2]
+    if mutation == "move-point":
+        new = rng.choice([p for p in range(sq.v) if p not in pair])
+        items[k] = ((i, j), pair - {rng.choice(sorted(pair))} | {new})
+    elif mutation == "swap-cells":
+        m = rng.randrange(len(items))
+        items[k], items[m] = (items[k][0], items[m][1]), (items[m][0], pair)
+    elif mutation == "fill-diagonal":
+        d = rng.randrange(sq.s)
+        items.insert(k, ((d, d), fresh))
+    elif mutation == "add-mirror":
+        items.insert(rng.randrange(len(items) + 1), ((j, i), fresh))
+    elif mutation == "repeat-pair":
+        if len(items) < 2:
+            return None
+        m = rng.choice([x for x in range(len(items)) if x != k])
+        items[m] = (items[m][0], pair)
+    elif mutation == "pair-in-point-hole":
+        if not point_holes:
+            return None
+        items[k] = ((i, j), frozenset(rng.sample(list(rng.choice(point_holes)), 2)))
+    elif mutation == "fill-hole-cell":
+        if not row_holes:
+            return None
+        items.insert(k, (tuple(rng.sample(list(rng.choice(row_holes)), 2)), fresh))
+    elif mutation == "drop-cell":
+        del items[k]
+    elif mutation == "out-of-range":
+        items[k] = [((-1, j), pair), ((i, sq.s), pair), ((i, j), pair - {min(pair)} | {-1}),
+                    ((i, j), pair - {max(pair)} | {sq.v})][rng.randrange(4)]
+    elif mutation == "wrong-size-pair":
+        extra = rng.choice([p for p in range(sq.v) if p not in pair])
+        items[k] = ((i, j), rng.choice([frozenset({min(pair)}), pair | {extra}]))
+    return items
+
+
+def square_violation_rows():
+    """The golden's rows: every source square with each single mutation, then
+    three seeded pairs of mutations, which pin the order between properties."""
+    root = corpus.data_root() / "squares"
+    sources = [(f"squares/{path.name}", parse_square(path.read_text(encoding="utf-8")))
+               for path in sorted(root.glob("*.sq"))]
+    sources += [(f"code:{n1},{n2}", mcwc_to_square(corpus.small_code(n1, n2)))
+                for n1, n2 in corpus.SMALL_PAIRS if (n1, n2) != (5, 7)]  # (5, 7) is not extremal
+    for name, sq in sources:
+        for mutation in MUTATIONS + tuple(f"two-faults-{t}" for t in range(3)):
+            rng = random.Random(f"{name}/{mutation}")
+            steps = rng.sample(MUTATIONS[1:], 2) if mutation.startswith("two-") else [mutation]
+            items = list(sq.cells.items())
+            for step in steps:
+                items = None if items is None else _mutate(rng, sq, items, step)
+            if items is None:
+                continue
+            mutant = SkewSquare.build(sq.kind, sq.s, sq.v, dict(items), hole_rows=sq.hole_rows,
+                                      hole_points=sq.hole_points, row_parts=sq.row_parts,
+                                      point_parts=sq.point_parts)
+            report = verify_square(mutant)
+            label = "+".join(steps) if mutation.startswith("two-") else mutation
+            yield (f"{name}\t{label}\t{'ok' if report.valid else 'invalid'}"
+                   f"\t{report.violation or '-'}\n")
+
+
+def test_square_violation_golden():
+    assert "".join(square_violation_rows()) == SQUARE_VIOLATION_GOLDEN.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [("square sas 1000000 5\n",
@@ -256,6 +348,87 @@ def test_square_equality_compares_cells():
     assert first == SkewSquare.build("sas", 5, 5, {(0, 1): [1, 0]})
     assert first != SkewSquare.build("sas", 5, 5, {(0, 2): {3, 4}})
     assert first != SkewSquare.build("sas", 5, 5, {(0, 1): {0, 2}})
+
+
+class TestImmutableSquares:
+    """A square cannot change, so a passing report may travel with it."""
+
+    @pytest.mark.parametrize("change", [
+        lambda cells: cells.__setitem__((0, 2), frozenset({3, 4})),
+        lambda cells: cells.__delitem__((0, 1)),
+        lambda cells: cells.update({(0, 2): frozenset({3, 4})}),
+        lambda cells: cells.pop((0, 1)),
+        lambda cells: cells.popitem(),
+        lambda cells: cells.clear(),
+        lambda cells: cells.setdefault((0, 2), frozenset({3, 4})),
+    ], ids=["assign", "delete", "update", "pop", "popitem", "clear", "setdefault"])
+    def test_cells_are_read_only(self, change):
+        sq = _sas55()
+        with pytest.raises(TypeError, match="read-only"):
+            change(sq.cells)
+        with pytest.raises(TypeError, match="read-only"):
+            sq.cells |= {}
+        assert sq == _sas55() and verify_square(sq).valid
+
+    def test_a_square_given_a_dict_holds_a_read_only_copy(self):
+        cells = {(0, 1): frozenset({0, 1})}
+        sq = SkewSquare(SquareKind.SAS, 5, 5, cells)
+        cells[(0, 2)] = frozenset({3, 4})
+        assert sq.cells == {(0, 1): frozenset({0, 1})}
+        with pytest.raises(TypeError):
+            sq.cells[(0, 2)] = frozenset({3, 4})
+
+    def test_copies_are_equal(self):
+        sq = corpus.hsas_square(11, 3, 13)
+        assert verify_square(sq).valid
+        plain = dict(sq.cells)
+        assert type(plain) is dict and plain == sq.cells and sq.cells == plain
+        plain[(0, 0)] = frozenset({0, 1})  # a dict copy is the caller's own
+        for again in (pickle.loads(pickle.dumps(sq)), copy.deepcopy(sq), copy.copy(sq)):
+            assert again == sq and again.cells == sq.cells
+            with pytest.raises(TypeError):
+                again.cells[(0, 0)] = frozenset({0, 1})
+            assert verify_square(again).valid
+
+    def test_only_a_passing_square_carries_a_report(self):
+        good, bad = _sas55(), _variant(_sas55(), add={(3, 0): {0, 1}})
+        assert good.report is None and bad.report is None
+        report = verify_square(good)
+        assert good.report is report and report.valid
+        assert not verify_square(bad).valid and bad.report is None
+        # the report takes no part in equality, and a copy with a change carries none
+        assert good == _sas55()
+        assert dataclasses.replace(good, s=6).report is None
+
+    def test_built_squares_are_verified_on_first_use(self, monkeypatch):
+        from mcwc import designs
+
+        checked = []
+        monkeypatch.setattr(designs, "verify_square",
+                            lambda sq: checked.append(sq) or verify_square(sq))
+        sq = _sas55()
+        square_to_mcwc(sq)
+        square_to_mcwc(sq)
+        assert checked == [sq]
+        bad = _variant(_sas55(), add={(3, 0): {0, 1}})
+        for _ in range(2):  # an invalid square is checked again on every use
+            with pytest.raises(ConstructionError, match="invalid square: pair"):
+                square_to_mcwc(bad)
+        assert checked == [sq, bad, bad]
+
+    def test_the_translation_chain_verifies_each_square_once(self, monkeypatch):
+        from mcwc import designs
+
+        checked = []
+        monkeypatch.setattr(designs, "verify_square",
+                            lambda sq: checked.append(sq) or verify_square(sq))
+        frame = corpus.hsas_square(11, 3, 11)
+        filler = mcwc_to_square(corpus.small_code(3, 3))
+        filled = fill_hole(frame, filler)
+        code = square_to_mcwc(filled)
+        assert checked == [filler, frame, filled]
+        assert len(code) == 27 and code == square_to_mcwc(
+            SkewSquare.build("sas*", 11, 11, dict(filled.cells)))
 
 
 @pytest.mark.parametrize("args,kwargs,message", [
@@ -550,21 +723,22 @@ class TestFrameConstructions:
     def test_bfc_verifies_a_repeated_filler_once(self, monkeypatch):
         from mcwc import designs
 
-        td = transversal_design(5, 4)
-        frame = wfc_construct(
-            td,
-            {x: 4 for x in range(20)},
-            {x: 2 for x in range(20)},
-            {sfs_type_key([(4, 2)] * 5): corpus.sfs_square(5, 5)},
-        )
-        h19 = corpus.hsas_square(11, 3, 19)
-        star19 = fill_hole(h19, mcwc_to_square(corpus.small_code(3, 3)))
         checked = []
         monkeypatch.setattr(designs, "verify_square",
                             lambda sq: checked.append(sq) or verify_square(sq))
-        result = bfc_fill(frame, 3, 3, [h19, h19, h19, h19, star19])
-        assert [sq is h19 for sq in checked].count(True) == 1
-        assert checked == [frame, h19, star19, result]
+        ingredient = corpus.sfs_square(5, 5)
+        frame = wfc_construct(transversal_design(5, 4), {x: 4 for x in range(20)},
+                              {x: 2 for x in range(20)},
+                              {sfs_type_key([(4, 2)] * 5): ingredient})
+        star3 = mcwc_to_square(corpus.small_code(3, 3))
+        h19 = corpus.hsas_square(11, 3, 19)
+        star19 = fill_hole(h19, star3)
+        # four equal holey fillers that carry no report: only the first is verified
+        holey = [corpus.hsas_square(11, 3, 19) for _ in range(4)]
+        result = bfc_fill(frame, 3, 3, holey + [star19])
+        # the frame, star3 and star19 carry the reports of their construction
+        assert checked == [ingredient, frame, star3, h19, star19, holey[0], result]
+        assert [sq is holey[0] for sq in checked].count(True) == 1
 
     def test_bfc_hsas_variant(self):
         # all fillers holey: the assembled square keeps a hole
